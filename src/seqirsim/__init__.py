@@ -32,8 +32,6 @@ from .integrate import (
     SimulationConfig,
     Trajectory,
     derive_seed,
-    em_step,
-    milstein_step,
     simulate,
     simulate_deterministic,
     simulate_ensemble,
@@ -69,8 +67,8 @@ __all__ = [
     "transition_matrix", "validate_generator",
     "EpidemicState", "PolicyFunction", "RegimeParameters", "RegimeParameterTable",
     "deterministic_drift", "diffusion", "drift", "invariant_set_bounds", "w1", "w2",
-    "SimulationConfig", "Trajectory", "derive_seed", "em_step", "milstein_step",
-    "simulate", "simulate_deterministic", "simulate_ensemble",
+    "SimulationConfig", "Trajectory", "derive_seed", "simulate", "simulate_deterministic",
+    "simulate_ensemble",
     "ConditionReport", "ThresholdReport", "check_conditions", "compute_lambda",
     "compute_psi1", "compute_psi2", "compute_psi3", "compute_rs_star",
     "compute_rtilde_star", "extinction_rate_bound", "persistence_bounds",

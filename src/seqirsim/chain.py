@@ -118,7 +118,8 @@ def validate_generator(raw) -> Generator:
 
     The diagonal is recomputed as the negative off-diagonal row sum when the
     supplied rows deviate from zero by at most ``ROW_SUM_TOL`` (tolerates
-    config-file rounding).  Raises :class:`NegativeOffDiagonal`,
+    config-file rounding).  Raises ``ValueError`` for a non-square or
+    non-finite matrix, and :class:`NegativeOffDiagonal`,
     :class:`RowSumViolation` or :class:`ReducibleChain` otherwise.
     """
     rates = np.array(raw, dtype=float)
@@ -126,6 +127,8 @@ def validate_generator(raw) -> Generator:
         raise ValueError(
             f"generator must be a square N x N matrix with N >= 1, got shape {rates.shape}"
         )
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("generator entries must be finite")
     n = rates.shape[0]
 
     off = rates.copy()

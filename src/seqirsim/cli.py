@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, chain, thresholds
 from .config import RunConfig, load_config
-from .errors import ConfigError, MathDomainError, NegativeState
+from .errors import ConfigError, EmptyWindow, MathDomainError, NegativeState
 from .integrate import Trajectory, derive_seed, simulate, simulate_deterministic, simulate_ensemble
 from .model import RegimeParameterTable
 
@@ -112,9 +112,9 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
         seed = derive_seed(cfg.ensemble_base_seed, i)
         write_trajectory_csv(traj, out_dir / f"traj_{i:03d}_seed_{seed}.csv")
 
-    pi = chain.stationary_distribution(cfg.generator)
     report = thresholds.threshold_report(cfg.table, cfg.generator,
                                          cfg.policy.slope_at_zero)
+    pi = chain.StationaryDistribution(report.pi)
     summary = analysis.summarize_ensemble(trajectories, pi, report)
     lines = [
         f"n_trajectories = {summary.n_trajectories}",
@@ -194,33 +194,30 @@ def cmd_compare_det(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
+# one row per subcommand: name -> (help, default output suffix, handler)
+COMMANDS = {
+    "thresholds": ("write the threshold/certification report", "_thresholds.txt",
+                   cmd_thresholds),
+    "simulate": ("integrate one trajectory and write CSV", "_trajectory.csv", cmd_simulate),
+    "ensemble": ("run an ensemble with derived seeds", "_ensemble", cmd_ensemble),
+    "chain": ("write regime-chain diagnostics", "_chain.txt", cmd_chain),
+    "compare-det": ("compare ensemble mean against the deterministic model",
+                    "_compare_det.csv", cmd_compare_det),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqirsim",
         description="Regime-switching stochastic SEQIR simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("thresholds", "write the threshold/certification report"),
-        ("simulate", "integrate one trajectory and write CSV"),
-        ("ensemble", "run an ensemble with derived seeds"),
-        ("chain", "write regime-chain diagnostics"),
-        ("compare-det", "compare ensemble mean against the deterministic model"),
-    ):
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", help="output file (directory for 'ensemble')")
         p.add_argument("--seed", type=int, help="override the configured seeds")
         p.add_argument("--quiet", action="store_true", help="suppress status output")
     return parser
-
-
-_DEFAULT_SUFFIX = {
-    "thresholds": "_thresholds.txt",
-    "simulate": "_trajectory.csv",
-    "ensemble": "_ensemble",
-    "chain": "_chain.txt",
-    "compare-det": "_compare_det.csv",
-}
 
 
 def main(argv=None) -> int:
@@ -236,18 +233,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    stem = Path(args.config).stem
-    out = Path(args.out) if args.out else _out_dir() / (stem + _DEFAULT_SUFFIX[args.command])
-
-    handler = {
-        "thresholds": cmd_thresholds,
-        "simulate": cmd_simulate,
-        "ensemble": cmd_ensemble,
-        "chain": cmd_chain,
-        "compare-det": cmd_compare_det,
-    }[args.command]
+    _, suffix, handler = COMMANDS[args.command]
+    out = Path(args.out) if args.out else _out_dir() / (Path(args.config).stem + suffix)
     try:
         return handler(cfg, out, args.quiet)
+    except EmptyWindow as exc:
+        print(f"config error: the ensemble tail window holds too few samples ({exc}); "
+              f"raise simulation.horizon or lower simulation.stride", file=sys.stderr)
+        return EXIT_CONFIG
     except (MathDomainError, NegativeState, ZeroDivisionError) as exc:
         print(f"math domain error: {exc}", file=sys.stderr)
         return EXIT_MATH

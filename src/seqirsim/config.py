@@ -23,6 +23,7 @@ simulation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,7 +91,13 @@ def _require(doc: dict, key: str, where: str) -> object:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return number
 
 
 def _integer(value, where: str) -> int:

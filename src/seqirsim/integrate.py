@@ -25,7 +25,8 @@ import numpy as np
 
 from .chain import Generator, RegimePath, sample_path_discretized, sample_path_exact
 from .errors import NegativeState
-from .model import EpidemicState, PolicyFunction, RegimeParameters, RegimeParameterTable, w1, w2
+from .model import (EpidemicState, PolicyFunction, RegimeParameters, RegimeParameterTable,
+                    regime_constants, vector_field)
 
 SCHEMES = ("milstein", "euler_maruyama")
 CHAIN_MODES = ("exact", "discretized")
@@ -112,9 +113,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def sample(self, i: int) -> tuple[float, int, EpidemicState]:
-        return float(self.times[i]), int(self.regimes[i]), EpidemicState.from_array(self.states[i])
-
     def compartment(self, name: str) -> np.ndarray:
         return self.states[:, self.COLUMNS.index(name)]
 
@@ -127,83 +125,40 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def _step(s, e, q, i, r, A, bw1, b1, xi, pm, w2v, b2, bcx, al, c, exd, eta, sg,
-          s0w1, halfcorr, dt, dB, milstein, hs):
+def _step(s, e, q, i, r, k, dt, dB, milstein, hs):
     """One explicit step from scalar state; returns the new scalar state.
 
-    ``hs`` is the policy value h(s) for the current s.  With ``milstein`` the
+    ``k`` is :func:`~seqirsim.model.regime_constants` of the regime frozen
+    over the step and ``hs`` the policy value h(s).  The diffusion g =
+    sigma0 * w1 * S * E moves g * dB from S to E.  With ``milstein`` the
     derivative correction 0.5 * (g . grad)g * (dB^2 - dt) is added; for this
     diffusion it is 0.5 * sigma0^2 * w1^2 * S * E * (E - S) * (dB^2 - dt) on
     S and its negation on E.
     """
+    fs, fe, fq, fi, fr = vector_field(s, e, q, i, r, k, hs)
     se = s * e
-    inc = bw1 * se
-    g1 = s0w1 * se
-    pmh = pm * hs
-    ds = (A - inc + b1 * q - xi * s - pmh) * dt
-    de = (inc - w2v * e) * dt
-    dq = (b2 * e - bcx * q) * dt
-    di = (al * e + c * q - exd * i) * dt
-    dr = (eta * i + sg * e - xi * r + pmh) * dt
-    gdb = g1 * dB
+    # k[13] = sigma0 * w1 and k[14] = 0.5 * (sigma0 * w1)^2
+    gdb = k[13] * se * dB
     if milstein:
-        dm = halfcorr * se * (dB * dB - dt) * (e - s)
+        dm = k[14] * se * (dB * dB - dt) * (e - s)
     else:
         dm = 0.0
-    return s + ds - gdb + dm, e + de + gdb - dm, q + dq, i + di, r + dr
+    return (s + fs * dt - gdb + dm, e + fe * dt + gdb - dm, q + fq * dt, i + fi * dt,
+            r + fr * dt)
 
 
-def _regime_constants(params: RegimeParameters) -> tuple:
-    """Per-regime scalar constants consumed by :func:`_step`."""
-    w1v = w1(params)
-    s0w1 = params.sigma0 * w1v
-    return (
-        params.A,
-        params.beta * w1v,
-        params.b1,
-        params.xi,
-        params.p * params.M,
-        w2(params),
-        params.b2,
-        params.b1 + params.c + params.xi,
-        params.alpha,
-        params.c,
-        params.eta + params.xi + params.delta,
-        params.eta,
-        params.sigma,
-        s0w1,
-        0.5 * s0w1 * s0w1,
-    )
+def _clamp_negative(vals: tuple, policy: str, t: float) -> tuple[tuple, int]:
+    """Apply the negativity policy to a state with a negative component.
 
-
-def _apply_negativity(vals: tuple, policy: str) -> tuple[tuple, int]:
-    """Clamp or reject negative components; returns (state, clamp count)."""
-    if min(vals) >= 0.0:
-        return vals, 0
-    if policy == "error" and min(vals) < NEGATIVITY_TOL:
-        raise NegativeState(f"compartment went negative: {vals}")
-    clamped = tuple(0.0 if v < 0.0 else v for v in vals)
-    return clamped, sum(1 for v in vals if v < 0.0)
-
-
-def milstein_step(state: EpidemicState, params: RegimeParameters, h: PolicyFunction,
-                  dt: float, dB: float,
-                  negativity_policy: str = "clamp_to_zero") -> EpidemicState:
-    """Single Milstein step; ``dB`` is the caller-supplied Brownian increment."""
-    vals = _step(state.S, state.E, state.Q, state.I, state.R,
-                 *_regime_constants(params), dt, dB, True, h(state.S))
-    vals, _ = _apply_negativity(vals, negativity_policy)
-    return EpidemicState(*vals)
-
-
-def em_step(state: EpidemicState, params: RegimeParameters, h: PolicyFunction,
-            dt: float, dB: float,
-            negativity_policy: str = "clamp_to_zero") -> EpidemicState:
-    """Single Euler-Maruyama step (Milstein without the correction term)."""
-    vals = _step(state.S, state.E, state.Q, state.I, state.R,
-                 *_regime_constants(params), dt, dB, False, h(state.S))
-    vals, _ = _apply_negativity(vals, negativity_policy)
-    return EpidemicState(*vals)
+    Under ``error`` a component below ``NEGATIVITY_TOL`` raises
+    :class:`NegativeState`; otherwise, and always under ``clamp_to_zero``,
+    each negative component is set to zero.  Returns the state and the
+    number of components clamped.
+    """
+    low = min(vals)
+    if policy == "error" and low < NEGATIVITY_TOL:
+        raise NegativeState(f"compartment went negative ({low:.3e}) at t={t:.6g}")
+    return tuple(0.0 if v < 0.0 else v for v in vals), sum(v < 0.0 for v in vals)
 
 
 def _regime_step_schedule(path: RegimePath, dt: float, n_steps: int) -> list[tuple[int, int]]:
@@ -257,7 +212,7 @@ def simulate(config: SimulationConfig, generator: Generator,
                                        n_steps * dt, dt, rng)
 
     schedule = _regime_step_schedule(path, dt, n_steps)
-    regime_constants = [_regime_constants(row) for row in table.rows]
+    constants = [regime_constants(row) for row in table.rows]
 
     stride = config.output_stride
     n_rec = n_steps // stride + 1 + (1 if n_steps % stride else 0)
@@ -272,74 +227,46 @@ def simulate(config: SimulationConfig, generator: Generator,
     states[0] = (s, e, q, i, r)
 
     milstein = config.scheme == "milstein"
-    erroring = config.negativity_policy == "error"
     linear_policy = h.kind == "linear"
     sqrt_dt = math.sqrt(dt)
 
     seg = 0
     next_jump = schedule[1][0] if len(schedule) > 1 else n_steps + 1
-    (A, bw1, b1, xi, pm, w2v, b2, bcx, al, c, exd, eta, sg, s0w1,
-     halfcorr) = regime_constants[schedule[0][1]]
     cur_regime = schedule[0][1]
+    k = constants[cur_regime]
 
     clamps = 0
     rec = 1
-    z: list[float] = []
-    zi = 0
-    for n in range(n_steps):
-        if n >= next_jump:
-            while len(schedule) > seg + 1 and n >= schedule[seg + 1][0]:
-                seg += 1
-            cur_regime = schedule[seg][1]
-            (A, bw1, b1, xi, pm, w2v, b2, bcx, al, c, exd, eta, sg, s0w1,
-             halfcorr) = regime_constants[cur_regime]
-            next_jump = schedule[seg + 1][0] if len(schedule) > seg + 1 else n_steps + 1
-        if zi >= len(z):
-            z = (rng.standard_normal(min(_BLOCK, n_steps - n)) * sqrt_dt).tolist()
-            zi = 0
-        dB = z[zi]
-        zi += 1
+    for n0 in range(0, n_steps, _BLOCK):
+        block = (rng.standard_normal(min(_BLOCK, n_steps - n0)) * sqrt_dt).tolist()
+        for n, dB in enumerate(block, n0):
+            if n >= next_jump:
+                while len(schedule) > seg + 1 and n >= schedule[seg + 1][0]:
+                    seg += 1
+                cur_regime = schedule[seg][1]
+                k = constants[cur_regime]
+                next_jump = schedule[seg + 1][0] if len(schedule) > seg + 1 else n_steps + 1
 
-        hs = s if linear_policy else h(s)
-        s1, e1, q1, i1, r1 = _step(s, e, q, i, r, A, bw1, b1, xi, pm, w2v, b2,
-                                   bcx, al, c, exd, eta, sg, s0w1, halfcorr,
-                                   dt, dB, milstein, hs)
-        if s1 < 0.0 or e1 < 0.0 or q1 < 0.0 or i1 < 0.0 or r1 < 0.0:
-            low = min(s1, e1, q1, i1, r1)
-            if erroring and low < NEGATIVITY_TOL:
-                raise NegativeState(
-                    f"compartment went negative ({low:.3e}) at t={(n + 1) * dt:.6g}"
-                )
-            if s1 < 0.0:
-                s1 = 0.0
-                clamps += 1
-            if e1 < 0.0:
-                e1 = 0.0
-                clamps += 1
-            if q1 < 0.0:
-                q1 = 0.0
-                clamps += 1
-            if i1 < 0.0:
-                i1 = 0.0
-                clamps += 1
-            if r1 < 0.0:
-                r1 = 0.0
-                clamps += 1
-        s, e, q, i, r = s1, e1, q1, i1, r1
+            hs = s if linear_policy else h(s)
+            s, e, q, i, r = _step(s, e, q, i, r, k, dt, dB, milstein, hs)
+            if s < 0.0 or e < 0.0 or q < 0.0 or i < 0.0 or r < 0.0:
+                (s, e, q, i, r), hit = _clamp_negative((s, e, q, i, r),
+                                                       config.negativity_policy, (n + 1) * dt)
+                clamps += hit
 
-        m = n + 1
-        if m % stride == 0 or m == n_steps:
-            times[rec] = m * dt
-            # regime reported at a sample is the one in force at that time
-            if m >= next_jump:
-                idx = seg
-                while len(schedule) > idx + 1 and m >= schedule[idx + 1][0]:
-                    idx += 1
-                regimes[rec] = schedule[idx][1] + 1
-            else:
-                regimes[rec] = cur_regime + 1
-            states[rec] = (s, e, q, i, r)
-            rec += 1
+            m = n + 1
+            if m % stride == 0 or m == n_steps:
+                times[rec] = m * dt
+                # regime reported at a sample is the one in force at that time
+                if m >= next_jump:
+                    idx = seg
+                    while len(schedule) > idx + 1 and m >= schedule[idx + 1][0]:
+                        idx += 1
+                    regimes[rec] = schedule[idx][1] + 1
+                else:
+                    regimes[rec] = cur_regime + 1
+                states[rec] = (s, e, q, i, r)
+                rec += 1
 
     metadata = {
         "config": config,
@@ -367,17 +294,6 @@ def simulate_ensemble(config: SimulationConfig, generator: Generator,
     return out
 
 
-def _deterministic_field(s, e, q, i, r, A, bw1, b1, xi, pm, w2v, b2, bcx, al,
-                         c, exd, eta, sg):
-    se_inc = bw1 * (s * e)
-    pmh = pm * s
-    return (A - se_inc + b1 * q - xi * s - pmh,
-            se_inc - w2v * e,
-            b2 * e - bcx * q,
-            al * e + c * q - exd * i,
-            eta * i + sg * e - xi * r + pmh)
-
-
 def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
                            M_const: float, dt: float, horizon: float,
                            output_stride: int = 1) -> Trajectory:
@@ -389,7 +305,7 @@ def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
     if dt <= 0 or horizon < 0:
         raise ValueError("dt must be positive and horizon nonnegative")
     t_start = time.perf_counter()
-    pars = _regime_constants(replace(params, M=M_const))[:13]
+    pars = regime_constants(replace(params, M=M_const))
 
     n_steps = int(round(horizon / dt))
     stride = output_stride
@@ -404,10 +320,13 @@ def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
     half = dt / 2.0
     sixth = dt / 6.0
     for n in range(n_steps):
-        k1 = _deterministic_field(*y, *pars)
-        k2 = _deterministic_field(*(yv + half * kv for yv, kv in zip(y, k1)), *pars)
-        k3 = _deterministic_field(*(yv + half * kv for yv, kv in zip(y, k2)), *pars)
-        k4 = _deterministic_field(*(yv + dt * kv for yv, kv in zip(y, k3)), *pars)
+        k1 = vector_field(*y, pars, y[0])
+        y2 = tuple(yv + half * kv for yv, kv in zip(y, k1))
+        k2 = vector_field(*y2, pars, y2[0])
+        y3 = tuple(yv + half * kv for yv, kv in zip(y, k2))
+        k3 = vector_field(*y3, pars, y3[0])
+        y4 = tuple(yv + dt * kv for yv, kv in zip(y, k3))
+        k4 = vector_field(*y4, pars, y4[0])
         y = tuple(yv + sixth * (a + 2.0 * (b + cc) + d)
                   for yv, a, b, cc, d in zip(y, k1, k2, k3, k4))
         m = n + 1

@@ -13,7 +13,7 @@ the total population carries no diffusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -112,9 +112,6 @@ class RegimeParameterTable:
         if not 1 <= k <= len(self.rows):
             raise IndexError(f"regime {k} outside 1..{len(self.rows)}")
         return self.rows[k - 1]
-
-    def param_array(self, name: str) -> np.ndarray:
-        return self._arrays[name]
 
     @cached_property
     def _arrays(self) -> dict:
@@ -258,6 +255,51 @@ class PolicyFunction:
             )
 
 
+def regime_constants(params: RegimeParameters) -> tuple:
+    """Per-regime scalar constants consumed by :func:`vector_field`.
+
+    In order: A, beta*w1, b1, xi, p*M, w2, b2, b1 + c + xi, alpha, c,
+    eta + xi + delta, eta, sigma, sigma0*w1 and 0.5*(sigma0*w1)^2.  The last
+    two scale the diffusion and the Milstein correction.
+    """
+    w1v = w1(params)
+    s0w1 = params.sigma0 * w1v
+    return (
+        params.A,
+        params.beta * w1v,
+        params.b1,
+        params.xi,
+        params.p * params.M,
+        w2(params),
+        params.b2,
+        params.b1 + params.c + params.xi,
+        params.alpha,
+        params.c,
+        params.eta + params.xi + params.delta,
+        params.eta,
+        params.sigma,
+        s0w1,
+        0.5 * s0w1 * s0w1,
+    )
+
+
+def vector_field(s, e, q, i, r, k, hs):
+    """Drift of the model at scalar state (s, e, q, i, r) as five floats.
+
+    ``k`` is :func:`regime_constants` of the regime in force and ``hs`` the
+    policy value h(s).  This is the one definition of the drift: the
+    stochastic step, the RK4 integrator and :func:`drift` all evaluate it.
+    """
+    A, bw1, b1, xi, pm, w2v, b2, bcx, al, c, exd, eta, sg, _, _ = k
+    inc = bw1 * (s * e)
+    pmh = pm * hs
+    return (A - inc + b1 * q - xi * s - pmh,
+            inc - w2v * e,
+            b2 * e - bcx * q,
+            al * e + c * q - exd * i,
+            eta * i + sg * e - xi * r + pmh)
+
+
 def drift(state: EpidemicState, params: RegimeParameters, h: PolicyFunction) -> np.ndarray:
     """Drift field of the stochastic model, returned as (dS, dE, dQ, dI, dR)/dt.
 
@@ -267,16 +309,7 @@ def drift(state: EpidemicState, params: RegimeParameters, h: PolicyFunction) -> 
     dI = alpha*E + c*Q - (eta + xi + delta)*I
     dR = eta*I + sigma*E - xi*R + p*M*h(S)
     """
-    s, e, q, i, r = state.S, state.E, state.Q, state.I, state.R
-    incidence = params.beta * w1(params) * s * e
-    policy = params.p * params.M * h(s)
-    return np.array([
-        params.A - incidence + params.b1 * q - params.xi * s - policy,
-        incidence - w2(params) * e,
-        params.b2 * e - (params.b1 + params.c + params.xi) * q,
-        params.alpha * e + params.c * q - (params.eta + params.xi + params.delta) * i,
-        params.eta * i + params.sigma * e - params.xi * r + policy,
-    ])
+    return np.array(vector_field(*astuple(state), regime_constants(params), h(state.S)))
 
 
 def diffusion(state: EpidemicState, params: RegimeParameters) -> np.ndarray:
@@ -285,7 +318,7 @@ def diffusion(state: EpidemicState, params: RegimeParameters) -> np.ndarray:
     The noise removes sigma0*w1*S*E from S and adds it to E; the other
     compartments carry no noise, so the components sum to zero exactly.
     """
-    g = params.sigma0 * w1(params) * state.S * state.E
+    g = params.sigma0 * w1(params) * (state.S * state.E)
     return np.array([-g, g, 0.0, 0.0, 0.0])
 
 

@@ -28,7 +28,8 @@ from seqirsim import (
 )
 from seqirsim.cli import main
 from seqirsim.errors import NotPersistent
-from seqirsim.integrate import _regime_constants, _step
+from seqirsim.integrate import _step
+from seqirsim.model import regime_constants
 from seqirsim.thresholds import (
     compute_lambda,
     compute_rs_star,
@@ -243,14 +244,14 @@ def test_c05_persistence_reproduction(gen4_, tables):
 def _milstein_endpoint(pars, init, dt, increments):
     s, e, q, i, r = init
     for dB in increments:
-        s, e, q, i, r = _step(s, e, q, i, r, *pars, dt, dB, True, s)
+        s, e, q, i, r = _step(s, e, q, i, r, pars, dt, dB, True, s)
     return np.array([s, e, q, i, r])
 
 
 def test_c06_milstein_strong_order(tables):
     t0 = time.perf_counter()
     params = tables[1][1]  # frozen single regime
-    pars = _regime_constants(params)
+    pars = regime_constants(params)
     init = (20.0, 20.0, 15.0, 10.0, 0.0)
     horizon = 1.0
     n_ref = 2 ** 14

@@ -231,6 +231,38 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(path), "--out", str(missing_dir),
                      "--quiet"]) == 4
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("simulate", ("simulation", "dt"), math.nan),
+        ("simulate", ("simulation", "horizon"), math.inf),
+        ("simulate", ("policy",), {"kind": "saturating", "a": math.nan}),
+        ("chain", ("generator", 0, 1), math.nan),
+        ("simulate", ("initial", "S"), 10 ** 400),
+    ], ids=["dt-nan", "horizon-inf", "policy-a-nan", "generator-nan", "int-beyond-float"])
+    def test_non_finite_config_is_2(self, tmp_path, capsys, command, field, value):
+        # json.dumps writes NaN/Infinity, which json.loads accepts again
+        doc = small_doc()
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sim", [{"horizon": 1e-3}, {"horizon": 0.0}, {"stride": 10000}],
+                             ids=["horizon-dt", "horizon-0", "stride-above-steps"])
+    def test_empty_ensemble_tail_window_is_2(self, tmp_path, capsys, sim):
+        doc = small_doc(**sim)
+        doc["ensemble"] = {"n": 2, "base_seed": 1}
+        path = write_doc(tmp_path, doc)
+        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "ens"),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "simulation.horizon" in err and "simulation.stride" in err
+
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         path = write_doc(tmp_path, small_doc())
         out = tmp_path / "t.csv"

@@ -5,16 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from seqirsim import (
     EpidemicState,
     PolicyFunction,
     RegimeParameterTable,
     SimulationConfig,
+    RegimeParameters,
     derive_seed,
     diffusion,
-    em_step,
-    milstein_step,
     simulate,
     simulate_deterministic,
     simulate_ensemble,
@@ -22,6 +23,8 @@ from seqirsim import (
 )
 from seqirsim.chain import sample_path_discretized
 from seqirsim.errors import NegativeState, StepTooLarge
+from seqirsim.integrate import NEGATIVITY_TOL, _clamp_negative, _step
+from seqirsim.model import regime_constants
 
 from conftest import EX1_PARAMS, EX2_PARAMS
 from test_model import params_from, random_state, zero_params
@@ -65,6 +68,12 @@ class TestConfigValidation:
             base_config(negativity_policy="ignore")
 
 
+def one_step(st, p, dt, dB, milstein=True):
+    """One stochastic step from ``st`` under the linear policy, as an array."""
+    s, e, q, i, r = st.S, st.E, st.Q, st.I, st.R
+    return np.array(_step(s, e, q, i, r, regime_constants(p), dt, dB, milstein, s))
+
+
 class TestSteps:
     def test_milstein_without_noise_is_euler_on_drift(self):
         from seqirsim import drift
@@ -72,17 +81,16 @@ class TestSteps:
         p = replace(p, sigma0=0.0)
         st = EpidemicState(20, 20, 15, 10, 0)
         dt, dB = 1e-3, 0.123
-        out = milstein_step(st, p, LINEAR, dt, dB)
+        out = one_step(st, p, dt, dB)
         expected = st.as_array() + dt * drift(st, p, LINEAR)
-        np.testing.assert_allclose(out.as_array(), expected, rtol=1e-14)
+        np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_correction_vanishes_when_db_squared_equals_dt(self):
         # dt = 0.25 and dB = 0.5 make dB^2 - dt exactly zero in floats
         p = params_from(EX1_PARAMS, 1)
         st = EpidemicState(2, 3, 1, 1, 0)
-        m = milstein_step(st, p, LINEAR, 0.25, 0.5)
-        e = em_step(st, p, LINEAR, 0.25, 0.5)
-        assert m == e
+        np.testing.assert_array_equal(one_step(st, p, 0.25, 0.5),
+                                      one_step(st, p, 0.25, 0.5, milstein=False))
 
     def test_correction_against_finite_differences(self):
         # 0.5 (g . grad)g by central differences of the diffusion field
@@ -104,26 +112,25 @@ class TestSteps:
                 denom = bumped_up[j] - max(bumped_dn[j], 0)
                 fd += g[j] * dg / denom
             correction = 0.5 * fd * (dB * dB - dt)
-            actual = (milstein_step(st, p, LINEAR, dt, dB).as_array()
-                      - em_step(st, p, LINEAR, dt, dB).as_array())
+            actual = one_step(st, p, dt, dB) - one_step(st, p, dt, dB, milstein=False)
             np.testing.assert_allclose(actual, correction, rtol=1e-6, atol=1e-12)
 
     def test_em_pure_noise_transfer(self):
         p = zero_params(sigma0=1.0)
-        out = em_step(EpidemicState(1, 1, 0, 0, 0), p, LINEAR, dt=0.01, dB=0.1)
-        assert out.S == pytest.approx(0.9, abs=1e-15)
-        assert out.E == pytest.approx(1.1, abs=1e-15)
+        out = one_step(EpidemicState(1, 1, 0, 0, 0), p, dt=0.01, dB=0.1, milstein=False)
+        assert out[0] == pytest.approx(0.9, abs=1e-15)
+        assert out[1] == pytest.approx(1.1, abs=1e-15)
 
     def test_em_equals_milstein_without_noise(self):
         p = replace(params_from(EX1_PARAMS, 2), sigma0=0.0)
         st = EpidemicState(5, 4, 3, 2, 1)
-        assert em_step(st, p, LINEAR, 1e-2, 0.3) == milstein_step(st, p, LINEAR, 1e-2, 0.3)
+        np.testing.assert_array_equal(one_step(st, p, 1e-2, 0.3, milstein=False),
+                                      one_step(st, p, 1e-2, 0.3))
 
     def test_em_observed_strong_order(self):
         # self-convergence of the Euler-Maruyama scheme under multiplicative
         # noise: observed order roughly in the 0.5..1.0 band
-        from seqirsim.integrate import _regime_constants, _step
-        pars = _regime_constants(params_from(EX2_PARAMS, 1))
+        pars = regime_constants(params_from(EX2_PARAMS, 1))
         init = (20.0, 20.0, 15.0, 10.0, 0.0)
         n_ref = 2 ** 12
         dt_ref = 1.0 / n_ref
@@ -137,7 +144,7 @@ class TestSteps:
             def endpoint(dt, increments):
                 s, e, q, i, r = init
                 for dB in increments:
-                    s, e, q, i, r = _step(s, e, q, i, r, *pars, dt, dB, False, s)
+                    s, e, q, i, r = _step(s, e, q, i, r, pars, dt, dB, False, s)
                 return np.array([s, e, q, i, r])
 
             ref = endpoint(dt_ref, fine.tolist())
@@ -152,11 +159,59 @@ class TestSteps:
 
     def test_negative_state_policies(self):
         p = zero_params(xi=1000.0)  # drift alone drives S negative
-        st = EpidemicState(1, 0, 0, 0, 0)
-        clamped = milstein_step(st, p, LINEAR, dt=0.01, dB=0.0)
-        assert clamped.S == 0.0
+        vals = tuple(one_step(EpidemicState(1, 0, 0, 0, 0), p, dt=0.01, dB=0.0))
+        assert vals[0] < NEGATIVITY_TOL
+        clamped, hits = _clamp_negative(vals, "clamp_to_zero", 0.01)
+        assert clamped[0] == 0.0 and hits == 1
         with pytest.raises(NegativeState):
-            milstein_step(st, p, LINEAR, dt=0.01, dB=0.0, negativity_policy="error")
+            _clamp_negative(vals, "error", 0.01)
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=hyp.tuples(*[hyp.floats(0.0, 1e4)] * 5),
+           rates=hyp.tuples(*[hyp.floats(0.0, 10.0)] * 13),
+           rho=hyp.tuples(hyp.floats(0.0, 0.99), hyp.floats(0.0, 0.99)),
+           h_frac=hyp.floats(0.0, 1.0),
+           dt=hyp.floats(1e-6, 1.0),
+           dB=hyp.floats(-10.0, 10.0),
+           milstein=hyp.booleans())
+    def test_total_changes_by_drift_sum_alone(self, state, rates, rho, h_frac, dt, dB,
+                                              milstein):
+        # the S->E noise and every transfer term cancel in the total, so one
+        # step changes it by dt*(A - xi*N - delta*I) whatever dB and h(s) are
+        names = ("A", "beta", "b1", "b2", "c", "xi", "delta", "alpha", "sigma", "eta",
+                 "p", "M", "sigma0")
+        p = RegimeParameters(rho1=rho[0], rho2=rho[1], **dict(zip(names, rates)))
+        s, e, q, i, r = state
+        k = regime_constants(p)
+        new = _step(s, e, q, i, r, k, dt, dB, milstein, h_frac * s)
+        total = math.fsum(state)
+        expected = dt * (p.A - p.xi * total - p.delta * i)
+        # tolerance scale: the largest term the step adds or cancels
+        A, bw1, b1, xi, pm, w2v, b2, bcx, al, c, exd, eta, sg, s0w1, halfcorr = k
+        drift_terms = (A, bw1 * s * e, b1 * q, xi * total, pm * s, w2v * e, b2 * e, bcx * q,
+                       al * e, c * q, exd * i, eta * i, sg * e)
+        terms = (*state, *new, s0w1 * s * e * dB, halfcorr * s * e * (dB * dB - dt) * (e - s),
+                 *(dt * v for v in drift_terms))
+        change = math.fsum(new) - total
+        assert abs(change - expected) <= 1e-12 * max(abs(v) for v in terms)
+
+
+class TestClampNegative:
+    def test_error_policy_clamps_within_tolerance(self):
+        vals = (1.0, -0.5e-12, 2.0, 0.0, 3.0)
+        clamped, hits = _clamp_negative(vals, "error", 1.0)
+        assert clamped == (1.0, 0.0, 2.0, 0.0, 3.0)
+        assert hits == 1
+
+    def test_error_policy_raises_below_tolerance(self):
+        with pytest.raises(NegativeState, match="at t=0.5"):
+            _clamp_negative((1.0, -2e-12, 2.0, 0.0, 3.0), "error", 0.5)
+
+    def test_clamp_policy_counts_each_negative_component(self):
+        vals = (-1.0, 2.0, -1e-300, -5e-13, 0.0)
+        clamped, hits = _clamp_negative(vals, "clamp_to_zero", 1.0)
+        assert clamped == (0.0, 2.0, 0.0, 0.0, 0.0)
+        assert hits == 3
 
 
 class TestSimulate:
@@ -185,9 +240,8 @@ class TestSimulate:
         rng = np.random.default_rng(cfg.seed)
         sample_path_discretized(gen4, cfg.initial_regime, cfg.dt, cfg.dt, rng)
         dB = float(rng.standard_normal(1)[0] * math.sqrt(cfg.dt))
-        stepped = milstein_step(cfg.initial_state, ex1_table[int(traj.regimes[0])],
-                                LINEAR, cfg.dt, dB)
-        np.testing.assert_array_equal(traj.states[1], stepped.as_array())
+        stepped = one_step(cfg.initial_state, ex1_table[int(traj.regimes[0])], cfg.dt, dB)
+        np.testing.assert_array_equal(traj.states[1], stepped)
 
     def test_trajectory_invariants(self, gen4, ex1_table):
         traj = simulate(base_config(output_stride=7), gen4, ex1_table, LINEAR)
