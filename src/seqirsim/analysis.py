@@ -48,15 +48,26 @@ class EnsembleSummary:
     verdict: str
 
 
-def _window_slice(traj: Trajectory, window: tuple[float, float]) -> np.ndarray:
+def _window_slice(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     t0, t1 = window
-    horizon = traj.horizon
+    horizon = float(times[-1])
     if not (t0 < t1 <= horizon + 1e-12):
         raise EmptyWindow(f"window ({t0}, {t1}) invalid for horizon {horizon}")
-    mask = (traj.times >= t0 - 1e-12) & (traj.times <= t1 + 1e-12)
+    mask = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
     if mask.sum() < 2:
         raise EmptyWindow(f"window ({t0}, {t1}) selects fewer than two samples")
     return mask
+
+
+def tail_window(times: np.ndarray, tail_fraction: float = 0.5) -> tuple[float, float]:
+    """The window [T*(1 - tail_fraction), T] of a recorded grid ending at T.
+
+    Raises :class:`EmptyWindow` unless it holds at least two samples.
+    """
+    horizon = float(times[-1])
+    window = (horizon * (1.0 - tail_fraction), horizon)
+    _window_slice(times, window)
+    return window
 
 
 def time_average(traj: Trajectory, compartment: str,
@@ -67,7 +78,7 @@ def time_average(traj: Trajectory, compartment: str,
     """
     if window is None:
         window = (float(traj.times[0]), traj.horizon)
-    mask = _window_slice(traj, window)
+    mask = _window_slice(traj.times, window)
     t = traj.times[mask]
     y = traj.compartment(compartment)[mask]
     return float(np.trapezoid(y, t) / (t[-1] - t[0]))
@@ -96,7 +107,7 @@ def exponential_rate_estimate(traj: Trajectory, compartment: str,
     """
     if window is None:
         window = (float(traj.times[0]), traj.horizon)
-    mask = _window_slice(traj, window)
+    mask = _window_slice(traj.times, window)
     t = traj.times[mask]
     y = traj.compartment(compartment)[mask]
     if np.any(y <= 0.0):
@@ -130,8 +141,7 @@ def summarize_ensemble(trajectories: Sequence[Trajectory],
         if len(traj) != len(ref) or traj.horizon != ref.horizon:
             raise InconsistentConfigs("trajectories have mismatched grids or horizons")
 
-    horizon = ref.horizon
-    window = (horizon * (1.0 - tail_fraction), horizon)
+    window = tail_window(ref.times, tail_fraction)
 
     tail_avgs = {name: [] for name in Trajectory.COLUMNS}
     extinct = 0

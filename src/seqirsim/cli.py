@@ -99,12 +99,17 @@ def cmd_simulate(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
     traj = simulate(cfg.simulation, cfg.generator, cfg.table, cfg.policy)
     write_trajectory_csv(traj, out_path)
     if not quiet:
-        print(f"trajectory ({len(traj)} samples, "
-              f"{traj.metadata['clamp_events']} clamp events) -> {out_path}")
+        backend = traj.metadata["backend"]
+        if "backend_reason" in traj.metadata:
+            backend += f": {traj.metadata['backend_reason']}"
+        print(f"trajectory ({len(traj)} samples, {traj.metadata['clamp_events']} "
+              f"clamp events, backend {backend}) -> {out_path}")
     return EXIT_OK
 
 
 def cmd_ensemble(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
+    # an empty summary window is known from the grid alone, before any member runs
+    analysis.tail_window(cfg.simulation.record_times())
     out_dir.mkdir(parents=True, exist_ok=True)
     trajectories = simulate_ensemble(cfg.simulation, cfg.generator, cfg.table,
                                      cfg.policy, cfg.ensemble_n, cfg.ensemble_base_seed)

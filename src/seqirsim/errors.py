@@ -64,6 +64,10 @@ class NegativeState(SeqirError):
     """A compartment went negative under the erroring negativity policy."""
 
 
+class NonFiniteState(MathDomainError):
+    """A stepped state has a nan or infinite component (the scheme blew up)."""
+
+
 class EmptyWindow(SeqirError):
     """A time window selects no usable samples."""
 

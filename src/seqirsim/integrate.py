@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import Generator, RegimePath, sample_path_discretized, sample_path_exact
-from .errors import NegativeState
+from .errors import NegativeState, NonFiniteState
 from .model import (EpidemicState, PolicyFunction, RegimeParameters, RegimeParameterTable,
                     regime_constants, vector_field)
 
@@ -39,6 +39,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 _BLOCK = 1 << 16  # Brownian increments are pre-drawn in blocks of this size
+
+#: bound on horizon / dt: steps are int64 and m * dt is exact below it
+MAX_STEPS = float(1 << 53)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -88,19 +91,33 @@ class SimulationConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.initial_regime < 1:
             raise ValueError("initial_regime must be >= 1")
+        if not self.horizon / self.dt < MAX_STEPS:
+            raise ValueError(f"horizon / dt = {self.horizon / self.dt:.6g} must be "
+                             f"finite and below 2**53 steps")
 
     @property
     def n_steps(self) -> int:
         """Number of whole steps; the run ends at n_steps * dt."""
         return int(round(self.horizon / self.dt))
 
+    def record_times(self) -> np.ndarray:
+        """Times of the recorded samples: every stride-th step and the last."""
+        # a stride beyond the run records only the last step, as n_steps + 1 does
+        stride = min(self.output_stride, self.n_steps + 1)
+        steps = np.arange(0, self.n_steps + 1, stride, dtype=np.int64)
+        if self.n_steps % self.output_stride:
+            steps = np.append(steps, self.n_steps)
+        return steps * self.dt
+
 
 @dataclass
 class Trajectory:
     """Recorded samples of one run: times, 1-based regimes, (m, 5) states.
 
-    ``metadata`` echoes the configuration and carries the clamp-event count
-    and wall time.  Column order is S, E, Q, I, R.
+    ``metadata`` echoes the configuration and carries the clamp-event count,
+    the wall time and, for stochastic runs, the stepping backend ("c" or
+    "python", with a one-line ``backend_reason`` for "python").  Column
+    order is S, E, Q, I, R.
     """
 
     times: np.ndarray
@@ -161,15 +178,28 @@ def _clamp_negative(vals: tuple, policy: str, t: float) -> tuple[tuple, int]:
     return tuple(0.0 if v < 0.0 else v for v in vals), sum(v < 0.0 for v in vals)
 
 
+def _check_finite(vals: tuple, t: float) -> None:
+    """Raise :class:`NonFiniteState` if a component of the state is nan or inf."""
+    if not all(map(math.isfinite, vals)):
+        cells = ", ".join(f"{name}={v!r}" for name, v in zip(Trajectory.COLUMNS, vals))
+        raise NonFiniteState(f"state is not finite ({cells}) at t={t:.6g}")
+
+
 def _regime_step_schedule(path: RegimePath, dt: float, n_steps: int) -> list[tuple[int, int]]:
     """Map a regime path onto grid steps as (start_step, regime-1) pairs.
 
-    The regime in force at grid point n is the path value at t = n * dt.  If
+    The regime in force at grid point n is the path value at t = n * dt, so
+    a jump at time t starts at the first n with n * dt >= t, compared in
+    floating point exactly as :meth:`RegimePath.regime_at` compares.  If
     several jumps land inside one step (exact mode), the last one wins.
     """
     schedule: list[tuple[int, int]] = []
-    for t, reg in zip(path.jump_times, path.regimes):
-        start = 0 if t == 0.0 else int(math.ceil(t / dt - 1e-9))
+    for t, reg in zip(path.jump_times.tolist(), path.regimes.tolist()):
+        start = math.ceil(t / dt)
+        while start > 0 and (start - 1) * dt >= t:
+            start -= 1
+        while start * dt < t:
+            start += 1
         if start > n_steps:
             break
         if schedule and schedule[-1][0] == start:
@@ -179,15 +209,36 @@ def _regime_step_schedule(path: RegimePath, dt: float, n_steps: int) -> list[tup
     return schedule
 
 
-def simulate(config: SimulationConfig, generator: Generator,
-             table: RegimeParameterTable, h: PolicyFunction) -> Trajectory:
-    """Integrate the regime-switching SDE over [0, n_steps * dt].
+@dataclass
+class _Run:
+    """One stochastic run between setup and output, as both block runners see it.
 
-    Samples a regime path according to ``config.chain_mode``, freezes the
-    regime over each step, and advances the chosen scheme with independent
-    Normal(0, dt) increments.  Deterministic given (config, inputs): the
-    chain consumes the seeded stream first, then the Brownian blocks.
+    A runner steps ``state`` over ``n_steps`` steps of ``dt``, consuming
+    ``rng`` block by block, fills ``regimes`` and ``states`` at the recorded
+    steps (``times`` is filled at setup) and counts clamp events.
     """
+
+    config: SimulationConfig
+    h: PolicyFunction
+    rng: np.random.Generator
+    schedule: list       # (first step, 0-based regime) per segment
+    constants: list      # regime_constants of each regime
+    times: np.ndarray
+    regimes: np.ndarray
+    states: np.ndarray
+    state: tuple
+    clamps: int = 0
+
+    def blocks(self):
+        """Brownian increments as (first step, Normal(0, dt) array), in stream order."""
+        n_steps, sqrt_dt = self.config.n_steps, math.sqrt(self.config.dt)
+        for n0 in range(0, n_steps, _BLOCK):
+            yield n0, self.rng.standard_normal(min(_BLOCK, n_steps - n0)) * sqrt_dt
+
+
+def _setup(config: SimulationConfig, generator: Generator,
+           table: RegimeParameterTable, h: PolicyFunction) -> _Run:
+    """Sample the regime path and lay out the schedule and the record arrays."""
     if table.n_regimes != generator.n_states:
         raise ValueError(
             f"parameter table has {table.n_regimes} regimes, generator has {generator.n_states}"
@@ -196,12 +247,9 @@ def simulate(config: SimulationConfig, generator: Generator,
         raise ValueError(
             f"initial regime {config.initial_regime} outside 1..{generator.n_states}"
         )
-
-    t_start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     n_steps = config.n_steps
     dt = config.dt
-
     if n_steps == 0:
         path = RegimePath(np.array([0.0]), np.array([config.initial_regime]),
                           config.horizon, generator.n_states)
@@ -210,36 +258,39 @@ def simulate(config: SimulationConfig, generator: Generator,
     else:
         path = sample_path_discretized(generator, config.initial_regime,
                                        n_steps * dt, dt, rng)
-
     schedule = _regime_step_schedule(path, dt, n_steps)
-    constants = [regime_constants(row) for row in table.rows]
 
-    stride = config.output_stride
-    n_rec = n_steps // stride + 1 + (1 if n_steps % stride else 0)
-    times = np.empty(n_rec)
-    regimes = np.empty(n_rec, dtype=np.int64)
-    states = np.empty((n_rec, 5))
-
+    times = config.record_times()
+    regimes = np.empty(len(times), dtype=np.int64)
+    states = np.empty((len(times), 5))
     init = config.initial_state
-    s, e, q, i, r = init.S, init.E, init.Q, init.I, init.R
-    times[0] = 0.0
+    state = (init.S, init.E, init.Q, init.I, init.R)
     regimes[0] = schedule[0][1] + 1
-    states[0] = (s, e, q, i, r)
+    states[0] = state
+    return _Run(config=config, h=h, rng=rng, schedule=schedule,
+                constants=[regime_constants(row) for row in table.rows],
+                times=times, regimes=regimes, states=states, state=state)
 
+
+def _run_blocks_py(run: _Run) -> None:
+    """Step ``run`` in Python; the reference that ``_kernel.c`` mirrors."""
+    config, h, schedule, constants = run.config, run.h, run.schedule, run.constants
+    n_steps, dt = config.n_steps, config.dt
+    stride = config.output_stride
+    regimes, states = run.regimes, run.states
+    policy = config.negativity_policy
     milstein = config.scheme == "milstein"
     linear_policy = h.kind == "linear"
-    sqrt_dt = math.sqrt(dt)
 
+    s, e, q, i, r = run.state
     seg = 0
     next_jump = schedule[1][0] if len(schedule) > 1 else n_steps + 1
     cur_regime = schedule[0][1]
     k = constants[cur_regime]
-
     clamps = 0
     rec = 1
-    for n0 in range(0, n_steps, _BLOCK):
-        block = (rng.standard_normal(min(_BLOCK, n_steps - n0)) * sqrt_dt).tolist()
-        for n, dB in enumerate(block, n0):
+    for n0, block in run.blocks():
+        for n, dB in enumerate(block.tolist(), n0):
             if n >= next_jump:
                 while len(schedule) > seg + 1 and n >= schedule[seg + 1][0]:
                     seg += 1
@@ -249,14 +300,15 @@ def simulate(config: SimulationConfig, generator: Generator,
 
             hs = s if linear_policy else h(s)
             s, e, q, i, r = _step(s, e, q, i, r, k, dt, dB, milstein, hs)
+            # a one-sum test first: any nan or inf component makes the sum non-finite
+            if not math.isfinite(s + e + q + i + r):
+                _check_finite((s, e, q, i, r), (n + 1) * dt)
             if s < 0.0 or e < 0.0 or q < 0.0 or i < 0.0 or r < 0.0:
-                (s, e, q, i, r), hit = _clamp_negative((s, e, q, i, r),
-                                                       config.negativity_policy, (n + 1) * dt)
+                (s, e, q, i, r), hit = _clamp_negative((s, e, q, i, r), policy, (n + 1) * dt)
                 clamps += hit
 
             m = n + 1
             if m % stride == 0 or m == n_steps:
-                times[rec] = m * dt
                 # regime reported at a sample is the one in force at that time
                 if m >= next_jump:
                     idx = seg
@@ -267,14 +319,71 @@ def simulate(config: SimulationConfig, generator: Generator,
                     regimes[rec] = cur_regime + 1
                 states[rec] = (s, e, q, i, r)
                 rec += 1
+    run.state = (s, e, q, i, r)
+    run.clamps = clamps
+
+
+def _run_blocks_c(run: _Run, kernel) -> None:
+    """Step ``run`` with the compiled ``kernel``, one call per Brownian block."""
+    config = run.config
+    n_steps = config.n_steps
+    starts = np.array([start for start, _ in run.schedule], dtype=np.int64)
+    regs = np.array([reg for _, reg in run.schedule], dtype=np.int64)
+    consts = np.array(run.constants, dtype=np.float64)
+    x = np.array(run.state, dtype=np.float64)
+    carry = np.array([0, 1, 0, 0], dtype=np.int64)  # segment, record, clamps, failed step
+    stride = min(config.output_stride, n_steps + 1)  # as in record_times
+    saturating = run.h.kind == "saturating"
+    for n0, block in run.blocks():
+        status = kernel(block.ctypes.data, n0, len(block), n_steps, stride, config.dt,
+                        starts.ctypes.data, regs.ctypes.data, len(starts), consts.ctypes.data,
+                        config.scheme == "milstein", saturating, run.h.a if saturating else 0.0,
+                        config.negativity_policy == "error", x.ctypes.data, carry.ctypes.data,
+                        run.regimes.ctypes.data, run.states.ctypes.data)
+        if status:
+            vals, t = tuple(x.tolist()), int(carry[3]) * config.dt
+            _check_finite(vals, t)
+            _clamp_negative(vals, config.negativity_policy, t)
+            raise RuntimeError(f"kernel status {status} without a failing state")
+    run.state = tuple(x.tolist())
+    run.clamps = int(carry[2])
+
+
+def simulate(config: SimulationConfig, generator: Generator,
+             table: RegimeParameterTable, h: PolicyFunction) -> Trajectory:
+    """Integrate the regime-switching SDE over [0, n_steps * dt].
+
+    Samples a regime path according to ``config.chain_mode``, freezes the
+    regime over each step, and advances the chosen scheme with independent
+    Normal(0, dt) increments.  Deterministic given (config, inputs): the
+    chain consumes the seeded stream first, then the Brownian blocks.  The
+    steps run in the compiled kernel when it is available and the policy is
+    linear or saturating, else in Python; both give the same bytes, and
+    ``metadata["backend"]`` says which ran.  Raises :class:`NegativeState`
+    (error policy) or :class:`NonFiniteState` when a stepped state fails.
+    """
+    t_start = time.perf_counter()
+    run = _setup(config, generator, table, h)
+    if h.kind == "custom":
+        kernel, reason = None, "custom policy functions are stepped in Python"
+    else:
+        from . import _kernel  # imported on first use: start-up does not pay for it
+        kernel, reason = _kernel.load()
+    if kernel is None:
+        _run_blocks_py(run)
+    else:
+        _run_blocks_c(run, kernel)
 
     metadata = {
         "config": config,
-        "clamp_events": clamps,
+        "clamp_events": run.clamps,
+        "backend": "python" if kernel is None else "c",
         "wall_time_s": time.perf_counter() - t_start,
     }
-    return Trajectory(times=times[:rec], regimes=regimes[:rec],
-                      states=states[:rec], metadata=metadata)
+    if reason is not None:
+        metadata["backend_reason"] = reason
+    return Trajectory(times=run.times, regimes=run.regimes, states=run.states,
+                      metadata=metadata)
 
 
 def simulate_ensemble(config: SimulationConfig, generator: Generator,

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from seqirsim import _kernel
 from seqirsim import (
     PolicyFunction,
     RegimeParameters,
@@ -98,6 +99,16 @@ def table_from_lists(lists: dict) -> RegimeParameterTable:
         for k in range(n)
     )
     return RegimeParameterTable(rows=rows)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled kernel into a fresh per-session cache directory."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        _kernel.load.cache_clear()
+        yield
+    _kernel.load.cache_clear()
 
 
 @pytest.fixture(scope="session")

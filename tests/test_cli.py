@@ -257,11 +257,24 @@ class TestExitCodes:
         doc = small_doc(**sim)
         doc["ensemble"] = {"n": 2, "base_seed": 1}
         path = write_doc(tmp_path, doc)
-        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "ens"),
+        out_dir = tmp_path / "ens"
+        assert main(["ensemble", "--config", str(path), "--out", str(out_dir),
                      "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "simulation.horizon" in err and "simulation.stride" in err
+        # the window is checked before any member is simulated or written
+        assert not list(out_dir.glob("traj_*.csv"))
+
+    def test_step_count_beyond_2_53_is_2(self, tmp_path, capsys):
+        # horizon / dt overflows to inf; it used to end in an OverflowError traceback
+        doc = small_doc(dt=1e-300, horizon=1e300)
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "2**53" in err
+        assert not out.exists()
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         path = write_doc(tmp_path, small_doc())

@@ -1,11 +1,12 @@
 """Stepping schemes, the SDE driver loop, RK4, seeds and reproducibility."""
 
+import bisect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
 
 from seqirsim import (
@@ -21,9 +22,9 @@ from seqirsim import (
     simulate_ensemble,
     validate_generator,
 )
-from seqirsim.chain import sample_path_discretized
+from seqirsim.chain import RegimePath, sample_path_discretized, sample_path_exact
 from seqirsim.errors import NegativeState, StepTooLarge
-from seqirsim.integrate import NEGATIVITY_TOL, _clamp_negative, _step
+from seqirsim.integrate import NEGATIVITY_TOL, _clamp_negative, _regime_step_schedule, _step
 from seqirsim.model import regime_constants
 
 from conftest import EX1_PARAMS, EX2_PARAMS
@@ -194,6 +195,83 @@ class TestSteps:
                  *(dt * v for v in drift_terms))
         change = math.fsum(new) - total
         assert abs(change - expected) <= 1e-12 * max(abs(v) for v in terms)
+
+
+class TestRegimeStepSchedule:
+    """The schedule both block runners step by, against ``RegimePath.regime_at``."""
+
+    @staticmethod
+    def scheduled(schedule, n):
+        starts = [start for start, _ in schedule]
+        return schedule[bisect.bisect_right(starts, n) - 1][1] + 1
+
+    def assert_agrees_everywhere(self, path, dt, n_steps):
+        schedule = _regime_step_schedule(path, dt, n_steps)
+        for n in range(n_steps + 1):
+            assert self.scheduled(schedule, n) == path.regime_at(n * dt), n
+
+    @pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
+    @settings(max_examples=150, deadline=None)
+    @given(seed=hyp.integers(0, 2 ** 32), exact=hyp.booleans(),
+           dt=hyp.floats(1e-3, 0.5), n_steps=hyp.integers(1, 300),
+           rate_per_step=hyp.floats(0.01, 20.0))
+    def test_agrees_on_sampled_paths(self, seed, exact, dt, n_steps, rate_per_step):
+        # up to 20 exits per step in exact mode, so several jumps share a step
+        if not exact:
+            rate_per_step = min(rate_per_step, 0.45)
+        lam = rate_per_step / dt
+        gen = validate_generator([[-2 * lam, lam, lam], [lam, -2 * lam, lam],
+                                  [lam, lam, -2 * lam]])
+        rng = np.random.default_rng(seed)
+        if exact:
+            path = sample_path_exact(gen, 1, n_steps * dt, rng)
+        else:
+            path = sample_path_discretized(gen, 1, n_steps * dt, dt, rng)
+        self.assert_agrees_everywhere(path, dt, n_steps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dt=hyp.floats(1e-4, 1.0), n_steps=hyp.integers(2, 200), data=hyp.data())
+    def test_agrees_on_jumps_on_beside_and_between_grid_points(self, dt, n_steps, data):
+        horizon = n_steps * dt
+        on_grid = hyp.integers(1, n_steps - 1).map(lambda k: k * dt)
+        times = data.draw(hyp.lists(hyp.one_of(
+            on_grid,
+            on_grid.map(lambda t: math.nextafter(t, math.inf)),
+            on_grid.map(lambda t: math.nextafter(t, 0.0)),
+            hyp.floats(0.0, horizon, exclude_min=True, exclude_max=True),
+        ), max_size=25))
+        times = sorted({t for t in times if 0.0 < t < horizon})
+        offsets = data.draw(hyp.lists(hyp.integers(1, 2), min_size=len(times),
+                                      max_size=len(times)))
+        regimes = [1]
+        for off in offsets:
+            regimes.append((regimes[-1] + off - 1) % 3 + 1)
+        path = RegimePath(np.array([0.0, *times]), np.array(regimes), horizon, 3)
+        self.assert_agrees_everywhere(path, dt, n_steps)
+
+    def test_several_jumps_in_one_step_last_wins(self):
+        # 0.31, 0.32, 0.35 and 0.4 = 4 * 0.1 all start at step 4
+        path = RegimePath(np.array([0.0, 0.31, 0.32, 0.35, 0.4, 0.45]),
+                          np.array([1, 2, 3, 2, 3, 1]), 1.0, 3)
+        assert _regime_step_schedule(path, 0.1, 10) == [(0, 0), (4, 2), (5, 0)]
+        self.assert_agrees_everywhere(path, 0.1, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dt=hyp.floats(1e-6, 1e-2),
+           steps=hyp.lists(hyp.integers(1, 2 ** 40), min_size=1, max_size=8, unique=True))
+    @example(dt=3e-5, steps=[17295957])  # (k * dt) / dt rounds to k + 2e-9 here
+    def test_grid_jumps_start_on_their_step_on_long_grids(self, dt, steps):
+        # discretized paths jump at k * dt; check the grid points beside each jump
+        steps = sorted(steps)
+        n_steps = steps[-1] + 2
+        regimes = [1 + j % 2 for j in range(len(steps) + 1)]
+        path = RegimePath(np.array([0.0, *(k * dt for k in steps)]), np.array(regimes),
+                          n_steps * dt, 2)
+        schedule = _regime_step_schedule(path, dt, n_steps)
+        assert [start for start, _ in schedule] == [0, *steps]
+        for k in steps:
+            for n in (k - 1, k, k + 1):
+                assert self.scheduled(schedule, n) == path.regime_at(n * dt)
 
 
 class TestClampNegative:
