@@ -41,9 +41,6 @@ from .thresholds import (
     ThresholdReport,
     check_conditions,
     compute_lambda,
-    compute_psi1,
-    compute_psi2,
-    compute_psi3,
     compute_rs_star,
     compute_rtilde_star,
     extinction_rate_bound,
@@ -70,9 +67,8 @@ __all__ = [
     "SimulationConfig", "Trajectory", "derive_seed", "simulate", "simulate_deterministic",
     "simulate_ensemble",
     "ConditionReport", "ThresholdReport", "check_conditions", "compute_lambda",
-    "compute_psi1", "compute_psi2", "compute_psi3", "compute_rs_star",
-    "compute_rtilde_star", "extinction_rate_bound", "persistence_bounds",
-    "threshold_report",
+    "compute_rs_star", "compute_rtilde_star", "extinction_rate_bound",
+    "persistence_bounds", "threshold_report",
     "EnsembleSummary", "detect_extinction", "exponential_rate_estimate",
     "summarize_ensemble", "time_average",
     "RunConfig", "load_config",

@@ -3,7 +3,8 @@
  * Steps one block of pre-drawn Brownian increments: regime-schedule lookup,
  * the drift of model.vector_field, the S<->E noise and Milstein term of
  * integrate._step, the non-finite check, the negativity rule of
- * integrate._clamp_negative, and recording at the stride.  Every
+ * integrate._clamp_negative, and storing the state at the recorded steps
+ * that integrate._setup laid out (it also fills their regimes).  Every
  * floating-point operation is written in the same order as in those Python
  * functions, and the file is built with -O2 -ffp-contract=off (no fast-math),
  * so no multiply-add is fused and nothing is reordered: the recorded states
@@ -18,25 +19,26 @@
 
 enum { RUN_OK = 0, RUN_NEGATIVE = 1, RUN_NON_FINITE = 2 };
 
-/* carry: [0] schedule segment, [1] next record index, [2] clamp count,
+/* starts/regs: the n_sched regime segments (first step, 0-based regime);
+ *   the first steps strictly increase from 0, so a step begins at most one.
+ * rec_steps: the recorded steps; the last is the run's last step, so no
+ *   step is compared with an entry past it.
+ * carry: [0] schedule segment, [1] next record index, [2] clamp count,
  *        [3] set on failure to the step m whose state failed.
  * On failure x holds that state before any clamp, and RUN_NEGATIVE or
  * RUN_NON_FINITE is returned; the caller raises the matching error. */
-int seqir_run_block(const double *dB, int64_t n0, int64_t nb, int64_t n_steps,
-                    int64_t stride, double dt, const int64_t *starts,
-                    const int64_t *regs, int64_t n_sched, const double *consts,
-                    int milstein, int saturating, double a, int error_policy,
-                    double *x, int64_t *carry, int64_t *regimes, double *states)
+int seqir_run_block(const double *dB, int64_t n0, int64_t nb, double dt,
+                    const int64_t *starts, const int64_t *regs, int64_t n_sched,
+                    const double *consts, int milstein, int saturating, double a,
+                    int error_policy, double *x, int64_t *carry,
+                    const int64_t *rec_steps, double *states)
 {
     int64_t seg = carry[0], rec = carry[1], clamps = carry[2];
     double s = x[0], e = x[1], q = x[2], i = x[3], r = x[4];
-    int64_t next_rec = (n0 / stride + 1) * stride;
-    if (next_rec > n_steps)
-        next_rec = n_steps;
     int status = RUN_OK;
 
     for (int64_t n = n0; n < n0 + nb; n++) {
-        while (seg + 1 < n_sched && n >= starts[seg + 1])
+        if (seg + 1 < n_sched && n == starts[seg + 1])
             seg++;
         const double *k = consts + N_CONSTANTS * regs[seg];
         const double A = k[0], bw1 = k[1], b1 = k[2], xi = k[3], pm = k[4],
@@ -86,18 +88,10 @@ int seqir_run_block(const double *dB, int64_t n0, int64_t nb, int64_t n_steps,
             break;
         }
 
-        if (m == next_rec) {
-            /* the regime reported at a sample is the one in force at that time */
-            int64_t idx = seg;
-            while (idx + 1 < n_sched && m >= starts[idx + 1])
-                idx++;
-            regimes[rec] = regs[idx] + 1;
+        if (m == rec_steps[rec]) {
             double *row = states + 5 * rec;
             row[0] = s; row[1] = e; row[2] = q; row[3] = i; row[4] = r;
             rec++;
-            next_rec += stride;
-            if (next_rec > n_steps)
-                next_rec = n_steps;
         }
     }
 

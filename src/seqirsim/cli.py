@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -240,8 +241,18 @@ def main(argv=None) -> int:
 
     _, suffix, handler = COMMANDS[args.command]
     out = Path(args.out) if args.out else _out_dir() / (Path(args.config).stem + suffix)
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(handler, cfg, out, args.quiet)
+    # each distinct warning once, as a status line rather than a source excerpt
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _run(handler, cfg: RunConfig, out: Path, quiet: bool) -> int:
+    """Run one subcommand handler and map its errors onto exit codes."""
     try:
-        return handler(cfg, out, args.quiet)
+        return handler(cfg, out, quiet)
     except EmptyWindow as exc:
         print(f"config error: the ensemble tail window holds too few samples ({exc}); "
               f"raise simulation.horizon or lower simulation.stride", file=sys.stderr)

@@ -75,25 +75,17 @@ class SimulationConfig:
     negativity_policy: str = "clamp_to_zero"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        _check_grid(self.dt, self.horizon, self.output_stride)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.chain_mode not in CHAIN_MODES:
             raise ValueError(f"chain_mode must be one of {CHAIN_MODES}")
         if self.negativity_policy not in NEGATIVITY_POLICIES:
             raise ValueError(f"negativity_policy must be one of {NEGATIVITY_POLICIES}")
-        if not isinstance(self.output_stride, int) or self.output_stride < 1:
-            raise ValueError("output_stride must be a positive integer")
         if not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
         if self.initial_regime < 1:
             raise ValueError("initial_regime must be >= 1")
-        if not self.horizon / self.dt < MAX_STEPS:
-            raise ValueError(f"horizon / dt = {self.horizon / self.dt:.6g} must be "
-                             f"finite and below 2**53 steps")
 
     @property
     def n_steps(self) -> int:
@@ -102,12 +94,32 @@ class SimulationConfig:
 
     def record_times(self) -> np.ndarray:
         """Times of the recorded samples: every stride-th step and the last."""
-        # a stride beyond the run records only the last step, as n_steps + 1 does
-        stride = min(self.output_stride, self.n_steps + 1)
-        steps = np.arange(0, self.n_steps + 1, stride, dtype=np.int64)
-        if self.n_steps % self.output_stride:
-            steps = np.append(steps, self.n_steps)
-        return steps * self.dt
+        return _record_steps(self.n_steps, self.output_stride) * self.dt
+
+
+def _check_grid(dt: float, horizon: float, stride: int) -> None:
+    """Reject a grid that is not a whole number of steps below 2**53 or a bad stride."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if not isinstance(stride, int) or stride < 1:
+        raise ValueError("output_stride must be a positive integer")
+    if not horizon / dt < MAX_STEPS:
+        raise ValueError(f"horizon / dt = {horizon / dt:.6g} must be "
+                         f"finite and below 2**53 steps")
+    end = round(horizon / dt) * dt
+    if abs(end - horizon) > 1e-9 * max(horizon, dt):
+        raise ValueError(f"horizon {horizon!r} is not a whole number of steps of dt {dt!r} "
+                         f"(the nearest grid end is {end!r})")
+
+
+def _record_steps(n_steps: int, stride: int) -> np.ndarray:
+    """The recorded steps: 0, every stride-th step and the last step."""
+    steps = np.arange(0, n_steps + 1, stride, dtype=np.int64)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    return steps
 
 
 @dataclass
@@ -185,15 +197,18 @@ def _check_finite(vals: tuple, t: float) -> None:
         raise NonFiniteState(f"state is not finite ({cells}) at t={t:.6g}")
 
 
-def _regime_step_schedule(path: RegimePath, dt: float, n_steps: int) -> list[tuple[int, int]]:
-    """Map a regime path onto grid steps as (start_step, regime-1) pairs.
+def _regime_step_schedule(path: RegimePath, dt: float,
+                          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map a regime path onto grid steps as (first step, 0-based regime) arrays.
 
     The regime in force at grid point n is the path value at t = n * dt, so
     a jump at time t starts at the first n with n * dt >= t, compared in
     floating point exactly as :meth:`RegimePath.regime_at` compares.  If
-    several jumps land inside one step (exact mode), the last one wins.
+    several jumps land inside one step (exact mode), the last one wins, so
+    the first steps strictly increase from 0.
     """
-    schedule: list[tuple[int, int]] = []
+    starts: list[int] = []
+    regs: list[int] = []
     for t, reg in zip(path.jump_times.tolist(), path.regimes.tolist()):
         start = math.ceil(t / dt)
         while start > 0 and (start - 1) * dt >= t:
@@ -202,27 +217,32 @@ def _regime_step_schedule(path: RegimePath, dt: float, n_steps: int) -> list[tup
             start += 1
         if start > n_steps:
             break
-        if schedule and schedule[-1][0] == start:
-            schedule[-1] = (start, reg - 1)
+        if starts and starts[-1] == start:
+            regs[-1] = reg - 1
         else:
-            schedule.append((start, reg - 1))
-    return schedule
+            starts.append(start)
+            regs.append(reg - 1)
+    return np.array(starts, dtype=np.int64), np.array(regs, dtype=np.int64)
 
 
 @dataclass
 class _Run:
     """One stochastic run between setup and output, as both block runners see it.
 
-    A runner steps ``state`` over ``n_steps`` steps of ``dt``, consuming
-    ``rng`` block by block, fills ``regimes`` and ``states`` at the recorded
-    steps (``times`` is filled at setup) and counts clamp events.
+    Setup lays the run out: the regime schedule, the recorded ``steps`` with
+    their ``times`` and ``regimes``, and the first row of ``states``.  A
+    runner only steps ``state`` over ``n_steps`` steps of ``dt``, consuming
+    ``rng`` block by block, stores ``states`` at the recorded steps and
+    counts clamp events.
     """
 
     config: SimulationConfig
     h: PolicyFunction
     rng: np.random.Generator
-    schedule: list       # (first step, 0-based regime) per segment
-    constants: list      # regime_constants of each regime
+    starts: np.ndarray     # first step of each regime segment, int64
+    regs: np.ndarray       # 0-based regime of each segment, int64
+    constants: np.ndarray  # (n_regimes, 15) regime_constants rows, float64
+    steps: np.ndarray      # recorded steps, int64
     times: np.ndarray
     regimes: np.ndarray
     states: np.ndarray
@@ -258,45 +278,46 @@ def _setup(config: SimulationConfig, generator: Generator,
     else:
         path = sample_path_discretized(generator, config.initial_regime,
                                        n_steps * dt, dt, rng)
-    schedule = _regime_step_schedule(path, dt, n_steps)
+    starts, regs = _regime_step_schedule(path, dt, n_steps)
 
-    times = config.record_times()
-    regimes = np.empty(len(times), dtype=np.int64)
-    states = np.empty((len(times), 5))
+    steps = _record_steps(n_steps, config.output_stride)
+    # the regime of a sample is that of the last segment starting at or before its step
+    regimes = regs[np.searchsorted(starts, steps, side="right") - 1] + 1
+    states = np.empty((len(steps), 5))
     init = config.initial_state
     state = (init.S, init.E, init.Q, init.I, init.R)
-    regimes[0] = schedule[0][1] + 1
     states[0] = state
-    return _Run(config=config, h=h, rng=rng, schedule=schedule,
-                constants=[regime_constants(row) for row in table.rows],
-                times=times, regimes=regimes, states=states, state=state)
+    return _Run(config=config, h=h, rng=rng, starts=starts, regs=regs,
+                constants=np.array([regime_constants(row) for row in table.rows]),
+                steps=steps, times=steps * dt, regimes=regimes, states=states, state=state)
 
 
 def _run_blocks_py(run: _Run) -> None:
     """Step ``run`` in Python; the reference that ``_kernel.c`` mirrors."""
-    config, h, schedule, constants = run.config, run.h, run.schedule, run.constants
+    config, h, regs, states = run.config, run.h, run.regs.tolist(), run.states
     n_steps, dt = config.n_steps, config.dt
-    stride = config.output_stride
-    regimes, states = run.regimes, run.states
+    constants = run.constants.tolist()
     policy = config.negativity_policy
     milstein = config.scheme == "milstein"
     linear_policy = h.kind == "linear"
 
-    s, e, q, i, r = run.state
+    # starts strictly increase and every step is visited, so a step begins at
+    # most one segment; the end sentinel n_steps + 1 is never reached
+    starts = [*run.starts.tolist(), n_steps + 1]
     seg = 0
-    next_jump = schedule[1][0] if len(schedule) > 1 else n_steps + 1
-    cur_regime = schedule[0][1]
-    k = constants[cur_regime]
+    next_jump = starts[1]
+    k = constants[regs[0]]
+    s, e, q, i, r = run.state
     clamps = 0
     rec = 1
+    recorded = map(int, run.steps[1:])  # each step is read as its sample is stored
+    next_rec = next(recorded, None)
     for n0, block in run.blocks():
         for n, dB in enumerate(block.tolist(), n0):
-            if n >= next_jump:
-                while len(schedule) > seg + 1 and n >= schedule[seg + 1][0]:
-                    seg += 1
-                cur_regime = schedule[seg][1]
-                k = constants[cur_regime]
-                next_jump = schedule[seg + 1][0] if len(schedule) > seg + 1 else n_steps + 1
+            if n == next_jump:
+                seg += 1
+                k = constants[regs[seg]]
+                next_jump = starts[seg + 1]
 
             hs = s if linear_policy else h(s)
             s, e, q, i, r = _step(s, e, q, i, r, k, dt, dB, milstein, hs)
@@ -307,18 +328,10 @@ def _run_blocks_py(run: _Run) -> None:
                 (s, e, q, i, r), hit = _clamp_negative((s, e, q, i, r), policy, (n + 1) * dt)
                 clamps += hit
 
-            m = n + 1
-            if m % stride == 0 or m == n_steps:
-                # regime reported at a sample is the one in force at that time
-                if m >= next_jump:
-                    idx = seg
-                    while len(schedule) > idx + 1 and m >= schedule[idx + 1][0]:
-                        idx += 1
-                    regimes[rec] = schedule[idx][1] + 1
-                else:
-                    regimes[rec] = cur_regime + 1
+            if n + 1 == next_rec:
                 states[rec] = (s, e, q, i, r)
                 rec += 1
+                next_rec = next(recorded, None)
     run.state = (s, e, q, i, r)
     run.clamps = clamps
 
@@ -326,20 +339,15 @@ def _run_blocks_py(run: _Run) -> None:
 def _run_blocks_c(run: _Run, kernel) -> None:
     """Step ``run`` with the compiled ``kernel``, one call per Brownian block."""
     config = run.config
-    n_steps = config.n_steps
-    starts = np.array([start for start, _ in run.schedule], dtype=np.int64)
-    regs = np.array([reg for _, reg in run.schedule], dtype=np.int64)
-    consts = np.array(run.constants, dtype=np.float64)
     x = np.array(run.state, dtype=np.float64)
     carry = np.array([0, 1, 0, 0], dtype=np.int64)  # segment, record, clamps, failed step
-    stride = min(config.output_stride, n_steps + 1)  # as in record_times
     saturating = run.h.kind == "saturating"
     for n0, block in run.blocks():
-        status = kernel(block.ctypes.data, n0, len(block), n_steps, stride, config.dt,
-                        starts.ctypes.data, regs.ctypes.data, len(starts), consts.ctypes.data,
+        status = kernel(block.ctypes.data, n0, len(block), config.dt, run.starts.ctypes.data,
+                        run.regs.ctypes.data, len(run.starts), run.constants.ctypes.data,
                         config.scheme == "milstein", saturating, run.h.a if saturating else 0.0,
                         config.negativity_policy == "error", x.ctypes.data, carry.ctypes.data,
-                        run.regimes.ctypes.data, run.states.ctypes.data)
+                        run.steps.ctypes.data, run.states.ctypes.data)
         if status:
             vals, t = tuple(x.tolist()), int(carry[3]) * config.dt
             _check_finite(vals, t)
@@ -409,40 +417,32 @@ def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
     """Classical 4-stage Runge-Kutta integration of the noise-free model.
 
     Single frozen regime, linear policy incidence p*S*M with the constant
-    intensity ``M_const``.  Local error O(dt^5).
+    intensity ``M_const``.  Local error O(dt^5).  The grid is checked and
+    recorded as for :class:`SimulationConfig`.
     """
-    if dt <= 0 or horizon < 0:
-        raise ValueError("dt must be positive and horizon nonnegative")
+    _check_grid(dt, horizon, output_stride)
     t_start = time.perf_counter()
     pars = regime_constants(replace(params, M=M_const))
 
-    n_steps = int(round(horizon / dt))
-    stride = output_stride
-    n_rec = n_steps // stride + 1 + (1 if n_steps % stride else 0)
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, 5))
+    steps = _record_steps(round(horizon / dt), output_stride)
+    states = np.empty((len(steps), 5))
 
     y = (initial.S, initial.E, initial.Q, initial.I, initial.R)
-    times[0] = 0.0
     states[0] = y
-    rec = 1
     half = dt / 2.0
     sixth = dt / 6.0
-    for n in range(n_steps):
-        k1 = vector_field(*y, pars, y[0])
-        y2 = tuple(yv + half * kv for yv, kv in zip(y, k1))
-        k2 = vector_field(*y2, pars, y2[0])
-        y3 = tuple(yv + half * kv for yv, kv in zip(y, k2))
-        k3 = vector_field(*y3, pars, y3[0])
-        y4 = tuple(yv + dt * kv for yv, kv in zip(y, k3))
-        k4 = vector_field(*y4, pars, y4[0])
-        y = tuple(yv + sixth * (a + 2.0 * (b + cc) + d)
-                  for yv, a, b, cc, d in zip(y, k1, k2, k3, k4))
-        m = n + 1
-        if m % stride == 0 or m == n_steps:
-            times[rec] = m * dt
-            states[rec] = y
-            rec += 1
+    for rec in range(1, len(steps)):
+        for _ in range(int(steps[rec] - steps[rec - 1])):
+            k1 = vector_field(*y, pars, y[0])
+            y2 = tuple(yv + half * kv for yv, kv in zip(y, k1))
+            k2 = vector_field(*y2, pars, y2[0])
+            y3 = tuple(yv + half * kv for yv, kv in zip(y, k2))
+            k3 = vector_field(*y3, pars, y3[0])
+            y4 = tuple(yv + dt * kv for yv, kv in zip(y, k3))
+            k4 = vector_field(*y4, pars, y4[0])
+            y = tuple(yv + sixth * (a + 2.0 * (b + cc) + d)
+                      for yv, a, b, cc, d in zip(y, k1, k2, k3, k4))
+        states[rec] = y
 
     metadata = {
         "config": {"dt": dt, "horizon": horizon, "M_const": M_const,
@@ -450,5 +450,5 @@ def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
         "clamp_events": 0,
         "wall_time_s": time.perf_counter() - t_start,
     }
-    return Trajectory(times=times[:rec], regimes=np.ones(rec, dtype=np.int64),
-                      states=states[:rec], metadata=metadata)
+    return Trajectory(times=steps * dt, regimes=np.ones(len(steps), dtype=np.int64),
+                      states=states, metadata=metadata)

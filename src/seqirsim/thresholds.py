@@ -64,15 +64,11 @@ class ThresholdReport:
     pi: np.ndarray
 
 
-def _s_max(table: RegimeParameterTable) -> float:
-    return table.population_ceiling
-
-
 def compute_rs_star(table: RegimeParameterTable, pi: StationaryDistribution) -> float:
     """Extinction index: pi-average of beta*w1*s_max over the pi-average of
     (w2 + (sigma0^2/2) * w1^2 * s_max^2)."""
     p = _probs(pi, table)
-    s = _s_max(table)
+    s = table.population_ceiling
     w1v = table.w1_array
     num = float(p @ (table.beta * w1v * s))
     den = float(p @ (table.w2_array + 0.5 * table.sigma0 ** 2 * w1v ** 2 * s ** 2))
@@ -80,9 +76,16 @@ def compute_rs_star(table: RegimeParameterTable, pi: StationaryDistribution) -> 
 
 
 def _common_factor(table: RegimeParameterTable) -> np.ndarray:
-    """C(k) = beta_max * w1(k) - (sigma0_min^2 / 2) * w1(k)^2 * s_max."""
+    """C(k) = beta_max * w1(k) - (sigma0_min^2 / 2) * w1(k)^2 * s_max.
+
+    Every psi divides by A(k), so this factor they share is where A(k) > 0
+    is checked.
+    """
+    if np.any(table.A == 0.0):
+        raise ZeroDivisionError("psi formulas require A(k) > 0 for every regime")
     w1v = table.w1_array
-    return table.beta_max * w1v - 0.5 * table.sigma0_min ** 2 * w1v ** 2 * _s_max(table)
+    return (table.beta_max * w1v
+            - 0.5 * table.sigma0_min ** 2 * w1v ** 2 * table.population_ceiling)
 
 
 def _bracket(table: RegimeParameterTable, slope_at_zero: float) -> np.ndarray:
@@ -92,38 +95,22 @@ def _bracket(table: RegimeParameterTable, slope_at_zero: float) -> np.ndarray:
 
 
 def psi1_vector(table: RegimeParameterTable, slope_at_zero: float = 1.0) -> np.ndarray:
-    if np.any(table.A == 0.0):
-        raise ZeroDivisionError("psi formulas require A(k) > 0 for every regime")
+    """Penalty coefficient psi1 per regime (index k - 1 for regime k)."""
+    common = _common_factor(table)
     scale = table.A_max ** 2 * table.xi / (table.A * table.xi_min ** 2)
-    return _common_factor(table) * scale * _bracket(table, slope_at_zero)
+    return common * scale * _bracket(table, slope_at_zero)
 
 
 def psi2_vector(table: RegimeParameterTable) -> np.ndarray:
-    if np.any(table.A == 0.0):
-        raise ZeroDivisionError("psi formulas require A(k) > 0 for every regime")
+    """Penalty coefficient psi2 per regime (index k - 1 for regime k)."""
+    common = _common_factor(table)
     scale = table.A_max ** 2 / (table.A * table.xi_min ** 2)
-    return _common_factor(table) * scale * table.beta_max * table.w1_array
+    return common * scale * table.beta_max * table.w1_array
 
 
 def psi3_vector(table: RegimeParameterTable) -> np.ndarray:
-    if np.any(table.A == 0.0):
-        raise ZeroDivisionError("psi formulas require A(k) > 0 for every regime")
+    """Penalty coefficient psi3 per regime (index k - 1 for regime k)."""
     return _common_factor(table) * table.A_max / (table.A * table.xi_min)
-
-
-def compute_psi1(table: RegimeParameterTable, k: int, slope_at_zero: float = 1.0) -> float:
-    """Penalty coefficient psi1 for 1-based regime k."""
-    return float(psi1_vector(table, slope_at_zero)[k - 1])
-
-
-def compute_psi2(table: RegimeParameterTable, k: int) -> float:
-    """Penalty coefficient psi2 for 1-based regime k."""
-    return float(psi2_vector(table)[k - 1])
-
-
-def compute_psi3(table: RegimeParameterTable, k: int) -> float:
-    """Penalty coefficient psi3 for 1-based regime k."""
-    return float(psi3_vector(table)[k - 1])
 
 
 def compute_lambda(table: RegimeParameterTable, pi: StationaryDistribution,
@@ -131,7 +118,7 @@ def compute_lambda(table: RegimeParameterTable, pi: StationaryDistribution,
     """pi-average of (sigma0^2/2)*w1^2*s_max^2 + w2 + psi1 (the rtilde_star
     denominator)."""
     p = _probs(pi, table)
-    s = _s_max(table)
+    s = table.population_ceiling
     w1v = table.w1_array
     return float(p @ (0.5 * table.sigma0 ** 2 * w1v ** 2 * s ** 2
                       + table.w2_array + psi1_vector(table, slope_at_zero)))
@@ -141,7 +128,7 @@ def compute_rtilde_star(table: RegimeParameterTable, pi: StationaryDistribution,
                         slope_at_zero: float = 1.0) -> float:
     """Persistence index: the rs_star numerator over :func:`compute_lambda`."""
     p = _probs(pi, table)
-    s = _s_max(table)
+    s = table.population_ceiling
     num = float(p @ (table.beta * table.w1_array * s))
     return num / compute_lambda(table, pi, slope_at_zero)
 
@@ -177,7 +164,7 @@ def persistence_bounds(table: RegimeParameterTable, pi: StationaryDistribution,
 def check_conditions(table: RegimeParameterTable,
                      slope_at_zero: float = 1.0) -> ConditionReport:
     """Evaluate the per-regime certification conditions (non-strict >=)."""
-    s = _s_max(table)
+    s = table.population_ceiling
     noise = table.sigma0 ** 2 * table.w1_array * s
     return ConditionReport(
         beta_vs_noise=table.beta >= noise,
@@ -194,7 +181,7 @@ def extinction_rate_bound(table: RegimeParameterTable, pi: StationaryDistributio
     condition.
     """
     p = _probs(pi, table)
-    s = _s_max(table)
+    s = table.population_ceiling
     w1v = table.w1_array
     return float(p @ (table.beta * w1v * s
                       - 0.5 * table.sigma0 ** 2 * w1v ** 2 * s ** 2

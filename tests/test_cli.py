@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,41 @@ class TestCompareDetCommand:
         assert gaps[0] < gaps[1] < gaps[2]
 
 
+class TestWarnings:
+    def test_coarse_chain_grid_is_one_status_line(self, example2_config_path, tmp_path,
+                                                  capsys):
+        doc = json.loads(example2_config_path.read_text())
+        doc["simulation"].update({"dt": 0.05, "horizon": 5, "stride": 1})
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "traj.csv"
+        # twice in one process: the line must not depend on earlier warnings
+        for _ in range(2):
+            assert main(["simulate", "--config", str(path), "--out", str(out),
+                         "--quiet"]) == 0
+            assert capsys.readouterr().err == (
+                "warning: dt * max exit rate = 0.5 > 0.1; "
+                "the grid approximation of the chain is coarse\n")
+        # the CSV is the one written with the warning ignored
+        silent = tmp_path / "silent.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["simulate", "--config", str(path), "--out", str(silent),
+                         "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == silent.read_bytes()
+
+    def test_each_distinct_warning_once_per_run(self, example2_config_path, tmp_path,
+                                                capsys):
+        # an ensemble samples one chain path per member, each of which warns
+        doc = json.loads(example2_config_path.read_text())
+        doc["simulation"].update({"dt": 0.05, "horizon": 5, "stride": 1})
+        doc["ensemble"] = {"n": 3, "base_seed": 1}
+        path = write_doc(tmp_path, doc)
+        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "ens"),
+                     "--quiet"]) == 0
+        assert capsys.readouterr().err.count("warning: dt * max exit rate") == 1
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         doc = valid_doc()
@@ -274,6 +310,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "2**53" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", [0.004, 0.057], ids=["below-half-step", "off-grid"])
+    def test_horizon_off_the_step_grid_is_2(self, tmp_path, capsys, horizon):
+        # rounding would run 0 steps, or end silently at t = 0.06
+        path = write_doc(tmp_path, small_doc(dt=0.01, horizon=horizon))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: simulation:") and "whole number of steps" in err
         assert not out.exists()
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):

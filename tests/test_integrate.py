@@ -27,10 +27,11 @@ from seqirsim.errors import NegativeState, StepTooLarge
 from seqirsim.integrate import NEGATIVITY_TOL, _clamp_negative, _regime_step_schedule, _step
 from seqirsim.model import regime_constants
 
-from conftest import EX1_PARAMS, EX2_PARAMS
+from conftest import EX1_PARAMS, EX2_PARAMS, table_from_lists
 from test_model import params_from, random_state, zero_params
 
 LINEAR = PolicyFunction.linear()
+EX1_TABLE = table_from_lists(EX1_PARAMS)
 
 
 def base_config(**overrides):
@@ -67,6 +68,25 @@ class TestConfigValidation:
             base_config(seed=-1)
         with pytest.raises(ValueError):
             base_config(negativity_policy="ignore")
+
+    def test_horizon_must_be_whole_steps(self):
+        # rounding would run zero steps for horizon < dt / 2 and end 0.057 at 0.06
+        for horizon in (0.004, 0.057):
+            with pytest.raises(ValueError, match="whole number of steps"):
+                base_config(dt=0.01, horizon=horizon)
+        assert base_config(dt=0.01, horizon=0.0).n_steps == 0
+        # a horizon a few ulps off the grid, as decimal input gives, is accepted
+        assert base_config(dt=0.1, horizon=0.30000000000000004).n_steps == 3
+        assert base_config(dt=1e-4, horizon=5.0).n_steps == 50000
+
+    def test_record_times(self):
+        assert base_config(horizon=0.0).record_times().tolist() == [0.0]
+        assert base_config(dt=1.0, horizon=10.0, output_stride=4).record_times().tolist() \
+            == [0.0, 4.0, 8.0, 10.0]
+        assert base_config(dt=1.0, horizon=8.0, output_stride=4).record_times().tolist() \
+            == [0.0, 4.0, 8.0]
+        assert base_config(dt=1.0, horizon=3.0, output_stride=9).record_times().tolist() \
+            == [0.0, 3.0]
 
 
 def one_step(st, p, dt, dB, milstein=True):
@@ -202,8 +222,8 @@ class TestRegimeStepSchedule:
 
     @staticmethod
     def scheduled(schedule, n):
-        starts = [start for start, _ in schedule]
-        return schedule[bisect.bisect_right(starts, n) - 1][1] + 1
+        starts, regs = schedule
+        return int(regs[bisect.bisect_right(starts, n) - 1]) + 1
 
     def assert_agrees_everywhere(self, path, dt, n_steps):
         schedule = _regime_step_schedule(path, dt, n_steps)
@@ -253,7 +273,8 @@ class TestRegimeStepSchedule:
         # 0.31, 0.32, 0.35 and 0.4 = 4 * 0.1 all start at step 4
         path = RegimePath(np.array([0.0, 0.31, 0.32, 0.35, 0.4, 0.45]),
                           np.array([1, 2, 3, 2, 3, 1]), 1.0, 3)
-        assert _regime_step_schedule(path, 0.1, 10) == [(0, 0), (4, 2), (5, 0)]
+        starts, regs = _regime_step_schedule(path, 0.1, 10)
+        assert list(zip(starts.tolist(), regs.tolist())) == [(0, 0), (4, 2), (5, 0)]
         self.assert_agrees_everywhere(path, 0.1, 10)
 
     @settings(max_examples=200, deadline=None)
@@ -268,7 +289,7 @@ class TestRegimeStepSchedule:
         path = RegimePath(np.array([0.0, *(k * dt for k in steps)]), np.array(regimes),
                           n_steps * dt, 2)
         schedule = _regime_step_schedule(path, dt, n_steps)
-        assert [start for start, _ in schedule] == [0, *steps]
+        assert schedule[0].tolist() == [0, *steps]
         for k in steps:
             for n in (k - 1, k, k + 1):
                 assert self.scheduled(schedule, n) == path.regime_at(n * dt)
@@ -337,6 +358,31 @@ class TestSimulate:
         path = sample_path_exact(gen4, cfg.initial_regime, cfg.n_steps * cfg.dt, rng)
         expected = [path.regime_at(t) for t in traj.times]
         np.testing.assert_array_equal(traj.regimes, expected)
+
+    @pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
+    @settings(max_examples=100, deadline=None)
+    @given(seed=hyp.integers(0, 2 ** 32), exact=hyp.booleans(), dt=hyp.floats(1e-3, 0.1),
+           n_steps=hyp.integers(1, 300), rate_per_step=hyp.floats(0.01, 20.0),
+           stride=hyp.sampled_from([1, 7, "beyond"]))
+    def test_regime_column_is_the_path_at_each_recorded_time(self, seed, exact, dt, n_steps,
+                                                              rate_per_step, stride):
+        # up to 20 exits per step in exact mode, so several jumps share a step
+        if not exact:
+            rate_per_step = min(rate_per_step, 0.45)
+        lam = rate_per_step / (3 * dt)
+        gen = validate_generator([[-3 * lam if a == b else lam for b in range(4)]
+                                  for a in range(4)])
+        cfg = base_config(dt=dt, horizon=n_steps * dt, seed=seed,
+                          chain_mode="exact" if exact else "discretized",
+                          output_stride=n_steps + 5 if stride == "beyond" else stride)
+        traj = simulate(cfg, gen, EX1_TABLE, LINEAR)
+        # the chain consumes the seeded stream first, so re-sampling gives the same path
+        rng = np.random.default_rng(seed)
+        if exact:
+            path = sample_path_exact(gen, cfg.initial_regime, n_steps * dt, rng)
+        else:
+            path = sample_path_discretized(gen, cfg.initial_regime, n_steps * dt, dt, rng)
+        assert traj.regimes.tolist() == [path.regime_at(t) for t in traj.times]
 
     def test_stride_subsamples_same_dynamics(self, gen4, ex1_table):
         fine = simulate(base_config(output_stride=1), gen4, ex1_table, LINEAR)
@@ -463,6 +509,30 @@ class TestDeterministicIntegrator:
             errs.append(np.abs(end - ref).max())
         ratio = errs[0] / errs[1]
         assert 8.0 < ratio < 32.0  # nominal 16 for order 4
+
+    @pytest.mark.parametrize("dt, horizon, stride, match", [
+        (0.01, 1.0, 0, "output_stride"),
+        (1e-300, 1e300, 1, "2\\*\\*53"),
+        (0.01, 0.057, 1, "whole number of steps"),
+    ], ids=["stride-0", "steps-beyond-2-53", "horizon-off-grid"])
+    def test_grid_checked_as_for_simulation_config(self, dt, horizon, stride, match):
+        p = zero_params(A=1.0)
+        with pytest.raises(ValueError, match=match):
+            simulate_deterministic(EpidemicState(2, 0, 0, 0, 0), p, 0.0, dt, horizon,
+                                   output_stride=stride)
+        with pytest.raises(ValueError, match=match):
+            base_config(dt=dt, horizon=horizon, output_stride=stride)
+
+    def test_records_the_simulation_config_grid(self):
+        p = zero_params(A=1.0)
+        for stride in (1, 7, 3000):
+            traj = simulate_deterministic(EpidemicState(2, 0, 0, 0, 0), p, 0.0, 1e-3, 2.0,
+                                          output_stride=stride)
+            expected = base_config(horizon=2.0, output_stride=stride).record_times()
+            assert traj.times.tobytes() == expected.tobytes()
+            assert traj.states.shape == (len(expected), 5)
+            assert traj.metadata["config"]["dt"] == 1e-3
+            assert traj.metadata["config"]["horizon"] == 2.0
 
     def test_against_rich_dynamics_self_consistency(self):
         params = params_from(EX2_PARAMS, 3)

@@ -7,9 +7,6 @@ from seqirsim import (
     RegimeParameterTable,
     check_conditions,
     compute_lambda,
-    compute_psi1,
-    compute_psi2,
-    compute_psi3,
     compute_rs_star,
     compute_rtilde_star,
     extinction_rate_bound,
@@ -115,20 +112,20 @@ class TestRsStar:
 class TestPsi:
     def test_single_regime_no_policy_is_zero(self):
         t = single_regime_table(A=1.0, xi=0.1, beta=0.2, b2=0.05)
-        assert compute_psi1(t, 1) == 0.0
+        assert psi1_vector(t)[0] == 0.0
 
     def test_zero_common_factor_zeroes_all(self):
         # sigma0^2/2 * w1 * ceiling = beta  =>  C(k) = 0
         t = single_regime_table(A=1.0, xi=1.0, beta=0.5, sigma0=1.0, p=0.01, M=1.0)
-        assert compute_psi1(t, 1) == 0.0
-        assert compute_psi2(t, 1) == 0.0
-        assert compute_psi3(t, 1) == 0.0
+        assert psi1_vector(t)[0] == 0.0
+        assert psi2_vector(t)[0] == 0.0
+        assert psi3_vector(t)[0] == 0.0
 
     def test_example2_against_oracle(self, ex2_table):
         for k in range(1, 5):
-            assert compute_psi1(ex2_table, k) == pytest.approx(EX2_PSI1[k - 1], rel=RTOL)
-            assert compute_psi2(ex2_table, k) == pytest.approx(EX2_PSI2[k - 1], rel=RTOL)
-            assert compute_psi3(ex2_table, k) == pytest.approx(EX2_PSI3[k - 1], rel=RTOL)
+            assert psi1_vector(ex2_table)[k - 1] == pytest.approx(EX2_PSI1[k - 1], rel=RTOL)
+            assert psi2_vector(ex2_table)[k - 1] == pytest.approx(EX2_PSI2[k - 1], rel=RTOL)
+            assert psi3_vector(ex2_table)[k - 1] == pytest.approx(EX2_PSI3[k - 1], rel=RTOL)
 
     def test_nonnegative_under_remark_conditions(self, ex1_table, persistent_table):
         for table in (ex1_table, persistent_table):
@@ -141,14 +138,14 @@ class TestPsi:
     def test_zero_recruitment_rejected(self):
         t = single_regime_table(xi=0.1, beta=0.2)
         with pytest.raises(ZeroDivisionError):
-            compute_psi1(t, 1)
+            psi1_vector(t)[0]
 
 
 class TestRtildeStar:
     def test_equals_rs_star_when_psi1_vanishes(self):
         t = single_regime_table(A=1.0, xi=0.1, beta=0.2, b2=0.05, sigma0=0.05)
         pi = single_regime_pi()
-        assert compute_psi1(t, 1) == 0.0
+        assert psi1_vector(t)[0] == 0.0
         assert compute_rtilde_star(t, pi) == pytest.approx(compute_rs_star(t, pi), rel=1e-14)
 
     def test_example2_against_oracle(self, ex2_table, pi4):
