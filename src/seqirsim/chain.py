@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AbsorbingState,
     NegativeOffDiagonal,
     ReducibleChain,
     RowSumViolation,
@@ -241,10 +240,9 @@ def sample_path_exact(g: Generator, r0: int, horizon: float, rng_seed) -> Regime
     if n == 1:
         return RegimePath(np.array([0.0]), np.array([1]), horizon, 1)
 
+    # irreducibility (validate_generator) gives every state a positive exit rate
     exit_rates = g.exit_rates
-    if np.any(exit_rates <= 0.0):
-        raise AbsorbingState("a state has zero exit rate in a multi-state chain")
-    jump_cdf = _jump_cdfs(g.rates, exit_rates)
+    jump_cdf = _jump_cdfs(g.rates)
 
     times = [0.0]
     regimes = [r0]
@@ -294,10 +292,7 @@ def sample_path_discretized(
 
     p = transition_matrix(g, dt)
     leave_prob = 1.0 - np.diag(p)
-    off = p.copy()
-    np.fill_diagonal(off, 0.0)
-    row_mass = off.sum(axis=1)
-    jump_cdf = np.cumsum(off / row_mass[:, None], axis=1)[:, :-1]
+    jump_cdf = _jump_cdfs(p)
 
     times = [0.0]
     regimes = [r0]
@@ -331,12 +326,15 @@ def _check_initial(g: Generator, r0: int, horizon: float) -> None:
         raise ValueError("horizon must be positive")
 
 
-def _jump_cdfs(rates: np.ndarray, exit_rates: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative jump distributions, diagonal excluded.
+def _jump_cdfs(m: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative landing-state laws: the off-diagonal part of m,
+    each row normalised by its own sum.
 
+    For a generator that sum is bit for bit the exit rate, since
+    :func:`validate_generator` set the diagonal to minus the same sum.
     Returns the first N-1 cumulative values per row; searchsorted against a
     uniform draw then yields the landing state index.
     """
-    off = rates.copy()
+    off = m.copy()
     np.fill_diagonal(off, 0.0)
-    return np.cumsum(off / exit_rates[:, None], axis=1)[:, :-1]
+    return np.cumsum(off / off.sum(axis=1)[:, None], axis=1)[:, :-1]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, chain, thresholds
 from .config import RunConfig, load_config
-from .errors import ConfigError, EmptyWindow, MathDomainError, NegativeState
+from .errors import ConfigError, EmptyWindow, MathDomainError
 from .integrate import Trajectory, derive_seed, simulate, simulate_deterministic, simulate_ensemble
 from .model import RegimeParameterTable
 
@@ -39,12 +39,31 @@ def _fmt(x: float) -> str:
     return np.format_float_positional(float(x), unique=True, trim="0")
 
 
-def _fmt_vector(values) -> str:
-    return ", ".join(_fmt(v) for v in values)
+def _cell(value) -> str:
+    """Report text of one value: true/false, strings and integers as they are,
+    vectors joined by ", ", every other number through :func:`_fmt`."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
+    if np.ndim(value) > 0:
+        return ", ".join(_cell(v) for v in value)
+    return _fmt(value)
 
 
-def _fmt_bools(values) -> str:
-    return ", ".join("true" if v else "false" for v in values)
+def _write_report(path: Path, fields: dict) -> None:
+    """One ``key = value`` line per field, in order."""
+    path.write_text("".join(f"{key} = {_cell(value)}\n" for key, value in fields.items()))
+
+
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """One row per index of equal-length 1-D columns; integer columns are
+    printed with ``str``, the others with :func:`_fmt`."""
+    fmts = [str if np.issubdtype(col.dtype, np.integer) else _fmt for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join([f(v) for f, v in zip(fmts, row)]) + "\n")
 
 
 def _out_dir() -> Path:
@@ -53,44 +72,30 @@ def _out_dir() -> Path:
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """CSV with header t,regime,S,E,Q,I,R; one row per recorded sample."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,regime,S,E,Q,I,R\n")
-        for i in range(len(traj)):
-            row = ",".join(_fmt(v) for v in traj.states[i])
-            fh.write(f"{_fmt(traj.times[i])},{int(traj.regimes[i])},{row}\n")
-
-
-def _threshold_lines(report: thresholds.ThresholdReport) -> list[str]:
-    lines = [
-        f"rs_star = {_fmt(report.rs_star)}",
-        f"rtilde_star = {_fmt(report.rtilde_star)}",
-        f"lambda = {_fmt(report.lambda_)}",
-        f"pi = {_fmt_vector(report.pi)}",
-        f"psi1 = {_fmt_vector(report.psi1)}",
-        f"psi2 = {_fmt_vector(report.psi2)}",
-        f"psi3 = {_fmt_vector(report.psi3)}",
-        f"condition_beta_extinction = {_fmt_bools(report.condition_beta_extinction)}",
-        f"condition_beta_persistence_remark = "
-        f"{_fmt_bools(report.condition_beta_persistence_remark)}",
-    ]
-    if report.bounds is not None:
-        e_bound, q_bound, i_bound = report.bounds
-        lines += [
-            f"E_bound = {_fmt(e_bound)}",
-            f"Q_bound = {_fmt(q_bound)}",
-            f"I_bound = {_fmt(i_bound)}",
-        ]
-    else:
-        lines.append("bounds_applicable = false")
-    lines.append(f"verdict = {report.verdict}")
-    return lines
+    _write_csv(path, ["t", "regime", *Trajectory.COLUMNS],
+               [traj.times, traj.regimes, *traj.states.T])
 
 
 def cmd_thresholds(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
     report = thresholds.threshold_report(cfg.table, cfg.generator,
                                          cfg.policy.slope_at_zero)
-    text = "\n".join(_threshold_lines(report)) + "\n"
-    out_path.write_text(text)
+    fields = {
+        "rs_star": report.rs_star,
+        "rtilde_star": report.rtilde_star,
+        "lambda": report.lambda_,
+        "pi": report.pi,
+        "psi1": report.psi1,
+        "psi2": report.psi2,
+        "psi3": report.psi3,
+        "condition_beta_extinction": report.condition_beta_extinction,
+        "condition_beta_persistence_remark": report.condition_beta_persistence_remark,
+    }
+    if report.bounds is not None:
+        fields.update(zip(("E_bound", "Q_bound", "I_bound"), report.bounds))
+    else:
+        fields["bounds_applicable"] = False
+    fields["verdict"] = report.verdict
+    _write_report(out_path, fields)
     if not quiet:
         print(f"threshold report -> {out_path} (verdict: {report.verdict})")
     return EXIT_OK
@@ -122,19 +127,19 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                                          cfg.policy.slope_at_zero)
     pi = chain.StationaryDistribution(report.pi)
     summary = analysis.summarize_ensemble(trajectories, pi, report)
-    lines = [
-        f"n_trajectories = {summary.n_trajectories}",
-        f"window = {_fmt(summary.window[0])}, {_fmt(summary.window[1])}",
-        f"extinction_fraction = {_fmt(summary.extinction_fraction)}",
-        f"occupancy_l1 = {_fmt(summary.occupancy_l1)}",
-        f"verdict = {summary.verdict}",
-    ]
+    fields = {
+        "n_trajectories": summary.n_trajectories,
+        "window": summary.window,
+        "extinction_fraction": summary.extinction_fraction,
+        "occupancy_l1": summary.occupancy_l1,
+        "verdict": summary.verdict,
+    }
     for name in Trajectory.COLUMNS:
-        lines.append(f"tail_mean_{name} = {_fmt(summary.tail_means[name])}")
-        lines.append(f"tail_std_{name} = {_fmt(summary.tail_stds[name])}")
+        fields[f"tail_mean_{name}"] = summary.tail_means[name]
+        fields[f"tail_std_{name}"] = summary.tail_stds[name]
     for name, violated in summary.bound_violations.items():
-        lines.append(f"bound_violation_{name} = {'true' if violated else 'false'}")
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
+        fields[f"bound_violation_{name}"] = violated
+    _write_report(out_dir / "summary.txt", fields)
     if not quiet:
         print(f"{summary.n_trajectories} trajectories -> {out_dir} "
               f"(extinction fraction {summary.extinction_fraction:.2f})")
@@ -149,20 +154,12 @@ def cmd_chain(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
                                    max(cfg.simulation.horizon, dt), cfg.simulation.seed)
     occ = chain.occupancy(path)
     l1 = float(np.abs(occ - pi.probabilities).sum())
-    lines = [
-        f"n_states = {cfg.generator.n_states}",
-        f"pi = {_fmt_vector(pi.probabilities)}",
-        f"dt = {_fmt(dt)}",
-    ]
+    fields = {"n_states": cfg.generator.n_states, "pi": pi.probabilities, "dt": dt}
     for i, row in enumerate(p):
-        lines.append(f"P_row_{i + 1} = {_fmt_vector(row)}")
-    lines += [
-        f"sampled_horizon = {_fmt(path.horizon)}",
-        f"sampled_jumps = {path.n_jumps}",
-        f"sampled_occupancy = {_fmt_vector(occ)}",
-        f"occupancy_l1_distance = {_fmt(l1)}",
-    ]
-    out_path.write_text("\n".join(lines) + "\n")
+        fields[f"P_row_{i + 1}"] = row
+    fields.update(sampled_horizon=path.horizon, sampled_jumps=path.n_jumps,
+                  sampled_occupancy=occ, occupancy_l1_distance=l1)
+    _write_report(out_path, fields)
     if not quiet:
         print(f"chain diagnostics -> {out_path} (occupancy L1 {l1:.4f})")
     return EXIT_OK
@@ -183,16 +180,11 @@ def cmd_compare_det(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
     det = simulate_deterministic(cfg.simulation.initial_state, params, params.M,
                                  cfg.simulation.dt, cfg.simulation.horizon,
                                  cfg.simulation.output_stride)
-    times = trajectories[0].times
-    header = "t," + ",".join(f"{c}_mean,{c}_det" for c in Trajectory.COLUMNS)
-    with open(out_path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for i in range(len(times)):
-            cells = [_fmt(times[i])]
-            for j in range(5):
-                cells.append(_fmt(mean_states[i, j]))
-                cells.append(_fmt(det.states[i, j]))
-            fh.write(",".join(cells) + "\n")
+    header = ["t", *(f"{c}_{kind}" for c in Trajectory.COLUMNS for kind in ("mean", "det"))]
+    # column views, so no paired copy of the states is made
+    columns = [states[:, j] for j in range(len(Trajectory.COLUMNS))
+               for states in (mean_states, det.states)]
+    _write_csv(out_path, header, [trajectories[0].times, *columns])
     if not quiet:
         gap = float(np.abs(mean_states - det.states).max())
         print(f"comparison (regime {k}, n={cfg.ensemble_n}) -> {out_path} "
@@ -257,7 +249,7 @@ def _run(handler, cfg: RunConfig, out: Path, quiet: bool) -> int:
         print(f"config error: the ensemble tail window holds too few samples ({exc}); "
               f"raise simulation.horizon or lower simulation.stride", file=sys.stderr)
         return EXIT_CONFIG
-    except (MathDomainError, NegativeState, ZeroDivisionError) as exc:
+    except (MathDomainError, ZeroDivisionError) as exc:
         print(f"math domain error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except OSError as exc:

@@ -36,10 +36,6 @@ class SingularSystem(MathDomainError):
     """Stationary-distribution solve failed; indicates an internal error."""
 
 
-class AbsorbingState(MathDomainError):
-    """A state with no exit rate was reached in a multi-state chain."""
-
-
 class StepTooLarge(MathDomainError):
     """Discretization step too coarse for the chain's fastest exit rate."""
 
@@ -60,7 +56,7 @@ class DegeneratePsi2(MathDomainError):
 
 # --- integrator / analysis --------------------------------------------------
 
-class NegativeState(SeqirError):
+class NegativeState(MathDomainError):
     """A compartment went negative under the erroring negativity policy."""
 
 

@@ -191,13 +191,6 @@ class EpidemicState:
     def total(self) -> float:
         return self.S + self.E + self.Q + self.I + self.R
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.S, self.E, self.Q, self.I, self.R])
-
-    @classmethod
-    def from_array(cls, arr) -> "EpidemicState":
-        return cls(*(float(v) for v in arr))
-
 
 @dataclass(frozen=True)
 class PolicyFunction:

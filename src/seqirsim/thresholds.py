@@ -68,11 +68,17 @@ def compute_rs_star(table: RegimeParameterTable, pi: StationaryDistribution) -> 
     """Extinction index: pi-average of beta*w1*s_max over the pi-average of
     (w2 + (sigma0^2/2) * w1^2 * s_max^2)."""
     p = _probs(pi, table)
-    s = table.population_ceiling
-    w1v = table.w1_array
-    num = float(p @ (table.beta * w1v * s))
-    den = float(p @ (table.w2_array + 0.5 * table.sigma0 ** 2 * w1v ** 2 * s ** 2))
-    return num / den
+    return float(p @ _pressure(table)) / float(p @ (table.w2_array + _noise(table)))
+
+
+def _pressure(table: RegimeParameterTable) -> np.ndarray:
+    """Transmission pressure beta(k) * w1(k) * s_max, per regime."""
+    return table.beta * table.w1_array * table.population_ceiling
+
+
+def _noise(table: RegimeParameterTable) -> np.ndarray:
+    """Noise penalty (sigma0(k)^2 / 2) * w1(k)^2 * s_max^2, per regime."""
+    return 0.5 * table.sigma0 ** 2 * table.w1_array ** 2 * table.population_ceiling ** 2
 
 
 def _common_factor(table: RegimeParameterTable) -> np.ndarray:
@@ -118,19 +124,14 @@ def compute_lambda(table: RegimeParameterTable, pi: StationaryDistribution,
     """pi-average of (sigma0^2/2)*w1^2*s_max^2 + w2 + psi1 (the rtilde_star
     denominator)."""
     p = _probs(pi, table)
-    s = table.population_ceiling
-    w1v = table.w1_array
-    return float(p @ (0.5 * table.sigma0 ** 2 * w1v ** 2 * s ** 2
-                      + table.w2_array + psi1_vector(table, slope_at_zero)))
+    return float(p @ (_noise(table) + table.w2_array + psi1_vector(table, slope_at_zero)))
 
 
 def compute_rtilde_star(table: RegimeParameterTable, pi: StationaryDistribution,
                         slope_at_zero: float = 1.0) -> float:
     """Persistence index: the rs_star numerator over :func:`compute_lambda`."""
     p = _probs(pi, table)
-    s = table.population_ceiling
-    num = float(p @ (table.beta * table.w1_array * s))
-    return num / compute_lambda(table, pi, slope_at_zero)
+    return float(p @ _pressure(table)) / compute_lambda(table, pi, slope_at_zero)
 
 
 def persistence_bounds(table: RegimeParameterTable, pi: StationaryDistribution,
@@ -181,11 +182,7 @@ def extinction_rate_bound(table: RegimeParameterTable, pi: StationaryDistributio
     condition.
     """
     p = _probs(pi, table)
-    s = table.population_ceiling
-    w1v = table.w1_array
-    return float(p @ (table.beta * w1v * s
-                      - 0.5 * table.sigma0 ** 2 * w1v ** 2 * s ** 2
-                      - table.w2_array))
+    return float(p @ (_pressure(table) - _noise(table) - table.w2_array))
 
 
 def threshold_report(table: RegimeParameterTable, g: Generator,

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -10,7 +11,10 @@ import pytest
 from seqirsim.cli import main
 from seqirsim.integrate import derive_seed
 
-from conftest import P_4_PRINTED, PI_4_PRINTED
+from conftest import (
+    EX1_PARAMS, EX2_PARAMS, GENERATOR_2, GENERATOR_4, P_4_PRINTED, PERSISTENT_PARAMS,
+    PI_4_PRINTED,
+)
 from test_config import valid_doc, write_doc
 
 
@@ -27,6 +31,25 @@ def small_doc(**sim_overrides):
     doc["simulation"].update({"dt": 1e-3, "horizon": 5.0, "stride": 10})
     doc["simulation"].update(sim_overrides)
     return doc
+
+
+def table_doc(generator, params):
+    """small_doc on another generator and parameter table."""
+    doc = small_doc()
+    doc["generator"] = generator
+    doc["regimes"] = [{name: values[k] for name, values in params.items()}
+                      for k in range(len(generator))]
+    return doc
+
+
+def persistent_doc():
+    """The certified-persistence table, so the reports carry bounds."""
+    return table_doc(GENERATOR_2, PERSISTENT_PARAMS)
+
+
+def example2_doc():
+    """Benchmark set 2: no bounds, and a regime failing the noise condition."""
+    return table_doc(GENERATOR_4, EX2_PARAMS)
 
 
 class TestThresholdsCommand:
@@ -52,14 +75,7 @@ class TestThresholdsCommand:
         assert conds == ["true", "false", "true", "true"]
 
     def test_persistent_config_writes_bounds(self, tmp_path):
-        doc = valid_doc()
-        from conftest import PERSISTENT_PARAMS, GENERATOR_2
-        doc["generator"] = GENERATOR_2
-        doc["regimes"] = [
-            {name: PERSISTENT_PARAMS[name][k] for name in PERSISTENT_PARAMS}
-            for k in range(2)
-        ]
-        path = write_doc(tmp_path, doc)
+        path = write_doc(tmp_path, persistent_doc())
         out = tmp_path / "report.txt"
         assert main(["thresholds", "--config", str(path), "--out", str(out),
                      "--quiet"]) == 0
@@ -261,6 +277,18 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(path), "--out", str(out),
                      "--quiet"]) == 3
 
+    def test_negative_state_is_3(self, tmp_path, capsys):
+        # strong noise drives a compartment below zero under the error policy
+        doc = table_doc(GENERATOR_4, dict(EX1_PARAMS, sigma0=[0.2] * 4))
+        doc["simulation"].update({"dt": 0.01, "horizon": 50.0, "seed": 7,
+                                  "scheme": "euler_maruyama", "negativity_policy": "error"})
+        doc["initial"] = {"S": 20, "E": 20, "Q": 15, "I": 10, "R": 0, "regime": 3}
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("math domain error: compartment went negative")
+        assert not out.exists()
+
     def test_io_error_is_4(self, tmp_path):
         path = write_doc(tmp_path, small_doc())
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -329,3 +357,106 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         main(["simulate", "--config", str(path), "--out", str(out)])
         assert "trajectory" in capsys.readouterr().out
+
+
+#: sha256 of every output file of the five subcommands, keyed by config,
+#: then by path under the output directory: any changed byte of the output
+#: format fails here.  Like the benchmark byte gate, this relies on numpy's
+#: PCG64 stream and float formatting staying as they are.
+GOLDEN_SHA256 = {
+    "small": {
+        "chain.txt":
+            "d3afee8d1c7a34739e0bb571d95da1aa56c026631dc4ee47044aae15deac95bf",
+        "compare_det.csv":
+            "cb1d306f08255b19cbdcc118e71df353379f0f8698b3fef9eb780d89564607ec",
+        "ensemble/summary.txt":
+            "4b8b2ff0550bbda8e4c84c160e71d48679798ea37d9405adfa29f7554280d7f6",
+        "ensemble/traj_000_seed_12587370737594032228.csv":
+            "55bfc7ea27837f7dff721a824f08fc95862dea28879bd7277392a1fd1af44b93",
+        "ensemble/traj_001_seed_13847876567842155106.csv":
+            "203c716608ad300f09aae448e0f3fb8a8e3b9acd11d13ba99f5c074082d209fe",
+        "thresholds.txt":
+            "917b965a4bdbb0025af9c9d5b4c8f1b22a90e088a6964a21854f800392e41fa5",
+        "trajectory.csv":
+            "f8c336d8c6a770fc063d2b338ee874fc500ed48064946f6c78db25f31bb8401c",
+    },
+    "persistent": {
+        "chain.txt":
+            "d3afee8d1c7a34739e0bb571d95da1aa56c026631dc4ee47044aae15deac95bf",
+        "compare_det.csv":
+            "2415d6af37604161e3e3e7b0bd2e0287cd83fe56032c115c6d589ffeb8a90a0d",
+        "ensemble/summary.txt":
+            "148eca2fddf5806bb8d75c3d6ba2dbf8898e2707e56cf276d08ee3afa210a967",
+        "ensemble/traj_000_seed_12587370737594032228.csv":
+            "da68b24e5b3f5f3837edde1541caff99cfa0a569587238ff46a7a2ece8a4b289",
+        "ensemble/traj_001_seed_13847876567842155106.csv":
+            "55a7687c9ea6ceef275ad973274b4509a15a41bf222c46934779ff1836f2f46f",
+        "thresholds.txt":
+            "c8d7074306c06df9c6d97307646c2d4d091ef2b050614daebc79728813b01718",
+        "trajectory.csv":
+            "51fbdf6d6513ac58445b0542651a26506f2d27a3585d7dfc7e44924817f4af55",
+    },
+    "example2": {
+        "chain.txt":
+            "e61dd256f9793cbc032aba1dcb952f0f4084d45b8b84dd66165732c2290cb963",
+        "compare_det.csv":
+            "b9d1d34fed143cde019272599b6b250c25d889c129f4e75f696eec2346b3a9c2",
+        "ensemble/summary.txt":
+            "69af48a37b274660ef5d3116a29c60d4bb5e8ed5f5029901bf817251505e1126",
+        "ensemble/traj_000_seed_12587370737594032228.csv":
+            "4a8277b3fca86a4d6a45dc992668736d4adb6f1dbffbeb13259ca31e4e88a01d",
+        "ensemble/traj_001_seed_13847876567842155106.csv":
+            "84decf1d1b554bc9d273fc5c790d82abd22d0ebf4ef18bcbe5f63cea575ac627",
+        "thresholds.txt":
+            "c3ad796678a35afc8252fbda02c3b4df6eb5be558540b22a418fd52f17e11c08",
+        "trajectory.csv":
+            "bc7ac02f990725d1d7fa7e9d8e0c5e379bf3a7a0eaa1555a72905239580a324e",
+    },
+}
+
+GOLDEN_OUTPUTS = (
+    ("thresholds", "thresholds.txt"),
+    ("simulate", "trajectory.csv"),
+    ("ensemble", "ensemble"),
+    ("chain", "chain.txt"),
+    ("compare-det", "compare_det.csv"),
+)
+
+
+def golden_outputs(tmp_path, doc):
+    """Run every subcommand on doc; return {relative path: sha256 hex}."""
+    doc["ensemble"] = {"n": 2, "base_seed": 9}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    for command, target in GOLDEN_OUTPUTS:
+        assert main([command, "--config", str(path), "--out", str(out / target),
+                     "--quiet"]) == 0
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name, make_doc", [("small", small_doc),
+                                                ("persistent", persistent_doc),
+                                                ("example2", example2_doc)])
+    def test_every_output_byte_is_pinned(self, tmp_path, name, make_doc):
+        assert golden_outputs(tmp_path, make_doc()) == GOLDEN_SHA256[name]
+
+    def test_pinned_configs_reach_both_bound_branches(self, tmp_path):
+        # the pins above cover both report branches only if these lines are written
+        for name, make_doc in (("persistent", persistent_doc), ("example2", example2_doc)):
+            (tmp_path / name).mkdir()
+            golden_outputs(tmp_path / name, make_doc())
+        out = tmp_path / "persistent" / "out"
+        report = parse_report(out / "thresholds.txt")
+        assert {"E_bound", "Q_bound", "I_bound"} <= report.keys()
+        assert "bounds_applicable" not in report
+        summary = parse_report(out / "ensemble" / "summary.txt")
+        assert {f"bound_violation_{c}" for c in "EQI"} <= summary.keys()
+
+        out = tmp_path / "example2" / "out"
+        report = parse_report(out / "thresholds.txt")
+        assert report["bounds_applicable"] == "false"
+        assert report["condition_beta_extinction"] == "true, false, true, true"
+        assert "bound_violation_E" not in parse_report(out / "ensemble" / "summary.txt")

@@ -2,7 +2,7 @@
 
 import bisect
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -103,7 +103,7 @@ class TestSteps:
         st = EpidemicState(20, 20, 15, 10, 0)
         dt, dB = 1e-3, 0.123
         out = one_step(st, p, dt, dB)
-        expected = st.as_array() + dt * drift(st, p, LINEAR)
+        expected = np.array(astuple(st)) + dt * drift(st, p, LINEAR)
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_correction_vanishes_when_db_squared_equals_dt(self):
@@ -124,12 +124,12 @@ class TestSteps:
             g = diffusion(st, p)
             fd = np.zeros(5)
             for j in range(5):
-                bumped_up = st.as_array().copy()
-                bumped_dn = st.as_array().copy()
+                bumped_up = np.array(astuple(st))
+                bumped_dn = np.array(astuple(st))
                 bumped_up[j] += eps
                 bumped_dn[j] -= eps
-                dg = (diffusion(EpidemicState.from_array(bumped_up), p)
-                      - diffusion(EpidemicState.from_array(np.maximum(bumped_dn, 0)), p))
+                dg = (diffusion(EpidemicState(*bumped_up), p)
+                      - diffusion(EpidemicState(*np.maximum(bumped_dn, 0)), p))
                 denom = bumped_up[j] - max(bumped_dn[j], 0)
                 fd += g[j] * dg / denom
             correction = 0.5 * fd * (dB * dB - dt)

@@ -99,11 +99,9 @@ class TestParameterValidation:
 
 
 class TestEpidemicState:
-    def test_total_and_arrays(self):
+    def test_total(self):
         s = EpidemicState(1.0, 2.0, 3.0, 4.0, 5.0)
         assert s.total == 15.0
-        np.testing.assert_array_equal(s.as_array(), [1, 2, 3, 4, 5])
-        assert EpidemicState.from_array(s.as_array()) == s
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
