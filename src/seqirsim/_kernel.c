@@ -29,7 +29,7 @@ enum { RUN_OK = 0, RUN_NEGATIVE = 1, RUN_NON_FINITE = 2 };
  * RUN_NON_FINITE is returned; the caller raises the matching error. */
 int seqir_run_block(const double *dB, int64_t n0, int64_t nb, double dt,
                     const int64_t *starts, const int64_t *regs, int64_t n_sched,
-                    const double *consts, int milstein, int saturating, double a,
+                    const double *consts, int milstein, double a,
                     int error_policy, double *x, int64_t *carry,
                     const int64_t *rec_steps, double *states)
 {
@@ -44,7 +44,7 @@ int seqir_run_block(const double *dB, int64_t n0, int64_t nb, double dt,
         const double A = k[0], bw1 = k[1], b1 = k[2], xi = k[3], pm = k[4],
                      w2v = k[5], b2 = k[6], bcx = k[7], al = k[8], c = k[9],
                      exd = k[10], eta = k[11], sg = k[12];
-        double hs = saturating ? s / (1.0 + a * s) : s;
+        double hs = s / (1.0 + a * s);  /* PolicyFunction: a = 0 is linear */
 
         /* model.vector_field */
         double inc = bw1 * (s * e);

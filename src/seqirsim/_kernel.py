@@ -30,7 +30,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _ARGTYPES = (_P, _I64, _I64, ctypes.c_double, _P, _P, _I64, _P,
-             ctypes.c_int, ctypes.c_int, ctypes.c_double, ctypes.c_int, _P, _P, _P, _P)
+             ctypes.c_int, ctypes.c_double, ctypes.c_int, _P, _P, _P, _P)
 
 
 class KernelUnavailable(Exception):

@@ -37,13 +37,6 @@ STEP_HARD_LIMIT = 1.0
 STEP_WARN_LIMIT = 0.1
 
 
-def _as_rng(rng_seed) -> np.random.Generator:
-    """Accept an int seed or a ready Generator."""
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
-
-
 @dataclass(frozen=True)
 class Generator:
     """Validated transition-rate matrix of the regime chain.
@@ -235,27 +228,11 @@ def sample_path_exact(g: Generator, r0: int, horizon: float, rng_seed) -> Regime
     seed (or pass a Generator to continue an existing stream).
     """
     _check_initial(g, r0, horizon)
-    rng = _as_rng(rng_seed)
-    n = g.n_states
-    if n == 1:
+    rng = np.random.default_rng(rng_seed)
+    if g.n_states == 1:
         return RegimePath(np.array([0.0]), np.array([1]), horizon, 1)
-
     # irreducibility (validate_generator) gives every state a positive exit rate
-    exit_rates = g.exit_rates
-    jump_cdf = _jump_cdfs(g.rates)
-
-    times = [0.0]
-    regimes = [r0]
-    cur = r0 - 1
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / exit_rates[cur])
-        if t >= horizon:
-            break
-        cur = int(np.searchsorted(jump_cdf[cur], rng.random(), side="right"))
-        times.append(t)
-        regimes.append(cur + 1)
-    return RegimePath(np.array(times), np.array(regimes), horizon, n)
+    return _walk(g.rates, r0, horizon, 1.0, rng.exponential, 1.0 / g.exit_rates, rng)
 
 
 def sample_path_discretized(
@@ -285,30 +262,39 @@ def sample_path_discretized(
             stacklevel=2,
         )
 
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     n = g.n_states
     if n == 1 or horizon <= dt:
         return RegimePath(np.array([0.0]), np.array([r0]), horizon, n)
-
     p = transition_matrix(g, dt)
-    leave_prob = 1.0 - np.diag(p)
-    jump_cdf = _jump_cdfs(p)
+    return _walk(p, r0, horizon, dt, rng.geometric, 1.0 - np.diag(p), rng)
 
+
+def _walk(m: np.ndarray, r0: int, horizon: float, unit: float, hold, param: np.ndarray,
+          rng: np.random.Generator) -> RegimePath:
+    """The sojourn loop of both samplers: a path from regime r0 up to horizon.
+
+    In state i the clock advances by ``hold(param[i])`` and the jump time is
+    ``clock * unit``; the landing state is drawn from row i of
+    ``_jump_cdfs(m)``.  The walk stops at the first jump time at or past
+    ``horizon``, or, before drawing, in a state whose param is <= 0.  The
+    clock starts as the int 0, so integer holds keep it an exact step count.
+    """
+    param = param.tolist()  # a list indexes faster per jump than the array
+    jump_cdf = _jump_cdfs(m)
     times = [0.0]
     regimes = [r0]
     cur = r0 - 1
-    step = 0
-    while True:
-        if leave_prob[cur] <= 0.0:
-            break
-        step += int(rng.geometric(leave_prob[cur]))
-        t = step * dt
+    clock = 0
+    while param[cur] > 0.0:
+        clock += hold(param[cur])
+        t = clock * unit
         if t >= horizon:
             break
         cur = int(np.searchsorted(jump_cdf[cur], rng.random(), side="right"))
         times.append(t)
         regimes.append(cur + 1)
-    return RegimePath(np.array(times), np.array(regimes), horizon, n)
+    return RegimePath(np.array(times), np.array(regimes), horizon, m.shape[0])
 
 
 def occupancy(path: RegimePath) -> np.ndarray:

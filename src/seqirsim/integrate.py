@@ -207,22 +207,14 @@ def _regime_step_schedule(path: RegimePath, dt: float,
     several jumps land inside one step (exact mode), the last one wins, so
     the first steps strictly increase from 0.
     """
-    starts: list[int] = []
-    regs: list[int] = []
-    for t, reg in zip(path.jump_times.tolist(), path.regimes.tolist()):
-        start = math.ceil(t / dt)
-        while start > 0 and (start - 1) * dt >= t:
-            start -= 1
-        while start * dt < t:
-            start += 1
-        if start > n_steps:
-            break
-        if starts and starts[-1] == start:
-            regs[-1] = reg - 1
-        else:
-            starts.append(start)
-            regs.append(reg - 1)
-    return np.array(starts, dtype=np.int64), np.array(regs, dtype=np.int64)
+    t = path.jump_times
+    start = np.ceil(t / dt)
+    while (down := (start > 0) & ((start - 1) * dt >= t)).any():
+        start[down] -= 1
+    while (up := start * dt < t).any():
+        start[up] += 1
+    keep = np.append(start[1:] != start[:-1], True) & (start <= n_steps)
+    return start[keep].astype(np.int64), path.regimes[keep].astype(np.int64) - 1
 
 
 @dataclass
@@ -294,12 +286,12 @@ def _setup(config: SimulationConfig, generator: Generator,
 
 def _run_blocks_py(run: _Run) -> None:
     """Step ``run`` in Python; the reference that ``_kernel.c`` mirrors."""
-    config, h, regs, states = run.config, run.h, run.regs.tolist(), run.states
+    config, regs, states = run.config, run.regs.tolist(), run.states
     n_steps, dt = config.n_steps, config.dt
     constants = run.constants.tolist()
     policy = config.negativity_policy
     milstein = config.scheme == "milstein"
-    linear_policy = h.kind == "linear"
+    a, fn = run.h.a, run.h.fn  # h(s) as _kernel.c evaluates it, with no call per step
 
     # starts strictly increase and every step is visited, so a step begins at
     # most one segment; the end sentinel n_steps + 1 is never reached
@@ -319,7 +311,7 @@ def _run_blocks_py(run: _Run) -> None:
                 k = constants[regs[seg]]
                 next_jump = starts[seg + 1]
 
-            hs = s if linear_policy else h(s)
+            hs = s / (1.0 + a * s) if fn is None else fn(s)
             s, e, q, i, r = _step(s, e, q, i, r, k, dt, dB, milstein, hs)
             # a one-sum test first: any nan or inf component makes the sum non-finite
             if not math.isfinite(s + e + q + i + r):
@@ -341,13 +333,12 @@ def _run_blocks_c(run: _Run, kernel) -> None:
     config = run.config
     x = np.array(run.state, dtype=np.float64)
     carry = np.array([0, 1, 0, 0], dtype=np.int64)  # segment, record, clamps, failed step
-    saturating = run.h.kind == "saturating"
     for n0, block in run.blocks():
         status = kernel(block.ctypes.data, n0, len(block), config.dt, run.starts.ctypes.data,
                         run.regs.ctypes.data, len(run.starts), run.constants.ctypes.data,
-                        config.scheme == "milstein", saturating, run.h.a if saturating else 0.0,
-                        config.negativity_policy == "error", x.ctypes.data, carry.ctypes.data,
-                        run.steps.ctypes.data, run.states.ctypes.data)
+                        config.scheme == "milstein", run.h.a, config.negativity_policy == "error",
+                        x.ctypes.data, carry.ctypes.data, run.steps.ctypes.data,
+                        run.states.ctypes.data)
         if status:
             vals, t = tuple(x.tolist()), int(carry[3]) * config.dt
             _check_finite(vals, t)

@@ -78,12 +78,12 @@ class RegimeParameters:
 
 
 def w1(params: RegimeParameters) -> float:
-    """Effective contact reduction (1 - rho1)(1 - rho2)."""
+    """Effective contact reduction (1 - rho1)(1 - rho2); per regime for a table."""
     return (1.0 - params.rho1) * (1.0 - params.rho2)
 
 
 def w2(params: RegimeParameters) -> float:
-    """Total exit rate of the exposed class: b2 + alpha + sigma + xi."""
+    """Total exit rate of the exposed class: b2 + alpha + sigma + xi; per regime for a table."""
     return params.b2 + params.alpha + params.sigma + params.xi
 
 
@@ -126,14 +126,6 @@ class RegimeParameterTable:
         if name in PARAMETER_NAMES:
             return self._arrays[name]
         raise AttributeError(name)
-
-    @cached_property
-    def w1_array(self) -> np.ndarray:
-        return (1.0 - self.rho1) * (1.0 - self.rho2)
-
-    @cached_property
-    def w2_array(self) -> np.ndarray:
-        return self.b2 + self.alpha + self.sigma + self.xi
 
     # min/max over regimes used by the invariant set and threshold formulas
     @cached_property
@@ -201,6 +193,9 @@ class PolicyFunction:
       saturating   h(s) = s / (1 + a*s), a > 0   (policy effect saturates)
       custom       any callable; callers should run :meth:`validate_envelope`
                    over the population range before trusting it.
+
+    Build instances through the classmethods: h is evaluated from ``a`` and
+    ``fn`` alone (linear is a = 0), and ``kind`` only names the choice.
     """
 
     kind: str
@@ -225,11 +220,8 @@ class PolicyFunction:
         return cls(kind="custom", fn=fn, slope_at_zero=slope_at_zero)
 
     def __call__(self, s: float) -> float:
-        if self.kind == "linear":
-            return s
-        if self.kind == "saturating":
-            return s / (1.0 + self.a * s)
-        return self.fn(s)
+        # a = 0 for linear, and s / (1.0 + 0.0 * s) is s bit for bit for s >= 0
+        return s / (1.0 + self.a * s) if self.fn is None else self.fn(s)
 
     def validate_envelope(self, s_max: float, n_points: int = 2001) -> None:
         """Check h(0) = 0 and 0 <= h(s) <= s h'(0) by dense sampling.
@@ -334,8 +326,5 @@ def invariant_set_bounds(table: RegimeParameterTable) -> tuple[float, float]:
     cancels in the population total, so the interval is forward-invariant
     regardless of the regime path.
     """
-    if table.xi_min <= 0.0:
-        raise DegenerateBounds("minimum natural death rate is zero")
-    lower = table.A_min / (table.xi_max + table.delta_max)
-    upper = table.population_ceiling
-    return lower, upper
+    upper = table.population_ceiling  # raises DegenerateBounds when min xi is 0
+    return table.A_min / (table.xi_max + table.delta_max), upper

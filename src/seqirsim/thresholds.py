@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import Generator, StationaryDistribution, stationary_distribution
 from .errors import DegeneratePsi2, NotPersistent
-from .model import RegimeParameterTable
+from .model import RegimeParameterTable, w1, w2
 
 VERDICTS = ("extinction_certified", "persistence_certified", "indeterminate")
 
@@ -68,17 +68,17 @@ def compute_rs_star(table: RegimeParameterTable, pi: StationaryDistribution) -> 
     """Extinction index: pi-average of beta*w1*s_max over the pi-average of
     (w2 + (sigma0^2/2) * w1^2 * s_max^2)."""
     p = _probs(pi, table)
-    return float(p @ _pressure(table)) / float(p @ (table.w2_array + _noise(table)))
+    return float(p @ _pressure(table)) / float(p @ (w2(table) + _noise(table)))
 
 
 def _pressure(table: RegimeParameterTable) -> np.ndarray:
     """Transmission pressure beta(k) * w1(k) * s_max, per regime."""
-    return table.beta * table.w1_array * table.population_ceiling
+    return table.beta * w1(table) * table.population_ceiling
 
 
 def _noise(table: RegimeParameterTable) -> np.ndarray:
     """Noise penalty (sigma0(k)^2 / 2) * w1(k)^2 * s_max^2, per regime."""
-    return 0.5 * table.sigma0 ** 2 * table.w1_array ** 2 * table.population_ceiling ** 2
+    return 0.5 * table.sigma0 ** 2 * w1(table) ** 2 * table.population_ceiling ** 2
 
 
 def _common_factor(table: RegimeParameterTable) -> np.ndarray:
@@ -89,7 +89,7 @@ def _common_factor(table: RegimeParameterTable) -> np.ndarray:
     """
     if np.any(table.A == 0.0):
         raise ZeroDivisionError("psi formulas require A(k) > 0 for every regime")
-    w1v = table.w1_array
+    w1v = w1(table)
     return (table.beta_max * w1v
             - 0.5 * table.sigma0_min ** 2 * w1v ** 2 * table.population_ceiling)
 
@@ -111,7 +111,7 @@ def psi2_vector(table: RegimeParameterTable) -> np.ndarray:
     """Penalty coefficient psi2 per regime (index k - 1 for regime k)."""
     common = _common_factor(table)
     scale = table.A_max ** 2 / (table.A * table.xi_min ** 2)
-    return common * scale * table.beta_max * table.w1_array
+    return common * scale * table.beta_max * w1(table)
 
 
 def psi3_vector(table: RegimeParameterTable) -> np.ndarray:
@@ -124,7 +124,7 @@ def compute_lambda(table: RegimeParameterTable, pi: StationaryDistribution,
     """pi-average of (sigma0^2/2)*w1^2*s_max^2 + w2 + psi1 (the rtilde_star
     denominator)."""
     p = _probs(pi, table)
-    return float(p @ (_noise(table) + table.w2_array + psi1_vector(table, slope_at_zero)))
+    return float(p @ (_noise(table) + w2(table) + psi1_vector(table, slope_at_zero)))
 
 
 def compute_rtilde_star(table: RegimeParameterTable, pi: StationaryDistribution,
@@ -166,7 +166,7 @@ def check_conditions(table: RegimeParameterTable,
                      slope_at_zero: float = 1.0) -> ConditionReport:
     """Evaluate the per-regime certification conditions (non-strict >=)."""
     s = table.population_ceiling
-    noise = table.sigma0 ** 2 * table.w1_array * s
+    noise = table.sigma0 ** 2 * w1(table) * s
     return ConditionReport(
         beta_vs_noise=table.beta >= noise,
         beta_vs_half_noise=table.beta >= 0.5 * noise,
@@ -182,7 +182,7 @@ def extinction_rate_bound(table: RegimeParameterTable, pi: StationaryDistributio
     condition.
     """
     p = _probs(pi, table)
-    return float(p @ (_pressure(table) - _noise(table) - table.w2_array))
+    return float(p @ (_pressure(table) - _noise(table) - w2(table)))
 
 
 def threshold_report(table: RegimeParameterTable, g: Generator,

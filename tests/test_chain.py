@@ -1,5 +1,6 @@
 """Regime-chain construction, steady state, transition matrices, sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -269,3 +270,81 @@ class TestOccupancyAndPath:
             RegimePath(np.array([0.5, 1.0]), np.array([1, 2]), 2.0, 2)  # not from 0
         with pytest.raises(ValueError):
             RegimePath(np.array([0.0, 1.0]), np.array([1, 3]), 2.0, 2)  # state range
+
+
+#: a two-state chain whose first state is left at rate 1e-14: exp(dt * rates)
+#: rounds its stay probability to 1.0, so the grid sampler never leaves it
+NEAR_ABSORBING = [[-1e-14, 1e-14], [1.0, -1.0]]
+GENERATOR_4_X50 = (np.array(GENERATOR_4) * 50).tolist()
+
+#: (generator, initial regime, horizon, grid dt); dt None samples exactly
+GOLDEN_CASES = {
+    "exact-gen4": (GENERATOR_4, 2, 20.0, None),
+    "exact-gen4x50": (GENERATOR_4_X50, 1, 5.0, None),
+    "exact-near-absorbing-1": (NEAR_ABSORBING, 1, 10.0, None),
+    "exact-near-absorbing-2": (NEAR_ABSORBING, 2, 10.0, None),
+    "exact-single": ([[0.0]], 1, 10.0, None),
+    "grid-gen4": (GENERATOR_4, 3, 20.0, 1e-3),
+    "grid-gen4x50": (GENERATOR_4_X50, 4, 5.0, 1e-4),
+    "grid-near-absorbing-1": (NEAR_ABSORBING, 1, 10.0, 1e-3),
+    "grid-near-absorbing-2": (NEAR_ABSORBING, 2, 10.0, 1e-3),
+    "grid-single": ([[0.0]], 1, 10.0, 1e-3),
+    "grid-horizon-within-one-step": (GENERATOR_4, 2, 1e-3, 1e-3),
+}
+
+#: sha256 over seeds 0, 1, 2, each given as an int and then as a Generator:
+#: the path bytes, plus the next 4 normals of a passed Generator
+GOLDEN_DIGESTS = {
+    "exact-gen4": "4276b44982a711a81fa4697a2aed559904b8197f3a5786c9e908a8f59ac0bf03",
+    "exact-gen4x50": "0d21fcb1fab9b0671708f96cb42686dee11ee381994bac14ea6905dcb0debfb3",
+    "exact-near-absorbing-1": "e30e18045cbff0242dfbeee28361a6521823a984631491abc11489d4be329fa3",
+    "exact-near-absorbing-2": "2e11379eb98b48b6784f371dd9a2a422e4e5003cafcc4d8562a8af62d502e7dc",
+    "exact-single": "8b5213f13506bdc24d968b055718521c86f09d16b3dd75c2279091c9e9e5f3e4",
+    "grid-gen4": "0760efe269cfd7118d38276c6f3619a5956fd04394d62c63bd09d82b007b02ca",
+    "grid-gen4x50": "9b7b409a8a10605af56f09935019c422cb1f37b3adf9a74a0d0afb730f4a3fbe",
+    "grid-horizon-within-one-step":
+        "e7c359a1df122f190198d6e8b01547178fefd0a386e55d8c59ad584a70731237",
+    "grid-near-absorbing-1": "8b5213f13506bdc24d968b055718521c86f09d16b3dd75c2279091c9e9e5f3e4",
+    "grid-near-absorbing-2": "85a8a8a431d7bdd39dc09401ad0e514d7098ce9efcbb179ee054de14f52b1c82",
+    "grid-single": "8b5213f13506bdc24d968b055718521c86f09d16b3dd75c2279091c9e9e5f3e4",
+}
+
+
+def sample_golden(name, seed_arg):
+    raw, r0, horizon, dt = GOLDEN_CASES[name]
+    g = validate_generator(raw)
+    if dt is None:
+        return sample_path_exact(g, r0, horizon, seed_arg)
+    return sample_path_discretized(g, r0, horizon, dt, seed_arg)
+
+
+def golden_digest(name):
+    h = hashlib.sha256()
+    for seed in range(3):
+        for seed_arg in (seed, np.random.default_rng(seed)):
+            path = sample_golden(name, seed_arg)
+            h.update(path.jump_times.tobytes() + path.regimes.astype(np.int64).tobytes())
+            if isinstance(seed_arg, np.random.Generator):
+                h.update(seed_arg.standard_normal(4).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenPaths:
+    """Both samplers draw the same paths from the same stream, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_digest(self, name):
+        assert golden_digest(name) == GOLDEN_DIGESTS[name]
+
+    def test_edges_are_reached(self):
+        # no draw at all: one state, a grid horizon within one step, or a
+        # start in the state that the grid sampler never leaves
+        for name in ("exact-single", "grid-single", "grid-horizon-within-one-step",
+                     "grid-near-absorbing-1"):
+            rng = np.random.default_rng(5)
+            assert sample_golden(name, rng).n_jumps == 0
+            assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+        # the other start jumps into that state and stays there
+        assert sample_golden("grid-near-absorbing-2", 0).regimes.tolist() == [2, 1]
+        for name in ("exact-gen4x50", "grid-gen4x50"):
+            assert sample_golden(name, 0).n_jumps > 1000

@@ -281,6 +281,7 @@ class TestRegimeStepSchedule:
     @given(dt=hyp.floats(1e-6, 1e-2),
            steps=hyp.lists(hyp.integers(1, 2 ** 40), min_size=1, max_size=8, unique=True))
     @example(dt=3e-5, steps=[17295957])  # (k * dt) / dt rounds to k + 2e-9 here
+    @example(dt=3e-5, steps=[2 ** 52 - 5])  # t / dt rounds worst between 2**40 and 2**52
     def test_grid_jumps_start_on_their_step_on_long_grids(self, dt, steps):
         # discretized paths jump at k * dt; check the grid points beside each jump
         steps = sorted(steps)

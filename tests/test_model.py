@@ -1,5 +1,7 @@
 """Model types, drift/diffusion fields, policy functions, invariant set."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,14 @@ class TestPolicyFunction:
         for s in np.linspace(0, 50, 101):
             assert 0.0 <= sat(s) <= s * sat.slope_at_zero + 1e-15
         assert sat(10.0) == pytest.approx(10.0 / 8.0, rel=1e-15)
+
+    def test_linear_is_the_identity_bit_for_bit(self):
+        # the linear policy is s / (1 + 0 * s); on the states h sees it must return s
+        lin = PolicyFunction.linear()
+        values = [0.0, -0.0, 5e-324, 2.2e-308, 1.0, 1e308]
+        values += np.random.default_rng(3).uniform(0.0, 1e6, 1000).tolist()
+        for s in values:
+            assert math.copysign(1.0, lin(s)) == math.copysign(1.0, s) and lin(s) == s
 
     def test_saturating_requires_positive_a(self):
         with pytest.raises(ValueError):

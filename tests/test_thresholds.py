@@ -14,6 +14,8 @@ from seqirsim import (
     stationary_distribution,
     threshold_report,
     validate_generator,
+    w1,
+    w2,
 )
 from seqirsim.chain import StationaryDistribution
 from seqirsim.errors import NotPersistent
@@ -103,9 +105,9 @@ class TestRsStar:
         table = table_from_lists(scaled)
         p = pi4.probabilities
         s = ex1_table.population_ceiling
-        w1v = ex1_table.w1_array
+        w1v = w1(ex1_table)
         num = p @ (ex1_table.beta * w1v * (lam * s))
-        den = p @ (ex1_table.w2_array + 0.5 * ex1_table.sigma0 ** 2 * w1v ** 2 * (lam * s) ** 2)
+        den = p @ (w2(ex1_table) + 0.5 * ex1_table.sigma0 ** 2 * w1v ** 2 * (lam * s) ** 2)
         assert compute_rs_star(table, pi4) == pytest.approx(num / den, rel=1e-12)
 
 
@@ -175,7 +177,7 @@ class TestLambda:
     def test_definitional_identity(self, ex1_table, ex2_table, persistent_table, pi4, pi2):
         for table, pi in ((ex1_table, pi4), (ex2_table, pi4), (persistent_table, pi2)):
             p = pi.probabilities
-            num = float(p @ (table.beta * table.w1_array * table.population_ceiling))
+            num = float(p @ (table.beta * w1(table) * table.population_ceiling))
             assert compute_rtilde_star(table, pi) * compute_lambda(table, pi) == \
                 pytest.approx(num, rel=1e-12)
 
@@ -225,7 +227,7 @@ class TestConditions:
     def test_example1_direct_inequalities(self, ex1_table):
         cond = check_conditions(ex1_table)
         s = ex1_table.population_ceiling
-        expected = ex1_table.beta >= ex1_table.sigma0 ** 2 * ex1_table.w1_array * s
+        expected = ex1_table.beta >= ex1_table.sigma0 ** 2 * w1(ex1_table) * s
         np.testing.assert_array_equal(cond.beta_vs_noise, expected)
         assert cond.beta_vs_noise.all()
 
