@@ -1,13 +1,14 @@
-"""Build and load the compiled block runner in ``_kernel.c``.
+"""Build and load the compiled kernel in ``_kernel.c``.
 
-On its first call :func:`load` compiles the C file with the local gcc,
-caches the shared object in a private per-user directory
-(``$XDG_CACHE_HOME/seqirsim``, else ``~/.cache/seqirsim``, mode 0700) under
-a name derived from the sha256 of source, flags and machine, and loads it
-through ctypes.  Any failure leaves the kernel unavailable with a one-line
-reason, and the caller steps in Python instead.  ``integrate.simulate``
-imports this module on first use, so importing the package neither
-builds nor loads the kernel.
+On its first call :func:`load` compiles the C file with the local gcc and
+links it against numpy's ``libnpyrandom.a``, caches the shared object in a
+private per-user directory (``$XDG_CACHE_HOME/seqirsim``, else
+``~/.cache/seqirsim``, mode 0700) under a name derived from the sha256 of
+source, flags, machine, numpy version and archive, and loads it through
+ctypes.  Any failure leaves the kernel unavailable with a one-line reason,
+and the caller steps and walks in Python instead.  ``integrate.simulate``
+and the chain samplers import this module on first use, so importing the
+package neither builds nor loads the kernel.
 """
 
 from __future__ import annotations
@@ -22,15 +23,24 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SOURCE = Path(__file__).with_name("_kernel.c")
 CC = "gcc"
 #: no fast-math and no fused multiply-add, so C rounds exactly as Python does
 FLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+#: the distribution routines that np.random.Generator itself calls
+ARCHIVE = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
-_ARGTYPES = (_P, _I64, _I64, ctypes.c_double, _P, _P, _I64, _P,
-             ctypes.c_int, ctypes.c_double, ctypes.c_int, _P, _P, _P, _P)
+_D = ctypes.c_double
+#: symbol -> (argument types, result type)
+_SIGNATURES = {
+    "seqir_run_block": ((_P, _I64, _I64, _D, _P, _P, _I64, _P, ctypes.c_int, _D,
+                         ctypes.c_int, _P, _P, _P, _P), ctypes.c_int),
+    "seqir_walk": ((_P, ctypes.c_int, _P, _P, _I64, _D, _D, _P, _P, _P, _P, _I64), _I64),
+}
 
 
 class KernelUnavailable(Exception):
@@ -51,15 +61,17 @@ def _private_dir() -> Path:
 
 
 def _build(source: bytes, target: Path) -> None:
-    """Compile ``source`` to a unique temporary name, then move it to ``target``."""
+    """Compile ``source`` and link ``ARCHIVE`` to a unique temporary name, then
+    move it to ``target``."""
     cc = shutil.which(CC)
     if cc is None:
         raise KernelUnavailable(f"C compiler {CC!r} not found")
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
     os.close(fd)
     try:
-        res = subprocess.run([cc, *FLAGS, "-o", tmp, "-x", "c", "-"], input=source,
-                             capture_output=True, timeout=120)
+        res = subprocess.run([cc, *FLAGS, "-o", tmp, "-x", "c", "-", "-x", "none",
+                              str(ARCHIVE), "-lm"],
+                             input=source, capture_output=True, timeout=120)
         if res.returncode != 0:
             lines = res.stderr.decode(errors="replace").strip().splitlines()
             raise KernelUnavailable(f"{CC} failed: {lines[0] if lines else 'no output'}")
@@ -77,23 +89,31 @@ def _open():
         source = SOURCE.read_bytes()
     except OSError as exc:
         raise KernelUnavailable(f"kernel source missing: {exc}") from exc
+    try:
+        archive = hashlib.sha256(ARCHIVE.read_bytes()).hexdigest()
+    except OSError as exc:
+        raise KernelUnavailable(f"numpy random library missing: {exc}") from exc
     key = hashlib.sha256(b"\0".join([source, " ".join(FLAGS).encode(),
-                                     platform.machine().encode()])).hexdigest()
+                                     platform.machine().encode(),
+                                     np.__version__.encode(), archive.encode()])).hexdigest()
     target = _private_dir() / f"kernel-{key[:32]}.so"
     if not target.exists():
         _build(source, target)
     try:
-        fn = ctypes.CDLL(str(target)).seqir_run_block
+        lib = ctypes.CDLL(str(target))
+        for name, (argtypes, restype) in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, restype
     except (OSError, AttributeError) as exc:
         raise KernelUnavailable(f"cannot load {target}: {exc}") from exc
-    fn.argtypes = _ARGTYPES
-    fn.restype = ctypes.c_int
-    return fn
+    return lib
 
 
 @functools.cache
 def load():
-    """``(function, None)`` once the kernel is loaded, else ``(None, reason)``."""
+    """``(library, None)`` once the kernel is loaded, else ``(None, reason)``.
+
+    The library exposes ``seqir_run_block`` and ``seqir_walk``, typed."""
     try:
         return _open(), None
     except KernelUnavailable as exc:

@@ -6,6 +6,13 @@ validates rate matrices, solves for the stationary distribution, computes
 finite-interval transition matrices, and samples regime paths either exactly
 (event-driven, exponential holding times) or on a fixed grid.
 
+Both samplers run one sojourn walk.  It runs in the compiled kernel
+(``_kernel.c``), which draws through numpy's own distribution routines on the
+Generator's bit generator, so it consumes the same variates in the same
+stream order as the Python reference :func:`_walk`; the reference runs when
+the kernel cannot be loaded.  The grid sampler computes its transition
+matrix once per generator and dt, so an ensemble's members share it.
+
 States are 1-based everywhere in the public interface.  All types are frozen
 and safe to share across threads; samplers take an explicit seed or Generator
 (no hidden global RNG).
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +43,9 @@ STEP_HARD_LIMIT = 1.0
 #: dt * max exit rate above which the grid sampler warns.
 STEP_WARN_LIMIT = 0.1
 
+#: jumps stored per call of the kernel walk; a longer path resumes the walk
+_WALK_BUFFER = 65536
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -48,6 +58,8 @@ class Generator:
 
     n_states: int
     rates: np.ndarray
+    # dt -> the grid sampler's (landing cdfs, leave probabilities); see _grid_law
+    _grid_laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def exit_rates(self) -> np.ndarray:
@@ -232,7 +244,7 @@ def sample_path_exact(g: Generator, r0: int, horizon: float, rng_seed) -> Regime
     if g.n_states == 1:
         return RegimePath(np.array([0.0]), np.array([1]), horizon, 1)
     # irreducibility (validate_generator) gives every state a positive exit rate
-    return _walk(g.rates, r0, horizon, 1.0, rng.exponential, 1.0 / g.exit_rates, rng)
+    return _sample(_jump_cdfs(g.rates), r0, horizon, 1.0, False, 1.0 / g.exit_rates, rng)
 
 
 def sample_path_discretized(
@@ -266,22 +278,76 @@ def sample_path_discretized(
     n = g.n_states
     if n == 1 or horizon <= dt:
         return RegimePath(np.array([0.0]), np.array([r0]), horizon, n)
-    p = transition_matrix(g, dt)
-    return _walk(p, r0, horizon, dt, rng.geometric, 1.0 - np.diag(p), rng)
+    cdfs, leave = _grid_law(g, dt)
+    return _sample(cdfs, r0, horizon, dt, True, leave, rng)
 
 
-def _walk(m: np.ndarray, r0: int, horizon: float, unit: float, hold, param: np.ndarray,
-          rng: np.random.Generator) -> RegimePath:
-    """The sojourn loop of both samplers: a path from regime r0 up to horizon.
+def _grid_law(g: Generator, dt: float) -> tuple:
+    """Landing laws and leave probabilities of the grid chain, from
+    ``transition_matrix(g, dt)``; computed once per generator and dt."""
+    law = g._grid_laws.get(dt)
+    if law is None:
+        p = transition_matrix(g, dt)
+        law = g._grid_laws[dt] = (_jump_cdfs(p), 1.0 - np.diag(p))
+    return law
 
-    In state i the clock advances by ``hold(param[i])`` and the jump time is
-    ``clock * unit``; the landing state is drawn from row i of
-    ``_jump_cdfs(m)``.  The walk stops at the first jump time at or past
-    ``horizon``, or, before drawing, in a state whose param is <= 0.  The
-    clock starts as the int 0, so integer holds keep it an exact step count.
+
+def _sample(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: bool,
+            param: np.ndarray, rng: np.random.Generator) -> RegimePath:
+    """The sojourn walk of both samplers, in the kernel when it loads.
+
+    A grid clock is an int64 in the kernel; one past INT64_MAX is a jump
+    time past ``horizon`` only when ``horizon <= 2**63 * unit``, so a longer
+    grid horizon walks in Python.
     """
+    from . import _kernel  # imported on first use: start-up does not pay for it
+    kernel, _ = _kernel.load()
+    if kernel is None or (geometric and not horizon <= 2.0 ** 63 * unit):
+        return _walk(cdfs, r0, horizon, unit, geometric, param, rng)
+    return _walk_c(kernel, cdfs, r0, horizon, unit, geometric, param, rng)
+
+
+def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
+            geometric: bool, param: np.ndarray, rng: np.random.Generator) -> RegimePath:
+    """:func:`_walk` in the compiled ``kernel``, drawing from ``rng``'s own
+    bit generator under its lock, ``_WALK_BUFFER`` jumps per call."""
+    cdfs = np.ascontiguousarray(cdfs, dtype=np.float64)
+    param = np.ascontiguousarray(param, dtype=np.float64)
+    n = len(param)
+    if param.shape != (n,) or cdfs.shape != (n, n - 1) or not 1 <= r0 <= n:
+        raise ValueError(f"walk inputs do not fit {n} states starting in {r0}")
+    clock = np.zeros(1)  # the exact clock
+    carry = np.array([r0 - 1, 0, 0], dtype=np.int64)  # state, grid clock, ended
+    buf_t = np.empty(_WALK_BUFFER)
+    buf_r = np.empty(_WALK_BUFFER, dtype=np.int64)
+    times, regimes = [np.zeros(1)], [np.array([r0], dtype=np.int64)]
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        while not carry[2]:
+            stored = kernel.seqir_walk(bitgen.ctypes.bit_generator, geometric,
+                                       param.ctypes.data, cdfs.ctypes.data, n, unit, horizon,
+                                       clock.ctypes.data, carry.ctypes.data,
+                                       buf_t.ctypes.data, buf_r.ctypes.data, _WALK_BUFFER)
+            times.append(buf_t[:stored].copy())
+            regimes.append(buf_r[:stored].copy())
+    return RegimePath(np.concatenate(times), np.concatenate(regimes), horizon, n)
+
+
+def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: bool,
+          param: np.ndarray, rng: np.random.Generator) -> RegimePath:
+    """The sojourn loop of both samplers, in Python: a path from regime r0 up
+    to horizon.  It is the reference that the kernel walk mirrors.
+
+    In state i the clock advances by ``rng.geometric(param[i])`` steps
+    (``geometric``) or by ``rng.exponential(param[i])``, and the jump time is
+    ``clock * unit``; the landing state is drawn from row i of the landing
+    laws ``cdfs`` (see :func:`_jump_cdfs`).  The walk stops at the first jump
+    time at or past ``horizon``, or, before drawing, in a state whose param
+    is <= 0.  The clock starts as the int 0, so integer holds keep it an
+    exact step count.
+    """
+    hold = rng.geometric if geometric else rng.exponential
     param = param.tolist()  # a list indexes faster per jump than the array
-    jump_cdf = _jump_cdfs(m)
     times = [0.0]
     regimes = [r0]
     cur = r0 - 1
@@ -291,10 +357,10 @@ def _walk(m: np.ndarray, r0: int, horizon: float, unit: float, hold, param: np.n
         t = clock * unit
         if t >= horizon:
             break
-        cur = int(np.searchsorted(jump_cdf[cur], rng.random(), side="right"))
+        cur = int(np.searchsorted(cdfs[cur], rng.random(), side="right"))
         times.append(t)
         regimes.append(cur + 1)
-    return RegimePath(np.array(times), np.array(regimes), horizon, m.shape[0])
+    return RegimePath(np.array(times), np.array(regimes), horizon, len(param))
 
 
 def occupancy(path: RegimePath) -> np.ndarray:

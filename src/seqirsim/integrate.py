@@ -334,11 +334,11 @@ def _run_blocks_c(run: _Run, kernel) -> None:
     x = np.array(run.state, dtype=np.float64)
     carry = np.array([0, 1, 0, 0], dtype=np.int64)  # segment, record, clamps, failed step
     for n0, block in run.blocks():
-        status = kernel(block.ctypes.data, n0, len(block), config.dt, run.starts.ctypes.data,
-                        run.regs.ctypes.data, len(run.starts), run.constants.ctypes.data,
-                        config.scheme == "milstein", run.h.a, config.negativity_policy == "error",
-                        x.ctypes.data, carry.ctypes.data, run.steps.ctypes.data,
-                        run.states.ctypes.data)
+        status = kernel.seqir_run_block(
+            block.ctypes.data, n0, len(block), config.dt, run.starts.ctypes.data,
+            run.regs.ctypes.data, len(run.starts), run.constants.ctypes.data,
+            config.scheme == "milstein", run.h.a, config.negativity_policy == "error",
+            x.ctypes.data, carry.ctypes.data, run.steps.ctypes.data, run.states.ctypes.data)
         if status:
             vals, t = tuple(x.tolist()), int(carry[3]) * config.dt
             _check_finite(vals, t)

@@ -194,8 +194,9 @@ class PolicyFunction:
       custom       any callable; callers should run :meth:`validate_envelope`
                    over the population range before trusting it.
 
-    Build instances through the classmethods: h is evaluated from ``a`` and
-    ``fn`` alone (linear is a = 0), and ``kind`` only names the choice.
+    h is evaluated from ``a`` and ``fn`` alone, so each kind is held to its
+    own: linear has a = 0 and no fn, saturating a > 0 and no fn, custom a
+    callable fn and a = 0.  Build instances through the classmethods.
     """
 
     kind: str
@@ -203,14 +204,25 @@ class PolicyFunction:
     fn: Optional[Callable[[float], float]] = None
     slope_at_zero: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("linear", "saturating", "custom"):
+            raise ValueError(f"unknown policy kind {self.kind!r}")
+        if self.kind == "custom":
+            if not callable(self.fn) or self.a != 0:
+                raise ValueError("a custom policy needs a callable fn and a = 0")
+        elif self.fn is not None:
+            raise ValueError(f"a {self.kind} policy takes no fn")
+        elif self.kind == "linear" and self.a != 0:
+            raise ValueError("a linear policy has a = 0")
+        elif self.kind == "saturating" and not self.a > 0:
+            raise ValueError("saturation coefficient a must be > 0")
+
     @classmethod
     def linear(cls) -> "PolicyFunction":
         return cls(kind="linear", slope_at_zero=1.0)
 
     @classmethod
     def saturating(cls, a: float) -> "PolicyFunction":
-        if a <= 0:
-            raise ValueError("saturation coefficient a must be > 0")
         return cls(kind="saturating", a=a, slope_at_zero=1.0)
 
     @classmethod

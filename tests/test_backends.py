@@ -1,5 +1,5 @@
-"""The compiled block runner against the Python reference, its lazy loader
-and its fallback."""
+"""The compiled block runner and sojourn walk against the Python reference,
+their lazy loader and its fallback."""
 
 import itertools
 import os
@@ -10,21 +10,25 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqirsim import (
     EpidemicState,
     PolicyFunction,
     SimulationConfig,
+    sample_path_discretized,
+    sample_path_exact,
     simulate,
     validate_generator,
 )
-from seqirsim import _kernel
+from seqirsim import _kernel, chain
 from seqirsim.cli import main
 from seqirsim.errors import NegativeState, NonFiniteState
 from seqirsim.integrate import _BLOCK, _run_blocks_c, _run_blocks_py, _setup
 
 from conftest import EX1_PARAMS, EX2_PARAMS, GENERATOR_2, GENERATOR_4, table_from_lists
+from test_chain import GOLDEN_CASES, GOLDEN_DIGESTS, NEAR_ABSORBING, golden_digest
 from test_config import valid_doc, write_doc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -115,6 +119,133 @@ def test_identity_cases_reach_the_paths_they_cover(kernel):
     assert name == "NonFiniteState" and "t=5.5" in message
 
 
+#: name -> (generator, initial regime, horizon, grid dt or None for exact, seed)
+WALK_CASES = {
+    "exact-gen4": (GENERATOR_4, 2, 30.0, None, 11),
+    # about 1.7 jumps per 1e-3 step, several inside one step
+    "exact-several-jumps-per-step": ((np.array(GENERATOR_4) * 200).tolist(), 1, 0.5, None, 3),
+    "grid-gen4": (GENERATOR_4, 3, 30.0, 1e-3, 11),
+    # leave_prob == 0 in state 1: the grid walk ends there without a draw
+    "exact-near-absorbing-1": (NEAR_ABSORBING, 1, 10.0, None, 5),
+    "exact-near-absorbing-2": (NEAR_ABSORBING, 2, 10.0, None, 5),
+    "grid-near-absorbing-1": (NEAR_ABSORBING, 1, 10.0, 1e-3, 5),
+    "grid-near-absorbing-2": (NEAR_ABSORBING, 2, 10.0, 1e-3, 5),
+    # no walk at all: the samplers return before drawing
+    "exact-single": ([[0.0]], 1, 10.0, None, 5),
+    "grid-single": ([[0.0]], 1, 10.0, 1e-3, 5),
+    "grid-horizon-within-one-step": (GENERATOR_4, 2, 1e-3, 1e-3, 5),
+}
+
+
+def sampled(case):
+    """Path bytes of one public sampler call and the stream state after it."""
+    raw, r0, horizon, dt, seed = WALK_CASES[case]
+    g = validate_generator(raw)
+    rng = np.random.default_rng(seed)
+    if dt is None:
+        path = sample_path_exact(g, r0, horizon, rng)
+    else:
+        path = sample_path_discretized(g, r0, horizon, dt, rng)
+    return path.jump_times.tobytes(), path.regimes.dtype, path.regimes.tobytes(), \
+        rng.bit_generator.state
+
+
+def walked(walk, cdfs, r0, horizon, unit, geometric, param, seed):
+    """Path bytes of one walk from ``walk`` and the stream state after it."""
+    rng = np.random.default_rng(seed)
+    path = walk(np.array(cdfs, dtype=float), r0, horizon, unit, geometric,
+                np.array(param, dtype=float), rng)
+    return path.jump_times.tobytes(), path.regimes.dtype, path.regimes.tobytes(), \
+        rng.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
+@pytest.mark.parametrize("buffer", [1, 7, chain._WALK_BUFFER])
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_walk_identity(kernel, monkeypatch, case, buffer):
+    # a buffer of 1 or 7 makes every longer path resume the kernel walk
+    monkeypatch.setattr(chain, "_WALK_BUFFER", buffer)
+    compiled = sampled(case)
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
+        reference = sampled(case)
+    assert compiled == reference
+
+
+def test_walk_cases_reach_the_paths_they_cover(kernel):
+    jumps = {name: len(np.frombuffer(sampled(name)[0])) - 1 for name in WALK_CASES}
+    assert jumps["exact-gen4"] > 100 and jumps["grid-gen4"] > 100
+    assert jumps["grid-near-absorbing-1"] == jumps["grid-near-absorbing-2"] - 1 == 0
+    for name in ("exact-single", "grid-single", "grid-horizon-within-one-step"):
+        assert jumps[name] == 0
+        assert sampled(name)[3] == np.random.default_rng(WALK_CASES[name][4]).bit_generator.state
+    times = np.frombuffer(sampled("exact-several-jumps-per-step")[0])
+    assert np.bincount((times / 1e-3).astype(int)).max() >= 3
+    # the walk resumes: more jumps than the smallest buffers hold
+    assert min(jumps["exact-gen4"], jumps["grid-gen4"]) > 7
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_paths_on_both_backends(kernel, monkeypatch, backend, name):
+    if backend == "python":
+        monkeypatch.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
+    assert golden_digest(name) == GOLDEN_DIGESTS[name]
+
+
+TWO_STATE_CDFS = [[0.0], [1.0]]  # the landing laws of any 2-state chain
+
+
+@pytest.mark.parametrize("param, horizon, unit, n_jumps", [
+    ([1e-300, 0.5], 10.0, 1e-3, 0),   # the first hold is INT64_MAX steps
+    ([0.5, 1e-300], 10.0, 1e-3, 1),   # INT64_MAX steps after a short hold: past INT64_MAX
+    ([1.0, 1.0], 5 * 0.1, 0.1, 4),    # a jump every step, the fifth at exactly the horizon
+])
+def test_walk_identity_at_the_grid_clock_limits(kernel, param, horizon, unit, n_jumps):
+    args = (TWO_STATE_CDFS, 1, horizon, unit, True, param, 4)
+    compiled = walked(lambda *a: chain._walk_c(kernel, *a), *args)
+    assert compiled == walked(chain._walk, *args)
+    assert compiled == walked(chain._sample, *args)
+    assert len(np.frombuffer(compiled[0])) - 1 == n_jumps
+
+
+def zero_at_second_draw() -> np.random.Generator:
+    """A PCG64 stream whose second 64-bit output is 0, so that draw is the
+    uniform 0.0 exactly.  PCG64 steps state = state * MULT + inc and outputs
+    the rotated xor of its two halves, which is 0 for equal halves."""
+    mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+    bitgen = np.random.PCG64(1)
+    state = bitgen.state
+    inc = state["state"]["inc"]
+    s = (12345 << 64) | 12345
+    for _ in range(2):
+        s = (s - inc) * pow(mult, -1, 1 << 128) & mask
+    state["state"]["state"] = s
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def test_a_uniform_equal_to_a_cdf_entry_lands_past_it(kernel):
+    # the grid hold of p = 1 takes the first draw and the landing the second,
+    # u = 0.0: searchsorted(side="right") counts the entry 0.0 <= u, state 2
+    assert zero_at_second_draw().bit_generator.random_raw(2)[1] == 0
+    cdfs, param = np.array(TWO_STATE_CDFS), np.ones(2)
+    compiled = chain._walk_c(kernel, cdfs, 1, 0.15, 0.1, True, param, zero_at_second_draw())
+    reference = chain._walk(cdfs, 1, 0.15, 0.1, True, param, zero_at_second_draw())
+    assert compiled.regimes.tolist() == reference.regimes.tolist() == [1, 2]
+    assert compiled.jump_times.tobytes() == reference.jump_times.tobytes()
+
+
+def test_grid_horizon_past_the_int64_clock_walks_in_python(kernel):
+    # holds of INT64_MAX steps add up past 2**63 before the horizon: only
+    # Python's int clock follows them, so the sampler must not take the kernel
+    args = (TWO_STATE_CDFS, 1, 1e20, 1.0, True, [1e-300, 1e-300], 4)
+    reference = walked(chain._walk, *args)
+    assert len(np.frombuffer(reference[0])) > 10
+    assert walked(chain._sample, *args) == reference
+    assert walked(lambda *a: chain._walk_c(kernel, *a), *args) != reference
+
+
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
     """An empty kernel cache and a loader that has not run yet."""
@@ -124,27 +255,32 @@ def fresh_loader(monkeypatch, tmp_path):
     _kernel.load.cache_clear()
 
 
-@pytest.mark.parametrize("breakage", ["no-compiler", "build-fails"])
+@pytest.mark.parametrize("breakage", ["no-compiler", "build-fails", "no-archive"])
 def test_fallback_to_python_when_the_kernel_cannot_build(kernel, fresh_loader, monkeypatch,
                                                          tmp_path, breakage):
-    config, gen, table = case_inputs("clamping", scheme="euler_maruyama", output_stride=7)
-    h = POLICIES["saturating"]
-    compiled = outcome(lambda run: _run_blocks_c(run, kernel), config, gen, table, h)
     if breakage == "no-compiler":
         monkeypatch.setattr(_kernel, "CC", "no-such-compiler-seqirsim")
         expected = "not found"
-    else:
+    elif breakage == "build-fails":
         broken = tmp_path / "_kernel.c"
         broken.write_text("#error deliberately broken\n")
         monkeypatch.setattr(_kernel, "SOURCE", broken)
         expected = "failed"
+    else:
+        monkeypatch.setattr(_kernel, "ARCHIVE", tmp_path / "no-such-libnpyrandom.a")
+        expected = "numpy random library missing"
+    config, gen, table = case_inputs("clamping", scheme="euler_maruyama", output_stride=7)
+    h = POLICIES["saturating"]
+    # the path is walked in Python here too: the breakage applies to every load
+    compiled = outcome(lambda run: _run_blocks_c(run, kernel), config, gen, table, h)
     fallback = simulate(config, gen, table, h)
     assert fallback.metadata["backend"] == "python"
     assert expected in fallback.metadata["backend_reason"]
+    assert "\n" not in fallback.metadata["backend_reason"]
     assert (fallback.times.tobytes(), fallback.regimes.tobytes(), fallback.states.tobytes(),
             fallback.metadata["clamp_events"]) == compiled
     assert compiled[3] > 0
-    assert not list((tmp_path / "cache" / "seqirsim").iterdir())
+    assert not [f for f in (tmp_path / "cache").rglob("*") if not f.is_dir()]
 
 
 def test_custom_policy_always_steps_in_python(kernel):

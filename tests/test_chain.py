@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from seqirsim import chain
 from seqirsim import (
+    EpidemicState,
+    PolicyFunction,
     RegimePath,
+    SimulationConfig,
     occupancy,
     sample_path_discretized,
     sample_path_exact,
+    simulate_ensemble,
     stationary_distribution,
     transition_matrix,
     validate_generator,
@@ -245,6 +250,39 @@ class TestSamplePathDiscretized:
         ], axis=0)
         assert max(exact_l1) < 0.05
         assert np.abs(grid_occ - pi).sum() < 0.05
+
+
+class TestGridLawCache:
+    """The grid sampler computes transition_matrix once per (generator, dt)."""
+
+    def test_an_ensemble_computes_the_matrix_once(self, monkeypatch, ex1_table):
+        calls = []
+        original = chain.transition_matrix
+        monkeypatch.setattr(chain, "transition_matrix",
+                            lambda g, dt: calls.append(dt) or original(g, dt))
+        g = validate_generator(GENERATOR_4)  # a generator with no cached law yet
+        config = SimulationConfig(dt=1e-3, horizon=2.0, chain_mode="discretized",
+                                  initial_state=EpidemicState(20, 20, 15, 10, 0))
+        simulate_ensemble(config, g, ex1_table, PolicyFunction.linear(), 4, 9)
+        assert calls == [1e-3]
+
+    def test_cached_paths_equal_fresh_ones(self):
+        g = validate_generator(GENERATOR_4)
+        dts = [1e-3, 1e-3, 2e-3, 1e-3]
+        cached = [sample_path_discretized(g, 2, 5.0, dt, 7) for dt in dts]
+        assert sorted(g._grid_laws) == [1e-3, 2e-3]
+        for dt, path in zip(dts, cached):
+            fresh = sample_path_discretized(validate_generator(GENERATOR_4), 2, 5.0, dt, 7)
+            assert path.jump_times.tobytes() == fresh.jump_times.tobytes()
+            assert path.regimes.tobytes() == fresh.regimes.tobytes()
+
+    def test_public_matrix_stays_fresh_and_writable(self, gen4):
+        sample_path_discretized(gen4, 2, 5.0, 1e-3, 7)
+        p1 = transition_matrix(gen4, 1e-3)
+        p2 = transition_matrix(gen4, 1e-3)
+        assert p1 is not p2 and p1.flags.writeable
+        p1[:] = 0.0
+        np.testing.assert_array_equal(transition_matrix(gen4, 1e-3), p2)
 
 
 class TestOccupancyAndPath:

@@ -53,6 +53,19 @@ class TestDeriveSeed:
         assert len(seeds) == 1000
         assert all(0 <= s < 2 ** 64 for s in seeds)
 
+    @settings(max_examples=500, deadline=None)
+    @given(base_seed=hyp.integers(0, 2 ** 64 - 1), i=hyp.integers(0, 2 ** 20))
+    @example(base_seed=2 ** 64 - 1, i=2 ** 20)
+    def test_matches_the_readme_specification(self, base_seed, i):
+        # the SplitMix64 lines of README "Reproducibility", one per statement
+        z = (base_seed + (i + 1) * 0x9E3779B97F4A7C15) % 2 ** 64
+        z ^= z >> 30
+        z = z * 0xBF58476D1CE4E5B9 % 2 ** 64
+        z ^= z >> 27
+        z = z * 0x94D049BB133111EB % 2 ** 64
+        z ^= z >> 31
+        assert derive_seed(base_seed, i) == z
+
 
 class TestConfigValidation:
     def test_bad_values_rejected(self):

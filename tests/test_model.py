@@ -229,6 +229,28 @@ class TestPolicyFunction:
         with pytest.raises(ValueError):
             PolicyFunction.saturating(0.0)
 
+    @pytest.mark.parametrize("kind, a, fn", [
+        ("quadratic", 0.0, None),      # unknown kind
+        ("linear", 0.5, None),         # linear with a != 0
+        ("linear", 0.0, abs),          # linear with an fn
+        ("saturating", 0.0, None),     # saturating with a = 0
+        ("saturating", -1.0, None),    # saturating with a < 0
+        ("saturating", math.nan, None),
+        ("saturating", 0.5, abs),      # saturating with an fn
+        ("custom", 0.0, None),         # custom without an fn
+        ("custom", 0.0, 2.0),          # custom with an fn that is not callable
+        ("custom", 0.5, abs),          # custom with a != 0
+    ])
+    def test_kind_must_agree_with_a_and_fn(self, kind, a, fn):
+        with pytest.raises(ValueError):
+            PolicyFunction(kind, a=a, fn=fn)
+
+    def test_classmethods_agree_with_their_kind(self):
+        assert PolicyFunction.linear() == PolicyFunction("linear")
+        assert PolicyFunction.saturating(0.5) == PolicyFunction("saturating", a=0.5)
+        assert PolicyFunction.custom(abs, 2.0) == PolicyFunction("custom", fn=abs,
+                                                                 slope_at_zero=2.0)
+
     def test_custom_accepted_when_sublinear(self):
         h = PolicyFunction.custom(lambda s: s * np.exp(-s), slope_at_zero=1.0)
         h.validate_envelope(10.0)
