@@ -1,16 +1,19 @@
-/* Compiled kernel for seqirsim: the block runner of integrate.simulate and
- * the sojourn walk of the chain samplers.
+/* Compiled kernel for seqirsim: the block runner of integrate.simulate, the
+ * RK4 loop of integrate.simulate_deterministic and the sojourn walk of the
+ * chain samplers.
  *
+ * drift is model.vector_field, the one C copy of it; both runners call it.
  * seqir_run_block steps one block of pre-drawn Brownian increments:
- * regime-schedule lookup, the drift of model.vector_field, the S<->E noise
- * and Milstein term of integrate._step, the non-finite check, the negativity
- * rule of integrate._clamp_negative, and storing the state at the recorded
- * steps that integrate._setup laid out (it also fills their regimes).  Every
- * floating-point operation is written in the same order as in those Python
- * functions, and the file is built with -O2 -ffp-contract=off (no fast-math),
- * so no multiply-add is fused and nothing is reordered: the recorded states
- * are bit-identical to the Python runner's.  A change to the arithmetic of
- * either side must be made on both; the backend identity test compares them.
+ * regime-schedule lookup, the drift, the S<->E noise and Milstein term of
+ * integrate._step, the non-finite check, the negativity rule of
+ * integrate._clamp_negative, and storing the state at the recorded steps
+ * that integrate._setup laid out (it also fills their regimes).  seqir_rk4
+ * is the classical RK4 loop with h(s) = s.  Every floating-point operation
+ * is written in the same order as in those Python functions, and the file is
+ * built with -O2 -ffp-contract=off (no fast-math), so no multiply-add is
+ * fused and nothing is reordered: the recorded states are bit-identical to
+ * the Python loops'.  A change to the arithmetic of either side must be made
+ * on both; the backend identity tests compare them.
  *
  * seqir_walk is chain._walk: it draws through numpy's own distribution
  * routines (linked from numpy/random/lib/libnpyrandom.a) on the live
@@ -24,6 +27,20 @@
 #define NEGATIVITY_TOL (-1e-12)   /* integrate.NEGATIVITY_TOL */
 
 enum { RUN_OK = 0, RUN_NEGATIVE = 1, RUN_NON_FINITE = 2 };
+
+/* model.vector_field at (s, e, q, i, r) with the regime constants k and the
+ * policy value hs, written to f[0..4]. */
+static inline void drift(const double *k, double s, double e, double q, double i,
+                         double r, double hs, double *f)
+{
+    double inc = k[1] * (s * e);
+    double pmh = k[4] * hs;
+    f[0] = k[0] - inc + k[2] * q - k[3] * s - pmh;
+    f[1] = inc - k[5] * e;
+    f[2] = k[6] * e - k[7] * q;
+    f[3] = k[8] * e + k[9] * q - k[10] * i;
+    f[4] = k[11] * i + k[12] * e - k[3] * r + pmh;
+}
 
 /* starts/regs: the n_sched regime segments (first step, 0-based regime);
  *   the first steps strictly increase from 0, so a step begins at most one.
@@ -47,30 +64,19 @@ int seqir_run_block(const double *dB, int64_t n0, int64_t nb, double dt,
         if (seg + 1 < n_sched && n == starts[seg + 1])
             seg++;
         const double *k = consts + N_CONSTANTS * regs[seg];
-        const double A = k[0], bw1 = k[1], b1 = k[2], xi = k[3], pm = k[4],
-                     w2v = k[5], b2 = k[6], bcx = k[7], al = k[8], c = k[9],
-                     exd = k[10], eta = k[11], sg = k[12];
-        double hs = s / (1.0 + a * s);  /* PolicyFunction: a = 0 is linear */
-
-        /* model.vector_field */
-        double inc = bw1 * (s * e);
-        double pmh = pm * hs;
-        double fs = A - inc + b1 * q - xi * s - pmh;
-        double fe = inc - w2v * e;
-        double fq = b2 * e - bcx * q;
-        double fi = al * e + c * q - exd * i;
-        double fr = eta * i + sg * e - xi * r + pmh;
+        double f[5];
+        drift(k, s, e, q, i, r, s / (1.0 + a * s), f);  /* PolicyFunction: a = 0 is linear */
 
         /* integrate._step; Euler-Maruyama adds a literal 0.0 as Python does */
         double db = dB[n - n0];
         double se = s * e;
         double gdb = k[13] * se * db;
         double dm = milstein ? k[14] * se * (db * db - dt) * (e - s) : 0.0;
-        s = s + fs * dt - gdb + dm;
-        e = e + fe * dt + gdb - dm;
-        q = q + fq * dt;
-        i = i + fi * dt;
-        r = r + fr * dt;
+        s = s + f[0] * dt - gdb + dm;
+        e = e + f[1] * dt + gdb - dm;
+        q = q + f[2] * dt;
+        i = i + f[3] * dt;
+        r = r + f[4] * dt;
 
         int64_t m = n + 1;
         if (!(isfinite(s) && isfinite(e) && isfinite(q) && isfinite(i) && isfinite(r))) {
@@ -103,6 +109,57 @@ int seqir_run_block(const double *dB, int64_t n0, int64_t nb, double dt,
 
     x[0] = s; x[1] = e; x[2] = q; x[3] = i; x[4] = r;
     carry[0] = seg; carry[1] = rec; carry[2] = clamps;
+    return status;
+}
+
+
+/* integrate.simulate_deterministic: classical RK4 with the regime constants k
+ * and h(s) = s, from x over rec_steps[n_rec - 1] steps of dt.  rec_steps are
+ * the recorded steps, starting at 0 (row 0 of states is the caller's); the
+ * state after step m is stored in row j when m == rec_steps[j].  A step whose
+ * state has a nan or infinite component stops the loop: x holds that state,
+ * *failed the step m, and RUN_NON_FINITE is returned.  Negative states are
+ * returned as computed: RK4 is noise-free and not clamped. */
+int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
+              int64_t n_rec, double *states, int64_t *failed)
+{
+    const double half = dt / 2.0, sixth = dt / 6.0;
+    double y[5], y2[5], y3[5], y4[5], k1[5], k2[5], k3[5], k4[5];
+    int64_t rec = 1;
+    int status = RUN_OK;
+    for (int j = 0; j < 5; j++)
+        y[j] = x[j];
+
+    for (int64_t m = 1; rec < n_rec; m++) {
+        drift(k, y[0], y[1], y[2], y[3], y[4], y[0], k1);
+        for (int j = 0; j < 5; j++)
+            y2[j] = y[j] + half * k1[j];
+        drift(k, y2[0], y2[1], y2[2], y2[3], y2[4], y2[0], k2);
+        for (int j = 0; j < 5; j++)
+            y3[j] = y[j] + half * k2[j];
+        drift(k, y3[0], y3[1], y3[2], y3[3], y3[4], y3[0], k3);
+        for (int j = 0; j < 5; j++)
+            y4[j] = y[j] + dt * k3[j];
+        drift(k, y4[0], y4[1], y4[2], y4[3], y4[4], y4[0], k4);
+        int finite = 1;
+        for (int j = 0; j < 5; j++) {
+            y[j] = y[j] + sixth * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]);
+            finite &= isfinite(y[j]) != 0;
+        }
+        if (!finite) {
+            status = RUN_NON_FINITE;
+            *failed = m;
+            break;
+        }
+        if (m == rec_steps[rec]) {
+            for (int j = 0; j < 5; j++)
+                states[5 * rec + j] = y[j];
+            rec++;
+        }
+    }
+
+    for (int j = 0; j < 5; j++)
+        x[j] = y[j];
     return status;
 }
 

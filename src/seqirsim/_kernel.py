@@ -6,9 +6,10 @@ private per-user directory (``$XDG_CACHE_HOME/seqirsim``, else
 ``~/.cache/seqirsim``, mode 0700) under a name derived from the sha256 of
 source, flags, machine, numpy version and archive, and loads it through
 ctypes.  Any failure leaves the kernel unavailable with a one-line reason,
-and the caller steps and walks in Python instead.  ``integrate.simulate``
-and the chain samplers import this module on first use, so importing the
-package neither builds nor loads the kernel.
+and the caller steps and walks in Python instead.  ``integrate.simulate``,
+``integrate.simulate_deterministic`` and the chain samplers import this
+module on first use, so importing the package neither builds nor loads the
+kernel.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ _D = ctypes.c_double
 _SIGNATURES = {
     "seqir_run_block": ((_P, _I64, _I64, _D, _P, _P, _I64, _P, ctypes.c_int, _D,
                          ctypes.c_int, _P, _P, _P, _P), ctypes.c_int),
+    "seqir_rk4": ((_P, _D, _P, _P, _I64, _P, _P), ctypes.c_int),
     "seqir_walk": ((_P, ctypes.c_int, _P, _P, _I64, _D, _D, _P, _P, _P, _P, _I64), _I64),
 }
 
@@ -113,7 +115,8 @@ def _open():
 def load():
     """``(library, None)`` once the kernel is loaded, else ``(None, reason)``.
 
-    The library exposes ``seqir_run_block`` and ``seqir_walk``, typed."""
+    The library exposes ``seqir_run_block``, ``seqir_rk4`` and ``seqir_walk``,
+    typed."""
     try:
         return _open(), None
     except KernelUnavailable as exc:

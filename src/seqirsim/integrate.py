@@ -13,6 +13,12 @@ Reproducibility: each trajectory consumes one seeded NumPy generator; the
 regime path is drawn first, then the Brownian increments in fixed-size
 blocks.  Ensemble member i uses the stream seeded by
 ``derive_seed(base_seed, i)`` (SplitMix64, documented in the README).
+
+Backends: both step loops, the stochastic one and RK4, run in the compiled
+kernel (``seqir_run_block`` and ``seqir_rk4`` in ``_kernel.c``) when it
+loads, else in their Python references, ``_run_blocks_py`` and ``_rk4_py``.
+Both give the same bytes, and ``Trajectory.metadata["backend"]`` says which
+ran.
 """
 
 from __future__ import annotations
@@ -127,9 +133,8 @@ class Trajectory:
     """Recorded samples of one run: times, 1-based regimes, (m, 5) states.
 
     ``metadata`` echoes the configuration and carries the clamp-event count,
-    the wall time and, for stochastic runs, the stepping backend ("c" or
-    "python", with a one-line ``backend_reason`` for "python").  Column
-    order is S, E, Q, I, R.
+    the wall time and the stepping backend ("c" or "python", with a one-line
+    ``backend_reason`` for "python").  Column order is S, E, Q, I, R.
     """
 
     times: np.ndarray
@@ -402,6 +407,40 @@ def simulate_ensemble(config: SimulationConfig, generator: Generator,
     return out
 
 
+def _rk4_py(k: tuple, dt: float, steps: np.ndarray, states: np.ndarray) -> None:
+    """RK4 in Python from ``states[0]``, storing ``states`` at the recorded
+    ``steps``; the reference that ``seqir_rk4`` in ``_kernel.c`` mirrors."""
+    y = tuple(states[0].tolist())
+    half = dt / 2.0
+    sixth = dt / 6.0
+    for rec in range(1, len(steps)):
+        for m in range(int(steps[rec - 1]) + 1, int(steps[rec]) + 1):
+            k1 = vector_field(*y, k, y[0])
+            y2 = tuple(yv + half * kv for yv, kv in zip(y, k1))
+            k2 = vector_field(*y2, k, y2[0])
+            y3 = tuple(yv + half * kv for yv, kv in zip(y, k2))
+            k3 = vector_field(*y3, k, y3[0])
+            y4 = tuple(yv + dt * kv for yv, kv in zip(y, k3))
+            k4 = vector_field(*y4, k, y4[0])
+            y = tuple(yv + sixth * (a + 2.0 * (b + cc) + d)
+                      for yv, a, b, cc, d in zip(y, k1, k2, k3, k4))
+            if not math.isfinite(sum(y)):
+                _check_finite(y, m * dt)
+        states[rec] = y
+
+
+def _rk4_c(k: tuple, dt: float, steps: np.ndarray, states: np.ndarray, kernel) -> None:
+    """RK4 with the compiled ``kernel``, one call for the whole run."""
+    consts = np.array(k, dtype=np.float64)
+    x = states[0].copy()
+    failed = np.zeros(1, dtype=np.int64)
+    status = kernel.seqir_rk4(consts.ctypes.data, dt, x.ctypes.data, steps.ctypes.data,
+                              len(steps), states.ctypes.data, failed.ctypes.data)
+    if status:
+        _check_finite(tuple(x.tolist()), int(failed[0]) * dt)
+        raise RuntimeError(f"kernel status {status} without a failing state")
+
+
 def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
                            M_const: float, dt: float, horizon: float,
                            output_stride: int = 1) -> Trajectory:
@@ -409,37 +448,35 @@ def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
 
     Single frozen regime, linear policy incidence p*S*M with the constant
     intensity ``M_const``.  Local error O(dt^5).  The grid is checked and
-    recorded as for :class:`SimulationConfig`.
+    recorded as for :class:`SimulationConfig`.  The steps run in the compiled
+    kernel when it is available, else in Python; both give the same bytes,
+    and ``metadata["backend"]`` says which ran, as for :func:`simulate`.
+    Raises :class:`NonFiniteState` when a step's state has a nan or infinite
+    component.  RK4 is noise-free and not clamped, so negative states are
+    returned as computed.
     """
     _check_grid(dt, horizon, output_stride)
     t_start = time.perf_counter()
-    pars = regime_constants(replace(params, M=M_const))
-
+    k = regime_constants(replace(params, M=M_const))
     steps = _record_steps(round(horizon / dt), output_stride)
     states = np.empty((len(steps), 5))
+    states[0] = (initial.S, initial.E, initial.Q, initial.I, initial.R)
 
-    y = (initial.S, initial.E, initial.Q, initial.I, initial.R)
-    states[0] = y
-    half = dt / 2.0
-    sixth = dt / 6.0
-    for rec in range(1, len(steps)):
-        for _ in range(int(steps[rec] - steps[rec - 1])):
-            k1 = vector_field(*y, pars, y[0])
-            y2 = tuple(yv + half * kv for yv, kv in zip(y, k1))
-            k2 = vector_field(*y2, pars, y2[0])
-            y3 = tuple(yv + half * kv for yv, kv in zip(y, k2))
-            k3 = vector_field(*y3, pars, y3[0])
-            y4 = tuple(yv + dt * kv for yv, kv in zip(y, k3))
-            k4 = vector_field(*y4, pars, y4[0])
-            y = tuple(yv + sixth * (a + 2.0 * (b + cc) + d)
-                      for yv, a, b, cc, d in zip(y, k1, k2, k3, k4))
-        states[rec] = y
+    from . import _kernel  # imported on first use: start-up does not pay for it
+    kernel, reason = _kernel.load()
+    if kernel is None:
+        _rk4_py(k, dt, steps, states)
+    else:
+        _rk4_c(k, dt, steps, states, kernel)
 
     metadata = {
         "config": {"dt": dt, "horizon": horizon, "M_const": M_const,
                    "scheme": "rk4", "output_stride": output_stride},
         "clamp_events": 0,
+        "backend": "python" if kernel is None else "c",
         "wall_time_s": time.perf_counter() - t_start,
     }
+    if reason is not None:
+        metadata["backend_reason"] = reason
     return Trajectory(times=steps * dt, regimes=np.ones(len(steps), dtype=np.int64),
                       states=states, metadata=metadata)

@@ -287,8 +287,8 @@ def vector_field(s, e, q, i, r, k, hs):
     policy value h(s).  This is the one definition of the drift: the
     stochastic step, the RK4 integrator and :func:`drift` all evaluate it.
     """
-    # _kernel.c repeats these operations in this order for the compiled
-    # runner; change both together (tests/test_backends.py compares them)
+    # drift in _kernel.c repeats these operations in this order for both
+    # compiled loops; change both together (tests/test_backends.py compares them)
     A, bw1, b1, xi, pm, w2v, b2, bcx, al, c, exd, eta, sg, _, _ = k
     inc = bw1 * (s * e)
     pmh = pm * hs

@@ -1,7 +1,8 @@
-"""The compiled block runner and sojourn walk against the Python reference,
-their lazy loader and its fallback."""
+"""The compiled block runner, RK4 loop and sojourn walk against the Python
+reference, their lazy loader and its fallback."""
 
 import itertools
+import json
 import os
 import shutil
 import subprocess
@@ -20,6 +21,7 @@ from seqirsim import (
     sample_path_discretized,
     sample_path_exact,
     simulate,
+    simulate_deterministic,
     validate_generator,
 )
 from seqirsim import _kernel, chain
@@ -117,6 +119,70 @@ def test_identity_cases_reach_the_paths_they_cover(kernel):
     config, gen, table = case_inputs("blow_up", chain_mode="discretized")
     name, message = outcome(_run_blocks_py, config, gen, table, h)
     assert name == "NonFiniteState" and "t=5.5" in message
+
+
+#: name -> (parameters, regime, initial state, M_const, dt, horizon)
+RK4_CASES = {
+    # 5000 steps of the rich dynamics of benchmark set 2
+    "ex2-regime3": (EX2_PARAMS, 3, (20, 20, 15, 10, 0), 2.0, 1e-3, 5.0),
+    "ex1-regime1-coarse": (EX1_PARAMS, 1, (0.3, 0.2, 0.1, 0.05, 0.05), 0.001, 0.1, 20.0),
+    "no-policy": (EX2_PARAMS, 2, (10, 5, 1, 1, 0), 0.0, 0.01, 3.0),
+    "all-zero": (EX1_PARAMS, 4, (0, 0, 0, 0, 0), 0.004, 0.05, 2.0),
+    # one step that leaves E, Q, I and R far below zero, returned as computed
+    "one-step-negative": (_with(EX2_PARAMS, beta=0.5), 1, (20, 20, 15, 10, 0), 0.001, 0.5, 0.5),
+    # the blow-up reproduction: example2.json regime 1 with beta 2 at dt 0.5
+    "blow-up": (_with(EX2_PARAMS, beta=2.0), 1, (20, 20, 15, 10, 0), 0.001, 0.5, 100.0),
+}
+
+
+def rk4_outcome(params, regime, init, m_const, dt, horizon, stride=1):
+    """Times and states bytes and backend of one RK4 run, or its error and message."""
+    if stride == "beyond":
+        stride = round(horizon / dt) + 5
+    row = table_from_lists(params)[regime]
+    try:
+        traj = simulate_deterministic(EpidemicState(*init), row, m_const, dt, horizon, stride)
+    except NonFiniteState as exc:
+        return type(exc).__name__, str(exc)
+    return traj.times.tobytes(), traj.states.tobytes(), traj.metadata["backend"]
+
+
+def python_rk4_outcome(monkeypatch, *args):
+    """:func:`rk4_outcome` with the kernel unavailable."""
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
+        return rk4_outcome(*args)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 8, "beyond"])
+@pytest.mark.parametrize("case", list(RK4_CASES))
+def test_rk4_backend_identity(kernel, monkeypatch, case, stride):
+    compiled = rk4_outcome(*RK4_CASES[case], stride)
+    reference = python_rk4_outcome(monkeypatch, *RK4_CASES[case], stride)
+    assert compiled[:2] == reference[:2]
+    if compiled[0] != "NonFiniteState":
+        assert (compiled[2], reference[2]) == ("c", "python")
+
+
+def test_rk4_cases_reach_the_paths_they_cover(kernel):
+    for case in ("ex2-regime3", "ex1-regime1-coarse", "no-policy"):
+        assert len(np.frombuffer(rk4_outcome(*RK4_CASES[case])[1])) > 1000
+    all_zero = np.frombuffer(rk4_outcome(*RK4_CASES["all-zero"])[1]).reshape(-1, 5)
+    assert not all_zero[0].any() and not all_zero[:, 1].any() and all_zero[-1, 0] > 0.0
+    one_step = np.frombuffer(rk4_outcome(*RK4_CASES["one-step-negative"])[1]).reshape(-1, 5)
+    assert len(one_step) == 2 and (one_step[1, 1:] < -1.0).all()
+    name, message = rk4_outcome(*RK4_CASES["blow-up"])
+    assert name == "NonFiniteState" and "t=1.5" in message
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 5.0])
+def test_rk4_non_finite_state_raises_on_both_backends(kernel, monkeypatch, beta):
+    # example2.json regime 1 at dt 0.5 over 200 steps overflows for each beta
+    args = (_with(EX2_PARAMS, beta=beta), *RK4_CASES["blow-up"][1:])
+    compiled = rk4_outcome(*args)
+    assert compiled == python_rk4_outcome(monkeypatch, *args)
+    assert compiled[0] == "NonFiniteState"
+    assert compiled[1].startswith("state is not finite (S=")
 
 
 #: name -> (generator, initial regime, horizon, grid dt or None for exact, seed)
@@ -280,7 +346,35 @@ def test_fallback_to_python_when_the_kernel_cannot_build(kernel, fresh_loader, m
     assert (fallback.times.tobytes(), fallback.regimes.tobytes(), fallback.states.tobytes(),
             fallback.metadata["clamp_events"]) == compiled
     assert compiled[3] > 0
+    # RK4 falls back too, with the same reason
+    det = simulate_deterministic(EpidemicState(20, 20, 15, 10, 0), table[3], 0.5, 0.01, 1.0)
+    assert det.metadata["backend"] == "python"
+    assert det.metadata["backend_reason"] == fallback.metadata["backend_reason"]
     assert not [f for f in (tmp_path / "cache").rglob("*") if not f.is_dir()]
+
+
+#: one-operation changes of seqir_rk4, each of which some RK4 case must detect
+RK4_MUTATIONS = {
+    "update-distributes-2": ("k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]",
+                             "k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]"),
+    "last-stage-half-step": ("y4[j] = y[j] + dt * k3[j]", "y4[j] = y[j] + half * k3[j]"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(RK4_MUTATIONS))
+def test_rk4_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch, tmp_path,
+                                               mutation):
+    old, new = RK4_MUTATIONS[mutation]
+    source = _kernel.SOURCE.read_text()
+    assert source.count(old) == 1
+    mutated = tmp_path / "_kernel.c"
+    mutated.write_text(source.replace(old, new))
+    monkeypatch.setattr(_kernel, "SOURCE", mutated)
+    cases = [(*args, stride) for args in RK4_CASES.values() for stride in (1, 7)]
+    compiled = [rk4_outcome(*case) for case in cases]
+    assert {out[2] for out in compiled if len(out) == 3} == {"c"}
+    reference = [python_rk4_outcome(monkeypatch, *case) for case in cases]
+    assert any(c[:2] != r[:2] for c, r in zip(compiled, reference))
 
 
 def test_custom_policy_always_steps_in_python(kernel):
@@ -342,9 +436,30 @@ def test_non_finite_state_is_exit_3_without_csv(kernel, tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_rk4_non_finite_state_is_exit_3_without_csv(kernel, tmp_path, monkeypatch, capsys,
+                                                    example2_config_path, backend):
+    # the frozen ensemble clamps and stays finite; RK4 overflows at t = 1.5
+    doc = json.loads(example2_config_path.read_text())
+    doc["regimes"][0]["beta"] = 2.0
+    doc["simulation"].update({"dt": 0.5, "horizon": 100, "stride": 1})
+    doc["initial"]["regime"] = 1
+    doc["ensemble"]["n"] = 2
+    path = write_doc(tmp_path, doc)
+    if backend == "python":
+        monkeypatch.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
+    out = tmp_path / "cmp.csv"
+    assert main(["compare-det", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("math domain error: state is not finite") and "t=1.5" in err
+    assert not out.exists()
+
+
 def test_status_line_names_the_backend(kernel, tmp_path, capsys):
     doc = valid_doc()
     doc["simulation"]["horizon"] = 1.0
     path = write_doc(tmp_path, doc)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 0
     assert "backend c" in capsys.readouterr().out
+    assert main(["compare-det", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+    assert "ensemble backend c, rk4 backend c" in capsys.readouterr().out

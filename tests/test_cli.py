@@ -7,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
-from seqirsim.cli import main
+from seqirsim.cli import _fmt, _write_csv, main
 from seqirsim.integrate import derive_seed
 
 from conftest import (
@@ -460,3 +462,67 @@ class TestGoldenOutputs:
         assert report["bounds_applicable"] == "false"
         assert report["condition_beta_extinction"] == "true, false, true, true"
         assert "bound_violation_E" not in parse_report(out / "ensemble" / "summary.txt")
+
+
+def reference_csv(header, columns):
+    """The CSV text of one ``str``/``_fmt`` call per value, row by row."""
+    fmts = [str if np.issubdtype(col.dtype, np.integer) else _fmt for col in columns]
+    rows = [",".join(header)] + [",".join(f(v) for f, v in zip(fmts, row))
+                                 for row in zip(*columns)]
+    return ("\n".join(rows) + "\n").encode()
+
+
+#: values at and next to the edges of the range where repr has no exponent
+GUARD_EDGES = [x for edge in (1e-4, 1e16) for x in (np.nextafter(edge, 0.0), edge,
+                                                      np.nextafter(edge, np.inf))]
+SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, *GUARD_EDGES, *(-x for x in GUARD_EDGES)]
+#: every chunk boundary of _write_csv is crossed, and the header-only file
+ROW_COUNTS = [0, 1, 255, 256, 257, 513]
+
+
+def csv_bytes(tmp_path, header, columns):
+    path = tmp_path / "out.csv"
+    _write_csv(path, header, columns)
+    return path.read_bytes()
+
+
+class TestCsvWriter:
+    """``_write_csv`` writes exactly what one ``_fmt`` (or ``str``) call per value writes."""
+
+    @pytest.mark.parametrize("n_rows", ROW_COUNTS)
+    def test_chunked_rows_match_the_per_value_loop(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        special = np.array(SPECIAL_VALUES)
+        columns = [np.arange(n_rows) * 1e-3, rng.integers(-5, 5, n_rows),
+                   special[rng.integers(0, len(special), n_rows)],
+                   rng.lognormal(0.0, 12.0, n_rows) * rng.choice([-1.0, 1.0], n_rows)]
+        header = ["t", "regime", "special", "spread"]
+        data = csv_bytes(tmp_path, header, columns)
+        assert data == reference_csv(header, columns)
+        assert data.count(b"\n") == n_rows + 1
+
+    def test_special_values_are_written_as_fmt_writes_them(self, tmp_path):
+        column = np.array(SPECIAL_VALUES)
+        data = csv_bytes(tmp_path, ["x"], [column])
+        assert data.decode().split("\n")[1:-1] == [_fmt(x) for x in column]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool=hyp.lists(hyp.one_of(hyp.floats(allow_nan=True, allow_infinity=True,
+                                                 allow_subnormal=True),
+                                     hyp.sampled_from(SPECIAL_VALUES)),
+                          min_size=1, max_size=40),
+           ints=hyp.lists(hyp.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=10),
+           n_rows=hyp.sampled_from(ROW_COUNTS), seed=hyp.integers(0, 2 ** 32))
+    def test_arbitrary_columns_match_the_per_value_loop(self, tmp_path_factory, pool, ints,
+                                                         n_rows, seed):
+        # the rows draw from small pools, so every pool value is written
+        # in a few hundred rows and hypothesis still shrinks the pool
+        rng = np.random.default_rng(seed)
+        pool, ints = np.array(pool, dtype=np.float64), np.array(ints, dtype=np.int64)
+        columns = [pool[rng.integers(0, len(pool), n_rows)],
+                   ints[rng.integers(0, len(ints), n_rows)],
+                   pool[rng.integers(0, len(pool), n_rows)]]
+        header = ["a", "b", "c"]
+        tmp_path = tmp_path_factory.mktemp("csv")
+        assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
