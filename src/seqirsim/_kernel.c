@@ -1,24 +1,24 @@
-/* Compiled kernel for seqirsim: the block runner of integrate.simulate, the
+/* Compiled kernel for seqirsim: the step loop of integrate.simulate, the
  * RK4 loop of integrate.simulate_deterministic and the sojourn walk of the
  * chain samplers.
  *
- * drift is model.vector_field, the one C copy of it; both runners call it.
- * seqir_run_block steps one block of pre-drawn Brownian increments:
- * regime-schedule lookup, the drift, the S<->E noise and Milstein term of
- * integrate._step, the non-finite check, the negativity rule of
- * integrate._clamp_negative, and storing the state at the recorded steps
- * that integrate._setup laid out (it also fills their regimes).  seqir_rk4
- * is the classical RK4 loop with h(s) = s.  Every floating-point operation
- * is written in the same order as in those Python functions, and the file is
- * built with -O2 -ffp-contract=off (no fast-math), so no multiply-add is
- * fused and nothing is reordered: the recorded states are bit-identical to
- * the Python loops'.  A change to the arithmetic of either side must be made
- * on both; the backend identity tests compare them.
+ * drift is model.vector_field, the one C copy of it; both step loops call it.
+ * seqir_run steps a whole stochastic run in one call: the regime in force at
+ * each grid point, the Brownian increment, the drift, the S<->E noise and
+ * Milstein term of integrate._step, the non-finite check, the negativity rule
+ * of integrate._clamp_negative, and storing the state at the recorded steps
+ * that integrate._setup laid out.  seqir_rk4 is the classical RK4 loop with
+ * h(s) = s.  Every floating-point operation is written in the same order as
+ * in those Python functions, and the file is built with -O2
+ * -ffp-contract=off (no fast-math), so no multiply-add is fused and nothing
+ * is reordered: the recorded states are bit-identical to the Python loops'.
+ * A change to the arithmetic of either side must be made on both; the
+ * backend identity tests compare them.
  *
- * seqir_walk is chain._walk: it draws through numpy's own distribution
- * routines (linked from numpy/random/lib/libnpyrandom.a) on the live
- * bit generator of an np.random.Generator, so it consumes the same variates
- * in the same stream order as the Python loop.
+ * seqir_run and seqir_walk (chain._walk) draw through numpy's own
+ * distribution routines (linked from numpy/random/lib/libnpyrandom.a) on the
+ * live bit generator of an np.random.Generator, so they consume the same
+ * variates in the same stream order as the Python loops.
  */
 #include <math.h>
 #include <stdint.h>
@@ -27,6 +27,22 @@
 #define NEGATIVITY_TOL (-1e-12)   /* integrate.NEGATIVITY_TOL */
 
 enum { RUN_OK = 0, RUN_NEGATIVE = 1, RUN_NON_FINITE = 2 };
+
+/* numpy/random/bitgen.h and the four routines of numpy/random/distributions.h
+ * that np.random.Generator calls for standard_normal, exponential, geometric
+ * and random. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+double random_standard_normal(bitgen_t *bitgen_state);
+double random_standard_uniform(bitgen_t *bitgen_state);
+double random_exponential(bitgen_t *bitgen_state, double scale);
+int64_t random_geometric(bitgen_t *bitgen_state, double p);
 
 /* model.vector_field at (s, e, q, i, r) with the regime constants k and the
  * policy value hs, written to f[0..4]. */
@@ -42,33 +58,35 @@ static inline void drift(const double *k, double s, double e, double q, double i
     f[4] = k[11] * i + k[12] * e - k[3] * r + pmh;
 }
 
-/* starts/regs: the n_sched regime segments (first step, 0-based regime);
- *   the first steps strictly increase from 0, so a step begins at most one.
- * rec_steps: the recorded steps; the last is the run's last step, so no
- *   step is compared with an entry past it.
- * carry: [0] schedule segment, [1] next record index, [2] clamp count,
- *        [3] set on failure to the step m whose state failed.
- * On failure x holds that state before any clamp, and RUN_NEGATIVE or
- * RUN_NON_FINITE is returned; the caller raises the matching error. */
-int seqir_run_block(const double *dB, int64_t n0, int64_t nb, double dt,
-                    const int64_t *starts, const int64_t *regs, int64_t n_sched,
-                    const double *consts, int milstein, double a,
-                    int error_policy, double *x, int64_t *carry,
-                    const int64_t *rec_steps, double *states)
+/* integrate._run_py in one call: n_steps steps of dt from the state x,
+ * drawing each step's increment as random_standard_normal(bitgen) * sqrt(dt),
+ * which is what rng.standard_normal(k) * sqrt(dt) draws, in the same stream
+ * order.  The regime of step n is regs[j] (0-based) for the last j < n_seg
+ * with n * dt >= jump_times[j], as RegimePath.regime_at compares, so the
+ * last of several jumps inside one step wins.  rec_steps: the recorded
+ * steps; the last is n_steps, so no step is compared with an entry past it.
+ * out: [0] the clamp count, [1] set on failure to the step m whose state
+ * failed; x then holds that state before any clamp, and RUN_NEGATIVE or
+ * RUN_NON_FINITE is returned for the caller to raise the matching error. */
+int seqir_run(bitgen_t *bitgen, int64_t n_steps, double dt, const double *jump_times,
+              const int64_t *regs, int64_t n_seg, const double *consts, int milstein,
+              double a, int error_policy, double *x, int64_t *out,
+              const int64_t *rec_steps, double *states)
 {
-    int64_t seg = carry[0], rec = carry[1], clamps = carry[2];
+    const double sqrt_dt = sqrt(dt);
+    int64_t seg = 0, rec = 1, clamps = 0;
     double s = x[0], e = x[1], q = x[2], i = x[3], r = x[4];
     int status = RUN_OK;
 
-    for (int64_t n = n0; n < n0 + nb; n++) {
-        if (seg + 1 < n_sched && n == starts[seg + 1])
+    for (int64_t n = 0; n < n_steps; n++) {
+        while (seg + 1 < n_seg && (double)n * dt >= jump_times[seg + 1])
             seg++;
         const double *k = consts + N_CONSTANTS * regs[seg];
         double f[5];
         drift(k, s, e, q, i, r, s / (1.0 + a * s), f);  /* PolicyFunction: a = 0 is linear */
 
         /* integrate._step; Euler-Maruyama adds a literal 0.0 as Python does */
-        double db = dB[n - n0];
+        double db = random_standard_normal(bitgen) * sqrt_dt;
         double se = s * e;
         double gdb = k[13] * se * db;
         double dm = milstein ? k[14] * se * (db * db - dt) * (e - s) : 0.0;
@@ -96,7 +114,7 @@ int seqir_run_block(const double *dB, int64_t n0, int64_t nb, double dt,
             }
         }
         if (status != RUN_OK) {
-            carry[3] = m;
+            out[1] = m;
             break;
         }
 
@@ -108,7 +126,7 @@ int seqir_run_block(const double *dB, int64_t n0, int64_t nb, double dt,
     }
 
     x[0] = s; x[1] = e; x[2] = q; x[3] = i; x[4] = r;
-    carry[0] = seg; carry[1] = rec; carry[2] = clamps;
+    out[0] = clamps;
     return status;
 }
 
@@ -163,20 +181,6 @@ int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
     return status;
 }
 
-
-/* numpy/random/bitgen.h and the three routines of numpy/random/distributions.h
- * that np.random.Generator calls for exponential, geometric and random. */
-typedef struct bitgen {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
-
-double random_standard_uniform(bitgen_t *bitgen_state);
-double random_exponential(bitgen_t *bitgen_state, double scale);
-int64_t random_geometric(bitgen_t *bitgen_state, double p);
 
 /* chain._walk, resumable.  In state cur the clock advances by an exponential
  * hold of scale param[cur] (geometric = 0; the clock is the double *clock)

@@ -1,7 +1,9 @@
 """Build and load the compiled kernel in ``_kernel.c``.
 
 On its first call :func:`load` compiles the C file with the local gcc and
-links it against numpy's ``libnpyrandom.a``, caches the shared object in a
+links it against numpy's ``libnpyrandom.a``, whose routines draw the
+Brownian increments of the step loop and the holds and landings of the
+regime walk.  It caches the shared object in a
 private per-user directory (``$XDG_CACHE_HOME/seqirsim``, else
 ``~/.cache/seqirsim``, mode 0700) under a name derived from the sha256 of
 source, flags, machine, numpy version and archive, and loads it through
@@ -38,8 +40,8 @@ _I64 = ctypes.c_int64
 _D = ctypes.c_double
 #: symbol -> (argument types, result type)
 _SIGNATURES = {
-    "seqir_run_block": ((_P, _I64, _I64, _D, _P, _P, _I64, _P, ctypes.c_int, _D,
-                         ctypes.c_int, _P, _P, _P, _P), ctypes.c_int),
+    "seqir_run": ((_P, _I64, _D, _P, _P, _I64, _P, ctypes.c_int, _D, ctypes.c_int, _P, _P,
+                   _P, _P), ctypes.c_int),
     "seqir_rk4": ((_P, _D, _P, _P, _I64, _P, _P), ctypes.c_int),
     "seqir_walk": ((_P, ctypes.c_int, _P, _P, _I64, _D, _D, _P, _P, _P, _P, _I64), _I64),
 }
@@ -115,7 +117,7 @@ def _open():
 def load():
     """``(library, None)`` once the kernel is loaded, else ``(None, reason)``.
 
-    The library exposes ``seqir_run_block``, ``seqir_rk4`` and ``seqir_walk``,
+    The library exposes ``seqir_run``, ``seqir_rk4`` and ``seqir_walk``,
     typed."""
     try:
         return _open(), None

@@ -154,6 +154,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
 
     raw_gen = _require(doc, "generator", str(path))
+    if not isinstance(raw_gen, list) or not all(isinstance(row, list) for row in raw_gen):
+        raise ConfigError("generator: expected an array of arrays of numbers")
+    raw_gen = [[_number(v, f"generator[{i}][{j}]") for j, v in enumerate(row)]
+               for i, row in enumerate(raw_gen)]
     try:
         generator = validate_generator(raw_gen)
     except (MathDomainError, ValueError) as exc:

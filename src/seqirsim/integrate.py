@@ -10,15 +10,16 @@ Milstein correction is exact (no iterated-integral approximation needed) and
 the total population carries no noise at all.
 
 Reproducibility: each trajectory consumes one seeded NumPy generator; the
-regime path is drawn first, then the Brownian increments in fixed-size
-blocks.  Ensemble member i uses the stream seeded by
-``derive_seed(base_seed, i)`` (SplitMix64, documented in the README).
+regime path is drawn first, then one standard normal per step.  Ensemble
+member i uses the stream seeded by ``derive_seed(base_seed, i)``
+(SplitMix64, documented in the README).
 
 Backends: both step loops, the stochastic one and RK4, run in the compiled
-kernel (``seqir_run_block`` and ``seqir_rk4`` in ``_kernel.c``) when it
-loads, else in their Python references, ``_run_blocks_py`` and ``_rk4_py``.
-Both give the same bytes, and ``Trajectory.metadata["backend"]`` says which
-ran.
+kernel (``seqir_run`` and ``seqir_rk4`` in ``_kernel.c``) when it loads,
+else in their Python references, ``_run_py`` and ``_rk4_py``.  A compiled
+stochastic run is one kernel call that draws its normals from the run's
+generator in C.  Both backends give the same bytes and leave the generator
+in the same state, and ``Trajectory.metadata["backend"]`` says which ran.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ NEGATIVITY_TOL = -1e-12
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-_BLOCK = 1 << 16  # Brownian increments are pre-drawn in blocks of this size
+_BLOCK = 1 << 16  # the Python runner draws its normals in blocks of this size
 
 #: bound on horizon / dt: steps are int64 and m * dt is exact below it
 MAX_STEPS = float(1 << 53)
@@ -202,60 +203,35 @@ def _check_finite(vals: tuple, t: float) -> None:
         raise NonFiniteState(f"state is not finite ({cells}) at t={t:.6g}")
 
 
-def _regime_step_schedule(path: RegimePath, dt: float,
-                          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map a regime path onto grid steps as (first step, 0-based regime) arrays.
-
-    The regime in force at grid point n is the path value at t = n * dt, so
-    a jump at time t starts at the first n with n * dt >= t, compared in
-    floating point exactly as :meth:`RegimePath.regime_at` compares.  If
-    several jumps land inside one step (exact mode), the last one wins, so
-    the first steps strictly increase from 0.
-    """
-    t = path.jump_times
-    start = np.ceil(t / dt)
-    while (down := (start > 0) & ((start - 1) * dt >= t)).any():
-        start[down] -= 1
-    while (up := start * dt < t).any():
-        start[up] += 1
-    keep = np.append(start[1:] != start[:-1], True) & (start <= n_steps)
-    return start[keep].astype(np.int64), path.regimes[keep].astype(np.int64) - 1
-
-
 @dataclass
 class _Run:
-    """One stochastic run between setup and output, as both block runners see it.
+    """One stochastic run between setup and output, as both runners see it.
 
-    Setup lays the run out: the regime schedule, the recorded ``steps`` with
-    their ``times`` and ``regimes``, and the first row of ``states``.  A
-    runner only steps ``state`` over ``n_steps`` steps of ``dt``, consuming
-    ``rng`` block by block, stores ``states`` at the recorded steps and
-    counts clamp events.
+    Setup lays the run out: the sampled regime path as ``jump_times`` and
+    0-based ``regs``, the recorded ``steps`` with their ``times`` and
+    ``regimes``, and the first row of ``states``.  A runner only steps
+    ``state`` over ``n_steps`` steps of ``dt``, drawing one normal per step
+    from ``rng``, stores ``states`` at the recorded steps and counts clamp
+    events.
     """
 
     config: SimulationConfig
     h: PolicyFunction
     rng: np.random.Generator
-    starts: np.ndarray     # first step of each regime segment, int64
-    regs: np.ndarray       # 0-based regime of each segment, int64
-    constants: np.ndarray  # (n_regimes, 15) regime_constants rows, float64
-    steps: np.ndarray      # recorded steps, int64
+    jump_times: np.ndarray  # start time of each regime segment, float64
+    regs: np.ndarray        # 0-based regime of each segment, int64
+    constants: np.ndarray   # (n_regimes, 15) regime_constants rows, float64
+    steps: np.ndarray       # recorded steps, int64
     times: np.ndarray
     regimes: np.ndarray
     states: np.ndarray
     state: tuple
     clamps: int = 0
 
-    def blocks(self):
-        """Brownian increments as (first step, Normal(0, dt) array), in stream order."""
-        n_steps, sqrt_dt = self.config.n_steps, math.sqrt(self.config.dt)
-        for n0 in range(0, n_steps, _BLOCK):
-            yield n0, self.rng.standard_normal(min(_BLOCK, n_steps - n0)) * sqrt_dt
-
 
 def _setup(config: SimulationConfig, generator: Generator,
            table: RegimeParameterTable, h: PolicyFunction) -> _Run:
-    """Sample the regime path and lay out the schedule and the record arrays."""
+    """Sample the regime path and lay out the record arrays."""
     if table.n_regimes != generator.n_states:
         raise ValueError(
             f"parameter table has {table.n_regimes} regimes, generator has {generator.n_states}"
@@ -275,46 +251,51 @@ def _setup(config: SimulationConfig, generator: Generator,
     else:
         path = sample_path_discretized(generator, config.initial_regime,
                                        n_steps * dt, dt, rng)
-    starts, regs = _regime_step_schedule(path, dt, n_steps)
 
     steps = _record_steps(n_steps, config.output_stride)
-    # the regime of a sample is that of the last segment starting at or before its step
-    regimes = regs[np.searchsorted(starts, steps, side="right") - 1] + 1
+    times = steps * dt
+    # RegimePath.regime_at of every recorded time
+    regimes = path.regimes[np.searchsorted(path.jump_times, times, side="right") - 1]
     states = np.empty((len(steps), 5))
     init = config.initial_state
     state = (init.S, init.E, init.Q, init.I, init.R)
     states[0] = state
-    return _Run(config=config, h=h, rng=rng, starts=starts, regs=regs,
+    return _Run(config=config, h=h, rng=rng,
+                jump_times=np.ascontiguousarray(path.jump_times, dtype=np.float64),
+                regs=np.asarray(path.regimes, dtype=np.int64) - 1,
                 constants=np.array([regime_constants(row) for row in table.rows]),
-                steps=steps, times=steps * dt, regimes=regimes, states=states, state=state)
+                steps=steps, times=times, regimes=regimes, states=states, state=state)
 
 
-def _run_blocks_py(run: _Run) -> None:
-    """Step ``run`` in Python; the reference that ``_kernel.c`` mirrors."""
+def _run_py(run: _Run) -> None:
+    """Step ``run`` in Python; the reference that ``seqir_run`` in ``_kernel.c``
+    mirrors.  The normals are drawn ``_BLOCK`` at a time, in stream order."""
     config, regs, states = run.config, run.regs.tolist(), run.states
     n_steps, dt = config.n_steps, config.dt
+    sqrt_dt = math.sqrt(dt)
     constants = run.constants.tolist()
     policy = config.negativity_policy
     milstein = config.scheme == "milstein"
     a, fn = run.h.a, run.h.fn  # h(s) as _kernel.c evaluates it, with no call per step
 
-    # starts strictly increase and every step is visited, so a step begins at
-    # most one segment; the end sentinel n_steps + 1 is never reached
-    starts = [*run.starts.tolist(), n_steps + 1]
+    # the regime of step n is that of the last jump with n * dt >= its time,
+    # as RegimePath.regime_at compares; of several jumps in one step the last wins
+    jumps = [*run.jump_times.tolist(), math.inf]
     seg = 0
-    next_jump = starts[1]
+    next_jump = jumps[1]
     k = constants[regs[0]]
     s, e, q, i, r = run.state
     clamps = 0
     rec = 1
     recorded = map(int, run.steps[1:])  # each step is read as its sample is stored
     next_rec = next(recorded, None)
-    for n0, block in run.blocks():
+    for n0 in range(0, n_steps, _BLOCK):
+        block = run.rng.standard_normal(min(_BLOCK, n_steps - n0)) * sqrt_dt
         for n, dB in enumerate(block.tolist(), n0):
-            if n == next_jump:
+            while n * dt >= next_jump:
                 seg += 1
                 k = constants[regs[seg]]
-                next_jump = starts[seg + 1]
+                next_jump = jumps[seg + 1]
 
             hs = s / (1.0 + a * s) if fn is None else fn(s)
             s, e, q, i, r = _step(s, e, q, i, r, k, dt, dB, milstein, hs)
@@ -333,24 +314,26 @@ def _run_blocks_py(run: _Run) -> None:
     run.clamps = clamps
 
 
-def _run_blocks_c(run: _Run, kernel) -> None:
-    """Step ``run`` with the compiled ``kernel``, one call per Brownian block."""
+def _run_c(run: _Run, kernel) -> None:
+    """Step ``run`` with the compiled ``kernel`` in one call, drawing from
+    ``run.rng``'s own bit generator under its lock."""
     config = run.config
     x = np.array(run.state, dtype=np.float64)
-    carry = np.array([0, 1, 0, 0], dtype=np.int64)  # segment, record, clamps, failed step
-    for n0, block in run.blocks():
-        status = kernel.seqir_run_block(
-            block.ctypes.data, n0, len(block), config.dt, run.starts.ctypes.data,
-            run.regs.ctypes.data, len(run.starts), run.constants.ctypes.data,
+    out = np.zeros(2, dtype=np.int64)  # clamps, failed step
+    bitgen = run.rng.bit_generator
+    with bitgen.lock:
+        status = kernel.seqir_run(
+            bitgen.ctypes.bit_generator, config.n_steps, config.dt, run.jump_times.ctypes.data,
+            run.regs.ctypes.data, len(run.regs), run.constants.ctypes.data,
             config.scheme == "milstein", run.h.a, config.negativity_policy == "error",
-            x.ctypes.data, carry.ctypes.data, run.steps.ctypes.data, run.states.ctypes.data)
-        if status:
-            vals, t = tuple(x.tolist()), int(carry[3]) * config.dt
-            _check_finite(vals, t)
-            _clamp_negative(vals, config.negativity_policy, t)
-            raise RuntimeError(f"kernel status {status} without a failing state")
+            x.ctypes.data, out.ctypes.data, run.steps.ctypes.data, run.states.ctypes.data)
+    if status:
+        vals, t = tuple(x.tolist()), int(out[1]) * config.dt
+        _check_finite(vals, t)
+        _clamp_negative(vals, config.negativity_policy, t)
+        raise RuntimeError(f"kernel status {status} without a failing state")
     run.state = tuple(x.tolist())
-    run.clamps = int(carry[2])
+    run.clamps = int(out[0])
 
 
 def simulate(config: SimulationConfig, generator: Generator,
@@ -360,7 +343,7 @@ def simulate(config: SimulationConfig, generator: Generator,
     Samples a regime path according to ``config.chain_mode``, freezes the
     regime over each step, and advances the chosen scheme with independent
     Normal(0, dt) increments.  Deterministic given (config, inputs): the
-    chain consumes the seeded stream first, then the Brownian blocks.  The
+    chain consumes the seeded stream first, then one normal per step.  The
     steps run in the compiled kernel when it is available and the policy is
     linear or saturating, else in Python; both give the same bytes, and
     ``metadata["backend"]`` says which ran.  Raises :class:`NegativeState`
@@ -374,9 +357,9 @@ def simulate(config: SimulationConfig, generator: Generator,
         from . import _kernel  # imported on first use: start-up does not pay for it
         kernel, reason = _kernel.load()
     if kernel is None:
-        _run_blocks_py(run)
+        _run_py(run)
     else:
-        _run_blocks_c(run, kernel)
+        _run_c(run, kernel)
 
     metadata = {
         "config": config,

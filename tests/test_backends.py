@@ -1,4 +1,4 @@
-"""The compiled block runner, RK4 loop and sojourn walk against the Python
+"""The compiled step loop, RK4 loop and sojourn walk against the Python
 reference, their lazy loader and its fallback."""
 
 import itertools
@@ -27,7 +27,7 @@ from seqirsim import (
 from seqirsim import _kernel, chain
 from seqirsim.cli import main
 from seqirsim.errors import NegativeState, NonFiniteState
-from seqirsim.integrate import _BLOCK, _run_blocks_c, _run_blocks_py, _setup
+from seqirsim.integrate import _BLOCK, _run_c, _run_py, _setup
 
 from conftest import EX1_PARAMS, EX2_PARAMS, GENERATOR_2, GENERATOR_4, table_from_lists
 from test_chain import GOLDEN_CASES, GOLDEN_DIGESTS, NEAR_ABSORBING, golden_digest
@@ -51,7 +51,7 @@ CASES = {
     # 40 clamp events over 5000 Euler-Maruyama steps; the error policy raises
     "clamping": (GENERATOR_4, _with(EX1_PARAMS, sigma0=0.2), 0.01, 50.0,
                  (20, 20, 15, 10, 0), 3, 7),
-    # 65600 steps: the second Brownian block starts mid-run
+    # 65600 steps: the Python runner's second block of normals starts mid-run
     "two_blocks": (GENERATOR_4, EX2_PARAMS, 1e-3, 65.6, (20, 20, 15, 10, 0), 3, 7),
     # Milstein on the discretized chain overflows to inf at t = 5.5
     "blow_up": (GENERATOR_2, _with(BLOW_UP_PARAMS, beta=50.0, sigma0=50.0), 0.5, 10.0,
@@ -68,13 +68,15 @@ def case_inputs(case, **overrides):
 
 
 def outcome(runner, config, gen, table, h):
-    """The recorded bytes and clamp count of one run, or its error and message."""
+    """The recorded bytes, clamp count and stream state after one run, or its
+    error and message.  The state pins the draws: one normal per step."""
     run = _setup(config, gen, table, h)
     try:
         runner(run)
     except (NegativeState, NonFiniteState) as exc:
         return type(exc).__name__, str(exc)
-    return run.times.tobytes(), run.regimes.tobytes(), run.states.tobytes(), run.clamps
+    return (run.times.tobytes(), run.regimes.tobytes(), run.states.tobytes(), run.clamps,
+            run.rng.bit_generator.state)
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +102,8 @@ def test_backend_identity(kernel, case, scheme, chain_mode, policy, negativity, 
         stride = config.n_steps + 5
     config = replace(config, output_stride=stride)
     h = POLICIES[policy]
-    reference = outcome(_run_blocks_py, config, gen, table, h)
-    compiled = outcome(lambda run: _run_blocks_c(run, kernel), config, gen, table, h)
+    reference = outcome(_run_py, config, gen, table, h)
+    compiled = outcome(lambda run: _run_c(run, kernel), config, gen, table, h)
     assert compiled == reference
 
 
@@ -110,14 +112,14 @@ def test_identity_cases_reach_the_paths_they_cover(kernel):
     """Each case exercises what its comment claims, so identity there means something."""
     h = POLICIES["linear"]
     config, gen, table = case_inputs("clamping", scheme="euler_maruyama")
-    assert outcome(_run_blocks_py, config, gen, table, h)[3] == 40
+    assert outcome(_run_py, config, gen, table, h)[3] == 40
     config, gen, table = case_inputs("clamping", scheme="euler_maruyama",
                                      negativity_policy="error")
-    assert outcome(_run_blocks_py, config, gen, table, h)[0] == "NegativeState"
+    assert outcome(_run_py, config, gen, table, h)[0] == "NegativeState"
     config, _, _ = case_inputs("two_blocks")
     assert config.n_steps > _BLOCK
     config, gen, table = case_inputs("blow_up", chain_mode="discretized")
-    name, message = outcome(_run_blocks_py, config, gen, table, h)
+    name, message = outcome(_run_py, config, gen, table, h)
     assert name == "NonFiniteState" and "t=5.5" in message
 
 
@@ -338,13 +340,13 @@ def test_fallback_to_python_when_the_kernel_cannot_build(kernel, fresh_loader, m
     config, gen, table = case_inputs("clamping", scheme="euler_maruyama", output_stride=7)
     h = POLICIES["saturating"]
     # the path is walked in Python here too: the breakage applies to every load
-    compiled = outcome(lambda run: _run_blocks_c(run, kernel), config, gen, table, h)
+    compiled = outcome(lambda run: _run_c(run, kernel), config, gen, table, h)
     fallback = simulate(config, gen, table, h)
     assert fallback.metadata["backend"] == "python"
     assert expected in fallback.metadata["backend_reason"]
     assert "\n" not in fallback.metadata["backend_reason"]
     assert (fallback.times.tobytes(), fallback.regimes.tobytes(), fallback.states.tobytes(),
-            fallback.metadata["clamp_events"]) == compiled
+            fallback.metadata["clamp_events"]) == compiled[:4]
     assert compiled[3] > 0
     # RK4 falls back too, with the same reason
     det = simulate_deterministic(EpidemicState(20, 20, 15, 10, 0), table[3], 0.5, 0.01, 1.0)
@@ -361,20 +363,50 @@ RK4_MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("mutation", list(RK4_MUTATIONS))
-def test_rk4_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch, tmp_path,
-                                               mutation):
-    old, new = RK4_MUTATIONS[mutation]
+def mutate_kernel(monkeypatch, tmp_path, old, new):
+    """Point the loader at a copy of ``_kernel.c`` with ``old`` replaced by ``new``."""
     source = _kernel.SOURCE.read_text()
     assert source.count(old) == 1
     mutated = tmp_path / "_kernel.c"
     mutated.write_text(source.replace(old, new))
     monkeypatch.setattr(_kernel, "SOURCE", mutated)
+
+
+@pytest.mark.parametrize("mutation", list(RK4_MUTATIONS))
+def test_rk4_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch, tmp_path,
+                                               mutation):
+    mutate_kernel(monkeypatch, tmp_path, *RK4_MUTATIONS[mutation])
     cases = [(*args, stride) for args in RK4_CASES.values() for stride in (1, 7)]
     compiled = [rk4_outcome(*case) for case in cases]
     assert {out[2] for out in compiled if len(out) == 3} == {"c"}
     reference = [python_rk4_outcome(monkeypatch, *case) for case in cases]
     assert any(c[:2] != r[:2] for c, r in zip(compiled, reference))
+
+
+#: one-operation changes of seqir_run, each of which some identity case must detect
+RUN_MUTATIONS = {
+    # discretized jumps land on grid points, so each would start a step late
+    "jump-a-step-late": ("(double)n * dt >= jump_times[seg + 1]",
+                         "(double)n * dt > jump_times[seg + 1]"),
+    # the states are unchanged; only the stream state after the run shows it
+    "one-draw-too-many": ("    out[0] = clamps;",
+                          "    random_standard_normal(bitgen);\n    out[0] = clamps;"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
+@pytest.mark.parametrize("mutation", list(RUN_MUTATIONS))
+def test_run_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch, tmp_path,
+                                               mutation):
+    mutate_kernel(monkeypatch, tmp_path, *RUN_MUTATIONS[mutation])
+    mutant, reason = _kernel.load()
+    assert mutant is not None, reason
+    h = POLICIES["linear"]
+    cases = [case_inputs(case, chain_mode=mode, output_stride=7)
+             for case in ("clamping", "blow_up") for mode in ("exact", "discretized")]
+    compiled = [outcome(lambda run: _run_c(run, mutant), *case, h) for case in cases]
+    reference = [outcome(_run_py, *case, h) for case in cases]
+    assert compiled != reference
 
 
 def test_custom_policy_always_steps_in_python(kernel):

@@ -332,6 +332,24 @@ class TestExitCodes:
         # the window is checked before any member is simulated or written
         assert not list(out_dir.glob("traj_*.csv"))
 
+    @pytest.mark.parametrize("generator, diagnostic", [
+        ({}, "generator: expected an array of arrays of numbers"),
+        ([1.0, -1.0], "generator: expected an array of arrays of numbers"),
+        ([[{}, 1], [1, -1]], "generator[0][0]: expected a number, got {}"),
+        ([["-1", "1"], ["1", "-1"]], "generator[0][0]: expected a number, got '-1'"),
+        ([[-1, 1], [True, -1]], "generator[1][0]: expected a number, got True"),
+    ], ids=["object", "flat", "object-entry", "string-entries", "bool-entry"])
+    def test_generator_entry_that_is_not_a_number_is_2(self, tmp_path, capsys, generator,
+                                                       diagnostic):
+        # an object entry used to end in a TypeError traceback, and strings were read as floats
+        doc = small_doc()
+        doc["generator"] = generator
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "report.txt"
+        assert main(["thresholds", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+        assert not out.exists()
+
     def test_step_count_beyond_2_53_is_2(self, tmp_path, capsys):
         # horizon / dt overflows to inf; it used to end in an OverflowError traceback
         doc = small_doc(dt=1e-300, horizon=1e300)

@@ -1,7 +1,7 @@
 """Stepping schemes, the SDE driver loop, RK4, seeds and reproducibility."""
 
-import bisect
 import math
+from contextlib import contextmanager
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -22,9 +22,10 @@ from seqirsim import (
     simulate_ensemble,
     validate_generator,
 )
+from seqirsim import integrate
 from seqirsim.chain import RegimePath, sample_path_discretized, sample_path_exact
 from seqirsim.errors import NegativeState, StepTooLarge
-from seqirsim.integrate import NEGATIVITY_TOL, _clamp_negative, _regime_step_schedule, _step
+from seqirsim.integrate import NEGATIVITY_TOL, _clamp_negative, _run_py, _setup, _step
 from seqirsim.model import regime_constants
 
 from conftest import EX1_PARAMS, EX2_PARAMS, table_from_lists
@@ -230,25 +231,66 @@ class TestSteps:
         assert abs(change - expected) <= 1e-12 * max(abs(v) for v in terms)
 
 
-class TestRegimeStepSchedule:
-    """The schedule both block runners step by, against ``RegimePath.regime_at``."""
+THREE_REGIMES = table_from_lists({name: v[:3] for name, v in EX1_PARAMS.items()})
+THREE_STATES = validate_generator([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
+
+
+@contextmanager
+def sampling(path):
+    """Both samplers that ``integrate`` calls return ``path``."""
+    with pytest.MonkeyPatch.context() as m:
+        for sampler in ("sample_path_exact", "sample_path_discretized"):
+            m.setattr(integrate, sampler, lambda *args: path)
+        yield
+
+
+def set_up_on(path, config):
+    """``_setup`` of ``config`` on three regimes, with ``path`` as the sampled path."""
+    with sampling(path):
+        return _setup(config, THREE_STATES, THREE_REGIMES, LINEAR)
+
+
+def stepped_by_regime_at(path, config):
+    """Every state of a loop that takes the constants of ``path.regime_at(n * dt)``
+    at each step n, on the normals of the run's stream."""
+    dt = config.dt
+    constants = [regime_constants(row) for row in THREE_REGIMES.rows]
+    normals = np.random.default_rng(config.seed).standard_normal(config.n_steps) * math.sqrt(dt)
+    state = astuple(config.initial_state)
+    states = [state]
+    for n, dB in enumerate(normals.tolist()):
+        k = constants[path.regime_at(n * dt) - 1]
+        state = _step(*state, k, dt, dB, config.scheme == "milstein", LINEAR(state[0]))
+        if min(state) < 0.0:
+            state, _ = _clamp_negative(state, config.negativity_policy, (n + 1) * dt)
+        states.append(state)
+    return np.array(states)
+
+
+class TestRegimeOnTheStepGrid:
+    """Both runners step with the regime ``RegimePath.regime_at`` gives at each
+    grid point, and the regime column is ``regime_at`` of each recorded time."""
 
     @staticmethod
-    def scheduled(schedule, n):
-        starts, regs = schedule
-        return int(regs[bisect.bisect_right(starts, n) - 1]) + 1
-
-    def assert_agrees_everywhere(self, path, dt, n_steps):
-        schedule = _regime_step_schedule(path, dt, n_steps)
-        for n in range(n_steps + 1):
-            assert self.scheduled(schedule, n) == path.regime_at(n * dt), n
+    def assert_steps_by_regime_at(path, dt, n_steps):
+        config = base_config(dt=dt, horizon=n_steps * dt, initial_regime=1)
+        expected = stepped_by_regime_at(path, config)
+        run = set_up_on(path, config)
+        _run_py(run)
+        assert run.states.tobytes() == expected.tobytes()
+        assert run.regimes.tolist() == [path.regime_at(t) for t in run.times]
+        # and through simulate, on the compiled runner when it loads
+        with sampling(path):
+            traj = simulate(config, THREE_STATES, THREE_REGIMES, LINEAR)
+        assert traj.states.tobytes() == expected.tobytes()
+        assert traj.regimes.tobytes() == run.regimes.tobytes()
 
     @pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
     @settings(max_examples=150, deadline=None)
     @given(seed=hyp.integers(0, 2 ** 32), exact=hyp.booleans(),
            dt=hyp.floats(1e-3, 0.5), n_steps=hyp.integers(1, 300),
            rate_per_step=hyp.floats(0.01, 20.0))
-    def test_agrees_on_sampled_paths(self, seed, exact, dt, n_steps, rate_per_step):
+    def test_sampled_paths(self, seed, exact, dt, n_steps, rate_per_step):
         # up to 20 exits per step in exact mode, so several jumps share a step
         if not exact:
             rate_per_step = min(rate_per_step, 0.45)
@@ -260,11 +302,11 @@ class TestRegimeStepSchedule:
             path = sample_path_exact(gen, 1, n_steps * dt, rng)
         else:
             path = sample_path_discretized(gen, 1, n_steps * dt, dt, rng)
-        self.assert_agrees_everywhere(path, dt, n_steps)
+        self.assert_steps_by_regime_at(path, dt, n_steps)
 
     @settings(max_examples=300, deadline=None)
     @given(dt=hyp.floats(1e-4, 1.0), n_steps=hyp.integers(2, 200), data=hyp.data())
-    def test_agrees_on_jumps_on_beside_and_between_grid_points(self, dt, n_steps, data):
+    def test_jumps_on_beside_and_between_grid_points(self, dt, n_steps, data):
         horizon = n_steps * dt
         on_grid = hyp.integers(1, n_steps - 1).map(lambda k: k * dt)
         times = data.draw(hyp.lists(hyp.one_of(
@@ -280,33 +322,36 @@ class TestRegimeStepSchedule:
         for off in offsets:
             regimes.append((regimes[-1] + off - 1) % 3 + 1)
         path = RegimePath(np.array([0.0, *times]), np.array(regimes), horizon, 3)
-        self.assert_agrees_everywhere(path, dt, n_steps)
+        self.assert_steps_by_regime_at(path, dt, n_steps)
 
     def test_several_jumps_in_one_step_last_wins(self):
-        # 0.31, 0.32, 0.35 and 0.4 = 4 * 0.1 all start at step 4
+        # 0.31, 0.32 and 0.35 fall inside step 3 and 0.4 = 4 * 0.1 on grid point 4,
+        # so step 4 runs in regime 3, the regime of the last of them
         path = RegimePath(np.array([0.0, 0.31, 0.32, 0.35, 0.4, 0.45]),
                           np.array([1, 2, 3, 2, 3, 1]), 1.0, 3)
-        starts, regs = _regime_step_schedule(path, 0.1, 10)
-        assert list(zip(starts.tolist(), regs.tolist())) == [(0, 0), (4, 2), (5, 0)]
-        self.assert_agrees_everywhere(path, 0.1, 10)
+        config = base_config(dt=0.1, horizon=1.0, initial_regime=1)
+        assert set_up_on(path, config).regimes.tolist() == [1, 1, 1, 1, 3, 1, 1, 1, 1, 1, 1]
+        self.assert_steps_by_regime_at(path, 0.1, 10)
 
     @settings(max_examples=200, deadline=None)
-    @given(dt=hyp.floats(1e-6, 1e-2),
-           steps=hyp.lists(hyp.integers(1, 2 ** 40), min_size=1, max_size=8, unique=True))
-    @example(dt=3e-5, steps=[17295957])  # (k * dt) / dt rounds to k + 2e-9 here
-    @example(dt=3e-5, steps=[2 ** 52 - 5])  # t / dt rounds worst between 2**40 and 2**52
-    def test_grid_jumps_start_on_their_step_on_long_grids(self, dt, steps):
-        # discretized paths jump at k * dt; check the grid points beside each jump
-        steps = sorted(steps)
-        n_steps = steps[-1] + 2
-        regimes = [1 + j % 2 for j in range(len(steps) + 1)]
-        path = RegimePath(np.array([0.0, *(k * dt for k in steps)]), np.array(regimes),
-                          n_steps * dt, 2)
-        schedule = _regime_step_schedule(path, dt, n_steps)
-        assert schedule[0].tolist() == [0, *steps]
-        for k in steps:
-            for n in (k - 1, k, k + 1):
-                assert self.scheduled(schedule, n) == path.regime_at(n * dt)
+    @given(dt=hyp.floats(1e-6, 1e-2), n_steps=hyp.integers(2 ** 39, 2 ** 40),
+           stride=hyp.integers(2 ** 36, 2 ** 38))
+    def test_grid_jumps_start_on_their_step_on_long_grids(self, dt, n_steps, stride):
+        # discretized paths jump at k * dt; a jump on each recorded step m * stride,
+        # and one a step before and after it, so an off-by-one regime shows
+        ks = [k for m in range(1, n_steps // stride + 1) for k in
+              (m * stride - 1, m * stride, m * stride + 1) if k < n_steps]
+        path = RegimePath(np.array([0.0, *(k * dt for k in ks)]),
+                          np.array([1 + j % 3 for j in range(len(ks) + 1)]), n_steps * dt, 3)
+        config = base_config(dt=dt, horizon=n_steps * dt, output_stride=stride,
+                             initial_regime=1)
+        assert config.n_steps == n_steps
+        run = set_up_on(path, config)
+        assert run.regimes.tolist() == [path.regime_at(t) for t in run.times]
+        # the regime recorded at step m * stride is the one of the jump at m * stride
+        for step, regime in zip(run.steps.tolist(), run.regimes.tolist()):
+            if step in ks:
+                assert regime == 1 + (ks.index(step) + 1) % 3
 
 
 class TestClampNegative:
