@@ -21,7 +21,6 @@ from .model import (
     PolicyFunction,
     RegimeParameters,
     RegimeParameterTable,
-    deterministic_drift,
     diffusion,
     drift,
     invariant_set_bounds,
@@ -63,7 +62,7 @@ __all__ = [
     "sample_path_discretized", "sample_path_exact", "stationary_distribution",
     "transition_matrix", "validate_generator",
     "EpidemicState", "PolicyFunction", "RegimeParameters", "RegimeParameterTable",
-    "deterministic_drift", "diffusion", "drift", "invariant_set_bounds", "w1", "w2",
+    "diffusion", "drift", "invariant_set_bounds", "w1", "w2",
     "SimulationConfig", "Trajectory", "derive_seed", "simulate", "simulate_deterministic",
     "simulate_ensemble",
     "ConditionReport", "ThresholdReport", "check_conditions", "compute_lambda",

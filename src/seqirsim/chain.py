@@ -366,8 +366,7 @@ def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: boo
 def occupancy(path: RegimePath) -> np.ndarray:
     """Fraction of [0, horizon] spent in each state; sums to 1."""
     durations = path.segment_durations()
-    occ = np.zeros(path.n_states)
-    np.add.at(occ, path.regimes - 1, durations)
+    occ = np.bincount(path.regimes - 1, weights=durations, minlength=path.n_states)
     return occ / path.horizon
 
 

@@ -7,8 +7,9 @@ Subcommands
     chain        chain diagnostics: stationary law, transition matrix, occupancy
     compare-det  ensemble mean vs deterministic solution, paired columns
 
-Exit codes: 0 success, 2 configuration error, 3 mathematical domain error,
-4 output I/O error.  ``SEQIRSIM_OUT_DIR`` sets the default output directory.
+Exit codes: 0 success, 2 configuration error, 3 mathematical domain error
+(arithmetic overflow and a non-finite report value among them), 4 output I/O
+error.  ``SEQIRSIM_OUT_DIR`` sets the default output directory.
 
 Every number in an output file is written by :func:`_fmt`, full round-trip
 precision with no exponent.  CSV files are written in chunks of rows, and
@@ -60,7 +61,11 @@ def _cell(value) -> str:
 
 
 def _write_report(path: Path, fields: dict) -> None:
-    """One ``key = value`` line per field, in order."""
+    """One ``key = value`` line per field, in order.  A nan or infinite value
+    raises :class:`MathDomainError` naming its key, before the file is opened."""
+    for key, value in fields.items():
+        if not isinstance(value, str) and not np.isfinite(value).all():
+            raise MathDomainError(f"report value {key} = {_cell(value)} is not finite")
     path.write_text("".join(f"{key} = {_cell(value)}\n" for key, value in fields.items()))
 
 
@@ -110,8 +115,7 @@ def _backend(traj: Trajectory) -> str:
 
 
 def cmd_thresholds(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
-    report = thresholds.threshold_report(cfg.table, cfg.generator,
-                                         cfg.policy.slope_at_zero)
+    report = thresholds.threshold_report(cfg.table, cfg.generator)
     fields = {
         "rs_star": report.rs_star,
         "rtilde_star": report.rtilde_star,
@@ -153,8 +157,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
         seed = derive_seed(cfg.ensemble_base_seed, i)
         write_trajectory_csv(traj, out_dir / f"traj_{i:03d}_seed_{seed}.csv")
 
-    report = thresholds.threshold_report(cfg.table, cfg.generator,
-                                         cfg.policy.slope_at_zero)
+    report = thresholds.threshold_report(cfg.table, cfg.generator)
     pi = chain.StationaryDistribution(report.pi)
     summary = analysis.summarize_ensemble(trajectories, pi, report)
     fields = {
@@ -280,7 +283,7 @@ def _run(handler, cfg: RunConfig, out: Path, quiet: bool) -> int:
         print(f"config error: the ensemble tail window holds too few samples ({exc}); "
               f"raise simulation.horizon or lower simulation.stride", file=sys.stderr)
         return EXIT_CONFIG
-    except (MathDomainError, ZeroDivisionError) as exc:
+    except (MathDomainError, ArithmeticError) as exc:
         print(f"math domain error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except OSError as exc:

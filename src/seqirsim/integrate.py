@@ -276,7 +276,7 @@ def _run_py(run: _Run) -> None:
     constants = run.constants.tolist()
     policy = config.negativity_policy
     milstein = config.scheme == "milstein"
-    a, fn = run.h.a, run.h.fn  # h(s) as _kernel.c evaluates it, with no call per step
+    a = run.h.a  # h(s) as _kernel.c evaluates it, with no call per step
 
     # the regime of step n is that of the last jump with n * dt >= its time,
     # as RegimePath.regime_at compares; of several jumps in one step the last wins
@@ -297,8 +297,7 @@ def _run_py(run: _Run) -> None:
                 k = constants[regs[seg]]
                 next_jump = jumps[seg + 1]
 
-            hs = s / (1.0 + a * s) if fn is None else fn(s)
-            s, e, q, i, r = _step(s, e, q, i, r, k, dt, dB, milstein, hs)
+            s, e, q, i, r = _step(s, e, q, i, r, k, dt, dB, milstein, s / (1.0 + a * s))
             # a one-sum test first: any nan or inf component makes the sum non-finite
             if not math.isfinite(s + e + q + i + r):
                 _check_finite((s, e, q, i, r), (n + 1) * dt)
@@ -344,18 +343,15 @@ def simulate(config: SimulationConfig, generator: Generator,
     regime over each step, and advances the chosen scheme with independent
     Normal(0, dt) increments.  Deterministic given (config, inputs): the
     chain consumes the seeded stream first, then one normal per step.  The
-    steps run in the compiled kernel when it is available and the policy is
-    linear or saturating, else in Python; both give the same bytes, and
-    ``metadata["backend"]`` says which ran.  Raises :class:`NegativeState`
-    (error policy) or :class:`NonFiniteState` when a stepped state fails.
+    steps run in the compiled kernel when it is available, else in Python;
+    both give the same bytes, and ``metadata["backend"]`` says which ran.
+    Raises :class:`NegativeState` (error policy) or :class:`NonFiniteState`
+    when a stepped state fails.
     """
     t_start = time.perf_counter()
     run = _setup(config, generator, table, h)
-    if h.kind == "custom":
-        kernel, reason = None, "custom policy functions are stepped in Python"
-    else:
-        from . import _kernel  # imported on first use: start-up does not pay for it
-        kernel, reason = _kernel.load()
+    from . import _kernel  # imported on first use: start-up does not pay for it
+    kernel, reason = _kernel.load()
     if kernel is None:
         _run_py(run)
     else:

@@ -3,8 +3,8 @@
 Compartments: S (susceptible), E (exposed), Q (quarantined), I (infected),
 R (recovered).  Every epidemiological rate may differ between regimes of the
 environment chain; a governmental-policy term p*M*h(S) removes susceptibles
-directly into the recovered class, where h is a sublinear incidence function
-with h(0) = 0 and 0 <= h(s) <= s * h'(0).
+directly into the recovered class, where h(s) = s / (1 + a*s) with a >= 0:
+h(0) = 0, h'(0) = 1 and 0 <= h(s) <= s.
 
 Transmission noise enters multiplicatively: a single Brownian driver moves
 mass between S and E with intensity sigma0 * (1-rho1) * (1-rho2) * S * E, so
@@ -13,9 +13,9 @@ the total population carries no diffusion.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+import math
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -186,70 +186,37 @@ class EpidemicState:
 
 @dataclass(frozen=True)
 class PolicyFunction:
-    """Policy incidence function h with h(0) = 0 and 0 <= h(s) <= s h'(0).
+    """Policy incidence function h(s) = s / (1 + a*s), with a finite and >= 0.
 
-    Kinds:
-      linear       h(s) = s                      (recovers the plain p*S*M term)
-      saturating   h(s) = s / (1 + a*s), a > 0   (policy effect saturates)
-      custom       any callable; callers should run :meth:`validate_envelope`
-                   over the population range before trusting it.
-
-    h is evaluated from ``a`` and ``fn`` alone, so each kind is held to its
-    own: linear has a = 0 and no fn, saturating a > 0 and no fn, custom a
-    callable fn and a = 0.  Build instances through the classmethods.
+    a = 0 is the linear policy h(s) = s, which recovers the plain p*S*M term;
+    a > 0 saturates the policy effect.  Every member has h(0) = 0, h'(0) = 1
+    and 0 <= h(s) <= s for s >= 0, the envelope the threshold formulas use.
+    Build instances through :meth:`linear` and :meth:`saturating`.
     """
 
-    kind: str
     a: float = 0.0
-    fn: Optional[Callable[[float], float]] = None
-    slope_at_zero: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "saturating", "custom"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "custom":
-            if not callable(self.fn) or self.a != 0:
-                raise ValueError("a custom policy needs a callable fn and a = 0")
-        elif self.fn is not None:
-            raise ValueError(f"a {self.kind} policy takes no fn")
-        elif self.kind == "linear" and self.a != 0:
-            raise ValueError("a linear policy has a = 0")
-        elif self.kind == "saturating" and not self.a > 0:
-            raise ValueError("saturation coefficient a must be > 0")
+        if not (math.isfinite(self.a) and self.a >= 0.0):
+            raise ValueError(f"saturation coefficient a must be finite and >= 0, got {self.a}")
+
+    @property
+    def kind(self) -> str:
+        return "linear" if self.a == 0.0 else "saturating"
 
     @classmethod
     def linear(cls) -> "PolicyFunction":
-        return cls(kind="linear", slope_at_zero=1.0)
+        return cls()
 
     @classmethod
     def saturating(cls, a: float) -> "PolicyFunction":
-        return cls(kind="saturating", a=a, slope_at_zero=1.0)
-
-    @classmethod
-    def custom(cls, fn: Callable[[float], float], slope_at_zero: float) -> "PolicyFunction":
-        if slope_at_zero < 0:
-            raise ValueError("slope_at_zero must be >= 0")
-        return cls(kind="custom", fn=fn, slope_at_zero=slope_at_zero)
+        if not a > 0.0:
+            raise ValueError(f"saturation coefficient a must be > 0, got {a}")
+        return cls(a=a)
 
     def __call__(self, s: float) -> float:
         # a = 0 for linear, and s / (1.0 + 0.0 * s) is s bit for bit for s >= 0
-        return s / (1.0 + self.a * s) if self.fn is None else self.fn(s)
-
-    def validate_envelope(self, s_max: float, n_points: int = 2001) -> None:
-        """Check h(0) = 0 and 0 <= h(s) <= s h'(0) by dense sampling.
-
-        The built-in kinds satisfy the envelope identically; custom functions
-        are sampled on [0, s_max].  Differentiability is assumed, not tested.
-        """
-        if self(0.0) != 0.0:
-            raise ValueError("policy function must satisfy h(0) = 0")
-        s = np.linspace(0.0, s_max, n_points)
-        h = np.array([self(v) for v in s])
-        if np.any(h < -1e-12) or np.any(h > s * self.slope_at_zero + 1e-12):
-            bad = int(np.flatnonzero((h < -1e-12) | (h > s * self.slope_at_zero + 1e-12))[0])
-            raise ValueError(
-                f"policy function leaves the envelope 0 <= h(s) <= s*h'(0) at s={s[bad]:.6g}"
-            )
+        return s / (1.0 + self.a * s)
 
 
 def regime_constants(params: RegimeParameters) -> tuple:
@@ -319,16 +286,6 @@ def diffusion(state: EpidemicState, params: RegimeParameters) -> np.ndarray:
     """
     g = params.sigma0 * w1(params) * (state.S * state.E)
     return np.array([-g, g, 0.0, 0.0, 0.0])
-
-
-def deterministic_drift(state: EpidemicState, params: RegimeParameters,
-                        M_const: float) -> np.ndarray:
-    """Vector field of the noise-free single-regime model with policy p*S*M.
-
-    Identical to :func:`drift` with a linear policy function and the policy
-    intensity pinned at ``M_const``; sigma0 plays no role in the drift.
-    """
-    return drift(state, replace(params, M=M_const), PolicyFunction.linear())
 
 
 def invariant_set_bounds(table: RegimeParameterTable) -> tuple[float, float]:

@@ -14,6 +14,9 @@ total population the model sustains):
                    C(k) = beta_max*w1(k) - (sigma0_min^2 / 2)*w1(k)^2*s_max.
 * ``lambda_``      the rtilde_star denominator; rtilde_star * lambda_ equals
                    the shared numerator identically.
+
+The psi1 bracket carries the policy slope h'(0), which is 1 for every policy
+h(s) = s / (1 + a*s) the model admits.
 """
 
 from __future__ import annotations
@@ -94,17 +97,17 @@ def _common_factor(table: RegimeParameterTable) -> np.ndarray:
             - 0.5 * table.sigma0_min ** 2 * w1v ** 2 * table.population_ceiling)
 
 
-def _bracket(table: RegimeParameterTable, slope_at_zero: float) -> np.ndarray:
-    """1 - A(k)*xi_min/(A_max*xi(k)) + p(k)*M(k)*h'(0)/xi(k), per regime."""
+def _bracket(table: RegimeParameterTable) -> np.ndarray:
+    """1 - A(k)*xi_min/(A_max*xi(k)) + p(k)*M(k)*h'(0)/xi(k) per regime, with h'(0) = 1."""
     return (1.0 - table.A * table.xi_min / (table.A_max * table.xi)
-            + table.p * table.M * slope_at_zero / table.xi)
+            + table.p * table.M / table.xi)
 
 
-def psi1_vector(table: RegimeParameterTable, slope_at_zero: float = 1.0) -> np.ndarray:
+def psi1_vector(table: RegimeParameterTable) -> np.ndarray:
     """Penalty coefficient psi1 per regime (index k - 1 for regime k)."""
     common = _common_factor(table)
     scale = table.A_max ** 2 * table.xi / (table.A * table.xi_min ** 2)
-    return common * scale * _bracket(table, slope_at_zero)
+    return common * scale * _bracket(table)
 
 
 def psi2_vector(table: RegimeParameterTable) -> np.ndarray:
@@ -119,23 +122,21 @@ def psi3_vector(table: RegimeParameterTable) -> np.ndarray:
     return _common_factor(table) * table.A_max / (table.A * table.xi_min)
 
 
-def compute_lambda(table: RegimeParameterTable, pi: StationaryDistribution,
-                   slope_at_zero: float = 1.0) -> float:
+def compute_lambda(table: RegimeParameterTable, pi: StationaryDistribution) -> float:
     """pi-average of (sigma0^2/2)*w1^2*s_max^2 + w2 + psi1 (the rtilde_star
     denominator)."""
     p = _probs(pi, table)
-    return float(p @ (_noise(table) + w2(table) + psi1_vector(table, slope_at_zero)))
+    return float(p @ (_noise(table) + w2(table) + psi1_vector(table)))
 
 
-def compute_rtilde_star(table: RegimeParameterTable, pi: StationaryDistribution,
-                        slope_at_zero: float = 1.0) -> float:
+def compute_rtilde_star(table: RegimeParameterTable, pi: StationaryDistribution) -> float:
     """Persistence index: the rs_star numerator over :func:`compute_lambda`."""
     p = _probs(pi, table)
-    return float(p @ _pressure(table)) / compute_lambda(table, pi, slope_at_zero)
+    return float(p @ _pressure(table)) / compute_lambda(table, pi)
 
 
-def persistence_bounds(table: RegimeParameterTable, pi: StationaryDistribution,
-                       slope_at_zero: float = 1.0) -> tuple[float, float, float]:
+def persistence_bounds(table: RegimeParameterTable,
+                       pi: StationaryDistribution) -> tuple[float, float, float]:
     """Lower bounds on the long-run time averages of E, Q and I.
 
     Only defined when ``rtilde_star > 1``:
@@ -145,14 +146,14 @@ def persistence_bounds(table: RegimeParameterTable, pi: StationaryDistribution,
         I >= (min(alpha) + min(c)*min(b2)/(max(b1)+max(c)+max(xi)))
              * E_bound / (max(eta) + max(xi) + max(delta))
     """
-    rtilde = compute_rtilde_star(table, pi, slope_at_zero)
+    rtilde = compute_rtilde_star(table, pi)
     if rtilde <= 1.0:
         raise NotPersistent(f"rtilde_star = {rtilde:.6g} <= 1")
     p = _probs(pi, table)
     psi2_avg = float(p @ psi2_vector(table))
     if psi2_avg == 0.0:
         raise DegeneratePsi2("pi-average of psi2 vanishes")
-    lam = compute_lambda(table, pi, slope_at_zero)
+    lam = compute_lambda(table, pi)
     e_bound = lam * (rtilde - 1.0) / psi2_avg
 
     q_out = float(table.b1.max() + table.c.max() + table.xi.max())
@@ -162,15 +163,14 @@ def persistence_bounds(table: RegimeParameterTable, pi: StationaryDistribution,
     return e_bound, q_bound, i_bound
 
 
-def check_conditions(table: RegimeParameterTable,
-                     slope_at_zero: float = 1.0) -> ConditionReport:
+def check_conditions(table: RegimeParameterTable) -> ConditionReport:
     """Evaluate the per-regime certification conditions (non-strict >=)."""
     s = table.population_ceiling
     noise = table.sigma0 ** 2 * w1(table) * s
     return ConditionReport(
         beta_vs_noise=table.beta >= noise,
         beta_vs_half_noise=table.beta >= 0.5 * noise,
-        bracket_positive=_bracket(table, slope_at_zero) > 0.0,
+        bracket_positive=_bracket(table) > 0.0,
     )
 
 
@@ -185,8 +185,7 @@ def extinction_rate_bound(table: RegimeParameterTable, pi: StationaryDistributio
     return float(p @ (_pressure(table) - _noise(table) - w2(table)))
 
 
-def threshold_report(table: RegimeParameterTable, g: Generator,
-                     slope_at_zero: float = 1.0) -> ThresholdReport:
+def threshold_report(table: RegimeParameterTable, g: Generator) -> ThresholdReport:
     """Full threshold computation with a certification verdict.
 
     Verdict logic: ``extinction_certified`` iff every regime passes the
@@ -199,8 +198,8 @@ def threshold_report(table: RegimeParameterTable, g: Generator,
         )
     pi = stationary_distribution(g)
     rs = compute_rs_star(table, pi)
-    rtilde = compute_rtilde_star(table, pi, slope_at_zero)
-    conditions = check_conditions(table, slope_at_zero)
+    rtilde = compute_rtilde_star(table, pi)
+    conditions = check_conditions(table)
 
     all_pass = bool(conditions.beta_vs_noise.all())
     if all_pass and rs < 1.0:
@@ -212,15 +211,15 @@ def threshold_report(table: RegimeParameterTable, g: Generator,
 
     bounds = None
     if rtilde > 1.0:
-        bounds = persistence_bounds(table, pi, slope_at_zero)
+        bounds = persistence_bounds(table, pi)
 
     return ThresholdReport(
         rs_star=rs,
         rtilde_star=rtilde,
-        psi1=psi1_vector(table, slope_at_zero),
+        psi1=psi1_vector(table),
         psi2=psi2_vector(table),
         psi3=psi3_vector(table),
-        lambda_=compute_lambda(table, pi, slope_at_zero),
+        lambda_=compute_lambda(table, pi),
         condition_beta_extinction=conditions.beta_vs_noise,
         condition_beta_persistence_remark=conditions.beta_vs_half_noise,
         bounds=bounds,

@@ -47,8 +47,7 @@ def exact_stationary(generator) -> list[Fraction]:
     return pi
 
 
-def exact_thresholds(par: dict, pi: list[Fraction],
-                     slope_at_zero: Fraction = Fraction(1)) -> dict:
+def exact_thresholds(par: dict, pi: list[Fraction]) -> dict:
     """All threshold quantities as exact rationals.
 
     Returns rs, rtilde, lam, psi1/2/3 lists, bounds (or None when
@@ -71,7 +70,7 @@ def exact_thresholds(par: dict, pi: list[Fraction],
 
     common = [beta_max * w1[k] - sigma0_min ** 2 / 2 * w1[k] ** 2 * s for k in range(n)]
     bracket = [1 - par["A"][k] * xi_min / (a_max * par["xi"][k])
-               + par["p"][k] * par["M"][k] * slope_at_zero / par["xi"][k]
+               + par["p"][k] * par["M"][k] / par["xi"][k]  # h'(0) = 1
                for k in range(n)]
     psi1 = [common[k] * (a_max ** 2 * par["xi"][k] / (par["A"][k] * xi_min ** 2))
             * bracket[k] for k in range(n)]

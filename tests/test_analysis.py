@@ -13,6 +13,7 @@ from seqirsim import (
     Trajectory,
     detect_extinction,
     exponential_rate_estimate,
+    extinction_rate_bound,
     invariant_set_bounds,
     simulate,
     simulate_ensemble,
@@ -125,7 +126,6 @@ class TestRateEstimateOnBenchmarkRuns:
         # E decays exponentially once the outbreak transient has passed; the
         # fitted log-slope is negative and the theoretical rate bound from
         # the threshold module is reported alongside (not asserted per seed)
-        from seqirsim import extinction_rate_bound
         pi = stationary_distribution(gen4)
         bound = extinction_rate_bound(ex1_table, pi)
         assert bound < 0.0
@@ -139,6 +139,20 @@ class TestRateEstimateOnBenchmarkRuns:
             if slope < 0.0:
                 negative += 1
         assert negative >= 4  # majority of seeds, not a per-path certainty
+
+    def test_decay_rate_respects_the_extinction_rate_bound(self, gen4, ex1_table):
+        # limsup (1/t) ln E <= extinction_rate_bound (-0.0539 on example1)
+        # holds on every path; a fit over a finite window may sit slightly
+        # above it, so each slope may exceed the bound by MARGIN, about 5% of
+        # the bound.  The ten slopes lie between -0.0677 and -0.0615.
+        MARGIN = 0.0025
+        bound = extinction_rate_bound(ex1_table, stationary_distribution(gen4))
+        cfg = SimulationConfig(dt=1e-3, horizon=200.0,
+                               initial_state=EpidemicState(20, 20, 15, 10, 0),
+                               initial_regime=3, output_stride=100)
+        runs = simulate_ensemble(cfg, gen4, ex1_table, LINEAR, 10, 42)
+        slopes = [exponential_rate_estimate(traj, "E", (100.0, 200.0)) for traj in runs]
+        assert max(slopes) <= bound + MARGIN, (bound, slopes)
 
 
 class TestDeterministicSubcase:

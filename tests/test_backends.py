@@ -409,17 +409,6 @@ def test_run_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch
     assert compiled != reference
 
 
-def test_custom_policy_always_steps_in_python(kernel):
-    config, gen, table = case_inputs("two_blocks", output_stride=100)
-    custom = PolicyFunction.custom(lambda s: s / (1.0 + 0.5 * s), slope_at_zero=1.0)
-    by_python = simulate(config, gen, table, custom)
-    assert by_python.metadata["backend"] == "python"
-    assert "custom" in by_python.metadata["backend_reason"]
-    by_kernel = simulate(config, gen, table, POLICIES["saturating"])
-    assert by_kernel.metadata["backend"] == "c"
-    assert by_python.states.tobytes() == by_kernel.states.tobytes()
-
-
 def test_import_and_config_load_do_not_build_or_load(kernel, tmp_path, example1_config_path):
     cache = tmp_path / "cache"
     code = (

@@ -291,6 +291,23 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("math domain error: compartment went negative")
         assert not out.exists()
 
+    @pytest.mark.parametrize("params, named", [
+        # sigma0_min ** 2 overflows a Python float: OverflowError
+        (dict(EX1_PARAMS, sigma0=[1e200] * 4), ""),
+        # numpy overflows to inf without raising: the report refuses the value
+        (dict(EX1_PARAMS, beta=[1e300, *EX1_PARAMS["beta"][1:]],
+              M=[1e300, *EX1_PARAMS["M"][1:]]), "lambda"),
+    ], ids=["overflow_error", "inf_value"])
+    def test_arithmetic_overflow_is_3_without_report(self, tmp_path, capsys, params, named):
+        path = write_doc(tmp_path, table_doc(GENERATOR_4, params))
+        out = tmp_path / "report.txt"
+        assert main(["thresholds", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if line.startswith("math domain error: ")]
+        assert len(lines) == 1 and named in lines[0]
+        assert not out.exists()
+
     def test_io_error_is_4(self, tmp_path):
         path = write_doc(tmp_path, small_doc())
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -1,6 +1,7 @@
 """Model types, drift/diffusion fields, policy functions, invariant set."""
 
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from seqirsim import (
     PolicyFunction,
     RegimeParameters,
     RegimeParameterTable,
-    deterministic_drift,
     diffusion,
     drift,
     invariant_set_bounds,
@@ -18,6 +18,7 @@ from seqirsim import (
     w2,
 )
 from seqirsim.errors import DegenerateBounds
+from seqirsim.model import regime_constants, vector_field
 
 from conftest import EX1_PARAMS, EX2_PARAMS
 
@@ -179,10 +180,13 @@ class TestDiffusion:
 
 
 class TestDeterministicDrift:
+    """The noise-free single-regime field: :func:`drift` with a linear policy
+    and the policy intensity pinned at M_const."""
+
     def test_exposed_free_reduction(self):
         p = params_from(EX2_PARAMS, 1)
         s, q, i, r = 4.0, 2.0, 1.0, 0.5
-        out = deterministic_drift(EpidemicState(s, 0, q, i, r), p, p.M)
+        out = drift(EpidemicState(s, 0, q, i, r), p, PolicyFunction.linear())
         pol = p.p * s * p.M
         np.testing.assert_allclose(out, [
             p.A + p.b1 * q - p.xi * s - pol,
@@ -193,29 +197,32 @@ class TestDeterministicDrift:
         ], rtol=1e-14, atol=1e-16)
 
     def test_equals_drift_with_linear_policy(self):
+        # the field simulate_deterministic steps: vector_field with h(s) = s
         rng = np.random.default_rng(8)
         h = PolicyFunction.linear()
         for _ in range(25):
             p = random_params(rng)
             st = random_state(rng)
+            m_const = rng.uniform(0.0, 0.01)
+            pinned = replace(p, M=m_const)
             np.testing.assert_array_equal(
-                deterministic_drift(st, p, p.M), drift(st, p, h))
+                drift(st, pinned, h),
+                vector_field(*astuple(st), regime_constants(pinned), st.S))
 
     def test_against_exact_oracle(self):
-        out = deterministic_drift(EpidemicState(10, 5, 1, 1, 0),
-                                  params_from(EX2_PARAMS, 1), 0.001)
+        out = drift(EpidemicState(10, 5, 1, 1, 0), replace(params_from(EX2_PARAMS, 1), M=0.001),
+                    PolicyFunction.linear())
         np.testing.assert_allclose(out, DET_DRIFT_EX2_K1, rtol=1e-12)
 
 
 class TestPolicyFunction:
     def test_linear_and_saturating_envelope(self):
-        lin = PolicyFunction.linear()
-        sat = PolicyFunction.saturating(0.7)
-        lin.validate_envelope(100.0)
-        sat.validate_envelope(100.0)
-        for s in np.linspace(0, 50, 101):
-            assert 0.0 <= sat(s) <= s * sat.slope_at_zero + 1e-15
-        assert sat(10.0) == pytest.approx(10.0 / 8.0, rel=1e-15)
+        # h(0) = 0 and 0 <= h(s) <= s: the envelope the threshold formulas use
+        for h in (PolicyFunction.linear(), PolicyFunction.saturating(0.7)):
+            assert h(0.0) == 0.0
+            for s in np.linspace(0, 100, 2001):
+                assert 0.0 <= h(s) <= s
+        assert PolicyFunction.saturating(0.7)(10.0) == pytest.approx(10.0 / 8.0, rel=1e-15)
 
     def test_linear_is_the_identity_bit_for_bit(self):
         # the linear policy is s / (1 + 0 * s); on the states h sees it must return s
@@ -226,44 +233,32 @@ class TestPolicyFunction:
             assert math.copysign(1.0, lin(s)) == math.copysign(1.0, s) and lin(s) == s
 
     def test_saturating_requires_positive_a(self):
-        with pytest.raises(ValueError):
-            PolicyFunction.saturating(0.0)
+        for a in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                PolicyFunction.saturating(a)
 
-    @pytest.mark.parametrize("kind, a, fn", [
-        ("quadratic", 0.0, None),      # unknown kind
-        ("linear", 0.5, None),         # linear with a != 0
-        ("linear", 0.0, abs),          # linear with an fn
-        ("saturating", 0.0, None),     # saturating with a = 0
-        ("saturating", -1.0, None),    # saturating with a < 0
-        ("saturating", math.nan, None),
-        ("saturating", 0.5, abs),      # saturating with an fn
-        ("custom", 0.0, None),         # custom without an fn
-        ("custom", 0.0, 2.0),          # custom with an fn that is not callable
-        ("custom", 0.5, abs),          # custom with a != 0
-    ])
-    def test_kind_must_agree_with_a_and_fn(self, kind, a, fn):
+    # a coefficient that cannot be saturating is refused by the saturating kind
+    # even where PolicyFunction(a) alone would accept it (a = 0 is linear);
+    # the ids name kind, a and the absent custom function
+    @pytest.mark.parametrize("kind, a", [
+        ("saturating", 0.0),
+        ("saturating", -1.0),
+        ("saturating", math.nan),
+    ], ids=["saturating-0.0-None", "saturating--1.0-None", "saturating-nan-None"])
+    def test_kind_must_agree_with_a_and_fn(self, kind, a):
         with pytest.raises(ValueError):
-            PolicyFunction(kind, a=a, fn=fn)
+            getattr(PolicyFunction, kind)(a)
+
+    @pytest.mark.parametrize("a", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_a_must_be_finite_and_nonnegative(self, a):
+        with pytest.raises(ValueError):
+            PolicyFunction(a)
 
     def test_classmethods_agree_with_their_kind(self):
-        assert PolicyFunction.linear() == PolicyFunction("linear")
-        assert PolicyFunction.saturating(0.5) == PolicyFunction("saturating", a=0.5)
-        assert PolicyFunction.custom(abs, 2.0) == PolicyFunction("custom", fn=abs,
-                                                                 slope_at_zero=2.0)
-
-    def test_custom_accepted_when_sublinear(self):
-        h = PolicyFunction.custom(lambda s: s * np.exp(-s), slope_at_zero=1.0)
-        h.validate_envelope(10.0)
-
-    def test_custom_rejected_when_superlinear(self):
-        h = PolicyFunction.custom(lambda s: 2.0 * s, slope_at_zero=1.0)
-        with pytest.raises(ValueError):
-            h.validate_envelope(10.0)
-
-    def test_custom_rejected_when_nonzero_at_origin(self):
-        h = PolicyFunction.custom(lambda s: s + 0.5, slope_at_zero=2.0)
-        with pytest.raises(ValueError):
-            h.validate_envelope(10.0)
+        assert PolicyFunction.linear() == PolicyFunction(0.0)
+        assert PolicyFunction.linear().kind == "linear"
+        assert PolicyFunction.saturating(0.5) == PolicyFunction(0.5)
+        assert PolicyFunction.saturating(0.5).kind == "saturating"
 
 
 class TestInvariantSetBounds:
