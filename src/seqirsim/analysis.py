@@ -122,6 +122,59 @@ def occupancy_from_samples(traj: Trajectory, n_states: int) -> np.ndarray:
     return counts / len(traj.regimes)
 
 
+@dataclass(frozen=True)
+class MemberStatistics:
+    """What an ensemble summary keeps of one member: each compartment's time
+    average over the tail window, the extinction flag, and the fraction of
+    recorded samples per regime (:func:`occupancy_from_samples`)."""
+
+    tail_averages: dict
+    extinct: bool
+    occupancy: np.ndarray
+
+
+def member_statistics(traj: Trajectory, window: tuple[float, float], n_states: int,
+                      extinction_threshold: float = EXTINCTION_THRESHOLD) -> MemberStatistics:
+    """Reduce one member to the values :func:`aggregate_ensemble` reads, so
+    that its states can be dropped before the next member is reduced."""
+    return MemberStatistics(
+        tail_averages={name: time_average(traj, name, window) for name in Trajectory.COLUMNS},
+        extinct=detect_extinction(traj, extinction_threshold),
+        occupancy=occupancy_from_samples(traj, n_states),
+    )
+
+
+def aggregate_ensemble(members: Sequence[MemberStatistics], window: tuple[float, float],
+                       pi: StationaryDistribution,
+                       report: Optional[ThresholdReport] = None) -> EnsembleSummary:
+    """The :class:`EnsembleSummary` of the members' statistics, taken over
+    the members in the order given."""
+    tail_means = {}
+    tail_stds = {}
+    for name in Trajectory.COLUMNS:
+        values = [m.tail_averages[name] for m in members]
+        tail_means[name] = float(np.mean(values))
+        tail_stds[name] = float(np.std(values))
+    occ_l1 = [float(np.abs(m.occupancy - pi.probabilities).sum()) for m in members]
+
+    bound_violations = {}
+    verdict = report.verdict if report is not None else "unknown"
+    if report is not None and report.bounds is not None:
+        for name, bound in zip(("E", "Q", "I"), report.bounds):
+            bound_violations[name] = bool(tail_means[name] < bound)
+
+    return EnsembleSummary(
+        n_trajectories=len(members),
+        window=window,
+        tail_means=tail_means,
+        tail_stds=tail_stds,
+        extinction_fraction=sum(m.extinct for m in members) / len(members),
+        occupancy_l1=float(np.mean(occ_l1)),
+        bound_violations=bound_violations,
+        verdict=verdict,
+    )
+
+
 def summarize_ensemble(trajectories: Sequence[Trajectory],
                        pi: StationaryDistribution,
                        report: Optional[ThresholdReport] = None,
@@ -132,7 +185,9 @@ def summarize_ensemble(trajectories: Sequence[Trajectory],
     The tail window is [T*(1 - tail_fraction), T].  Extinction detection uses
     the module defaults (threshold on the final ``EXTINCTION_TAIL`` of the
     run).  Raises :class:`InconsistentConfigs` when trajectories disagree on
-    grid or horizon.
+    grid or horizon.  This is :func:`member_statistics` of each trajectory
+    followed by :func:`aggregate_ensemble`; the ``ensemble`` command makes
+    those two calls itself, reducing each member as it arrives.
     """
     if len(trajectories) < 1:
         raise InconsistentConfigs("ensemble must contain at least one trajectory")
@@ -142,35 +197,7 @@ def summarize_ensemble(trajectories: Sequence[Trajectory],
             raise InconsistentConfigs("trajectories have mismatched grids or horizons")
 
     window = tail_window(ref.times, tail_fraction)
-
-    tail_avgs = {name: [] for name in Trajectory.COLUMNS}
-    extinct = 0
-    occ_l1 = []
     n_states = len(pi.probabilities)
-    for traj in trajectories:
-        for name in Trajectory.COLUMNS:
-            tail_avgs[name].append(time_average(traj, name, window))
-        if detect_extinction(traj, extinction_threshold):
-            extinct += 1
-        occ = occupancy_from_samples(traj, n_states)
-        occ_l1.append(float(np.abs(occ - pi.probabilities).sum()))
-
-    tail_means = {k: float(np.mean(v)) for k, v in tail_avgs.items()}
-    tail_stds = {k: float(np.std(v)) for k, v in tail_avgs.items()}
-
-    bound_violations = {}
-    verdict = report.verdict if report is not None else "unknown"
-    if report is not None and report.bounds is not None:
-        for name, bound in zip(("E", "Q", "I"), report.bounds):
-            bound_violations[name] = bool(tail_means[name] < bound)
-
-    return EnsembleSummary(
-        n_trajectories=len(trajectories),
-        window=window,
-        tail_means=tail_means,
-        tail_stds=tail_stds,
-        extinction_fraction=extinct / len(trajectories),
-        occupancy_l1=float(np.mean(occ_l1)),
-        bound_violations=bound_violations,
-        verdict=verdict,
-    )
+    members = [member_statistics(traj, window, n_states, extinction_threshold)
+               for traj in trajectories]
+    return aggregate_ensemble(members, window, pi, report)

@@ -113,8 +113,13 @@ class RegimePath:
         return int(self.regimes[idx])
 
     def segment_durations(self) -> np.ndarray:
-        ends = np.append(self.jump_times[1:], self.horizon)
-        return ends - self.jump_times
+        """Length of each segment: the gap to the next jump time, and to
+        ``horizon`` for the last one, subtracted into one new array."""
+        jump_times = np.asarray(self.jump_times, dtype=float)
+        out = np.empty(len(jump_times))
+        np.subtract(jump_times[1:], jump_times[:-1], out=out[:-1])
+        out[-1] = self.horizon - jump_times[-1]
+        return out
 
 
 def validate_generator(raw) -> Generator:

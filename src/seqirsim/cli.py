@@ -31,7 +31,8 @@ import numpy as np
 from . import analysis, chain, thresholds
 from .config import RunConfig, load_config
 from .errors import ConfigError, EmptyWindow, MathDomainError
-from .integrate import Trajectory, derive_seed, simulate, simulate_deterministic, simulate_ensemble
+from .integrate import (Trajectory, derive_seed, iter_ensemble, simulate, simulate_deterministic,
+                        simulate_ensemble)
 from .model import RegimeParameterTable
 
 EXIT_OK = 0
@@ -148,18 +149,23 @@ def cmd_simulate(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
 
 
 def cmd_ensemble(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
+    """Write each member's CSV and reduce it as it arrives, in index order,
+    then the summary of the reductions.  When a member fails, the CSVs of
+    the members before it remain and no summary is written."""
     # an empty summary window is known from the grid alone, before any member runs
-    analysis.tail_window(cfg.simulation.record_times())
+    window = analysis.tail_window(cfg.simulation.record_times())
     out_dir.mkdir(parents=True, exist_ok=True)
-    trajectories = simulate_ensemble(cfg.simulation, cfg.generator, cfg.table,
-                                     cfg.policy, cfg.ensemble_n, cfg.ensemble_base_seed)
-    for i, traj in enumerate(trajectories):
+    members = []
+    for i, traj in enumerate(iter_ensemble(cfg.simulation, cfg.generator, cfg.table,
+                                           cfg.policy, cfg.ensemble_n,
+                                           cfg.ensemble_base_seed)):
         seed = derive_seed(cfg.ensemble_base_seed, i)
         write_trajectory_csv(traj, out_dir / f"traj_{i:03d}_seed_{seed}.csv")
+        members.append(analysis.member_statistics(traj, window, cfg.generator.n_states))
 
     report = thresholds.threshold_report(cfg.table, cfg.generator)
     pi = chain.StationaryDistribution(report.pi)
-    summary = analysis.summarize_ensemble(trajectories, pi, report)
+    summary = analysis.aggregate_ensemble(members, window, pi, report)
     fields = {
         "n_trajectories": summary.n_trajectories,
         "window": summary.window,

@@ -20,13 +20,22 @@ else in their Python references, ``_run_py`` and ``_rk4_py``.  A compiled
 stochastic run is one kernel call that draws its normals from the run's
 generator in C.  Both backends give the same bytes and leave the generator
 in the same state, and ``Trajectory.metadata["backend"]`` says which ran.
+
+Ensembles: the kernel call releases the GIL, so :func:`iter_ensemble` steps
+members on a thread pool with one worker per usable CPU.  Each member is set
+up (path sampling, record arrays) in the calling thread in index order, only
+its kernel call runs in a worker, and members are returned in index order,
+so no output depends on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -352,16 +361,28 @@ def simulate(config: SimulationConfig, generator: Generator,
     run = _setup(config, generator, table, h)
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, reason = _kernel.load()
+    _advance(run, kernel)
+    return _trajectory(run, kernel, reason, time.perf_counter() - t_start)
+
+
+def _advance(run: _Run, kernel) -> float:
+    """Step ``run`` on ``kernel``, or in Python when it is None; returns the
+    seconds that took."""
+    t_start = time.perf_counter()
     if kernel is None:
         _run_py(run)
     else:
         _run_c(run, kernel)
+    return time.perf_counter() - t_start
 
+
+def _trajectory(run: _Run, kernel, reason, wall_time_s: float) -> Trajectory:
+    """The :class:`Trajectory` of a stepped ``run``, with its metadata."""
     metadata = {
-        "config": config,
+        "config": run.config,
         "clamp_events": run.clamps,
         "backend": "python" if kernel is None else "c",
-        "wall_time_s": time.perf_counter() - t_start,
+        "wall_time_s": wall_time_s,
     }
     if reason is not None:
         metadata["backend_reason"] = reason
@@ -369,21 +390,82 @@ def simulate(config: SimulationConfig, generator: Generator,
                       metadata=metadata)
 
 
-def simulate_ensemble(config: SimulationConfig, generator: Generator,
-                      table: RegimeParameterTable, h: PolicyFunction,
-                      n: int, base_seed: int) -> list[Trajectory]:
-    """n independent trajectories with per-index derived seeds.
+def _workers(n: int) -> int:
+    """Threads for an ensemble of n: the CPUs this process may run on
+    (``os.cpu_count()`` where affinity is unavailable), at most n."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(n, cpus)
 
-    Member i runs ``simulate`` with seed ``derive_seed(base_seed, i)``; the
-    members are independent and each is bit-reproducible on its own.
+
+def iter_ensemble(config: SimulationConfig, generator: Generator,
+                  table: RegimeParameterTable, h: PolicyFunction,
+                  n: int, base_seed: int) -> Iterator[Trajectory]:
+    """Yield n independent trajectories in index order, with derived seeds.
+
+    Member i is the :func:`simulate` run with seed ``derive_seed(base_seed,
+    i)``, byte for byte, whatever the worker count.  With the kernel loaded
+    and more than one usable CPU, members step on a thread pool: the calling
+    thread sets up each member in index order (path sampling, with its
+    warnings, and the record arrays), hands its kernel call to a worker,
+    keeps at most two members per worker in flight, and yields each member
+    when it and every member before it are done.  Otherwise each member is
+    a :func:`simulate` call in the calling thread.
+
+    The first failing member by index raises, as in a serial run; members
+    after it are not yielded.
     """
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
-    out = []
-    for i in range(n):
-        cfg = replace(config, seed=derive_seed(base_seed, i))
-        out.append(simulate(cfg, generator, table, h))
-    return out
+    from . import _kernel  # imported on first use: start-up does not pay for it
+    kernel, reason = _kernel.load()
+    workers = 1 if kernel is None else _workers(n)
+    if workers == 1:
+        for i in range(n):
+            yield simulate(replace(config, seed=derive_seed(base_seed, i)), generator, table, h)
+        return
+
+    from concurrent.futures import ThreadPoolExecutor  # only ensembles pay its import
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()  # (run, setup seconds, future of the stepping seconds), by index
+
+    def done():
+        run, setup_s, future = pending.popleft()
+        return _trajectory(run, kernel, reason, setup_s + future.result())
+
+    try:
+        for i in range(n):
+            t_start = time.perf_counter()
+            try:
+                run = _setup(replace(config, seed=derive_seed(base_seed, i)),
+                             generator, table, h)
+            except Exception:
+                # the members before i come first, as in a serial run
+                while pending:
+                    yield done()
+                raise
+            pending.append((run, time.perf_counter() - t_start,
+                            pool.submit(_advance, run, kernel)))
+            if len(pending) == 2 * workers:
+                yield done()
+        while pending:
+            yield done()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def simulate_ensemble(config: SimulationConfig, generator: Generator,
+                      table: RegimeParameterTable, h: PolicyFunction,
+                      n: int, base_seed: int) -> list[Trajectory]:
+    """The n members of :func:`iter_ensemble` as a list, in index order.
+
+    Member i is the :func:`simulate` run with seed ``derive_seed(base_seed,
+    i)``; the members are independent, each is bit-reproducible on its own,
+    and none depends on how many CPUs stepped them.
+    """
+    return list(iter_ensemble(config, generator, table, h, n, base_seed))
 
 
 def _rk4_py(k: tuple, dt: float, steps: np.ndarray, states: np.ndarray) -> None:

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .chain import Generator, StationaryDistribution, stationary_distribution
-from .errors import DegeneratePsi2, NotPersistent
+from .errors import DegeneratePsi2, MathDomainError, NotPersistent
 from .model import RegimeParameterTable, w1, w2
 
 VERDICTS = ("extinction_certified", "persistence_certified", "indeterminate")
@@ -88,13 +88,19 @@ def _common_factor(table: RegimeParameterTable) -> np.ndarray:
     """C(k) = beta_max * w1(k) - (sigma0_min^2 / 2) * w1(k)^2 * s_max.
 
     Every psi divides by A(k), so this factor they share is where A(k) > 0
-    is checked.
+    is checked.  sigma0_min^2 is a Python float power, which raises on
+    overflow; that is reported as a :class:`MathDomainError` naming sigma0.
     """
     if np.any(table.A == 0.0):
         raise ZeroDivisionError("psi formulas require A(k) > 0 for every regime")
+    try:
+        sigma0_sq = table.sigma0_min ** 2
+    except OverflowError:
+        raise MathDomainError(f"sigma0 = {table.sigma0_min!r}: its square overflows "
+                              f"a float in the psi formulas") from None
     w1v = w1(table)
     return (table.beta_max * w1v
-            - 0.5 * table.sigma0_min ** 2 * w1v ** 2 * table.population_ceiling)
+            - 0.5 * sigma0_sq * w1v ** 2 * table.population_ceiling)
 
 
 def _bracket(table: RegimeParameterTable) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Shared fixtures: the 4-state benchmark chain and its two parameter sets,
 plus a 2-state table engineered to sit in the certified-persistence region."""
 
+import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from seqirsim import _kernel
+from seqirsim import _kernel, integrate
 from seqirsim import (
     PolicyFunction,
     RegimeParameters,
@@ -109,6 +111,24 @@ def kernel_cache(tmp_path_factory):
         _kernel.load.cache_clear()
         yield
     _kernel.load.cache_clear()
+
+
+def use_cpus(monkeypatch, n):
+    """Make the ensemble code see n usable CPUs, so that it steps on n workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def stepping_threads(monkeypatch):
+    """The names of the threads that step each run, appended as runs start."""
+    names = []
+    advance = integrate._advance
+
+    def spy(run, kernel):
+        names.append(threading.current_thread().name)
+        return advance(run, kernel)
+
+    monkeypatch.setattr(integrate, "_advance", spy)
+    return names
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from seqirsim.integrate import derive_seed
 
 from conftest import (
     EX1_PARAMS, EX2_PARAMS, GENERATOR_2, GENERATOR_4, P_4_PRINTED, PERSISTENT_PARAMS,
-    PI_4_PRINTED,
+    PI_4_PRINTED, stepping_threads, use_cpus,
 )
 from test_config import valid_doc, write_doc
 
@@ -260,6 +260,91 @@ class TestWarnings:
         assert capsys.readouterr().err.count("warning: dt * max exit rate") == 1
 
 
+def failing_member_doc():
+    """An error-policy ensemble whose members 2 and 4 go negative, member 4
+    earlier in its run (t = 1.33) than member 2 (t = 1.53); 0, 1 and 3 pass."""
+    doc = table_doc(GENERATOR_4, dict(EX1_PARAMS, sigma0=[0.1] * 4))
+    doc["simulation"].update({"dt": 0.01, "horizon": 20.0, "stride": 10,
+                              "scheme": "euler_maruyama", "negativity_policy": "error"})
+    doc["initial"] = {"S": 20, "E": 20, "Q": 15, "I": 10, "R": 0, "regime": 3}
+    doc["ensemble"] = {"n": 5, "base_seed": 6}
+    return doc
+
+
+class TestEnsemblePool:
+    """Ensemble members step on one worker per usable CPU; no output may
+    depend on how many there are."""
+
+    @staticmethod
+    def run_at(monkeypatch, cpus, argv):
+        with monkeypatch.context() as m:
+            use_cpus(m, cpus)
+            threads = stepping_threads(m)
+            return main(argv), threads
+
+    @pytest.mark.parametrize("name, make_doc", [("small", small_doc),
+                                                ("persistent", persistent_doc),
+                                                ("example2", example2_doc)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pinned_outputs_at_each_worker_count(self, tmp_path, monkeypatch, cpus, name,
+                                                 make_doc):
+        use_cpus(monkeypatch, cpus)
+        assert golden_outputs(tmp_path, make_doc()) == GOLDEN_SHA256[name]
+
+    @pytest.mark.parametrize("command", ["ensemble", "compare-det"])
+    def test_outputs_identical_at_1_and_2_workers(self, tmp_path, monkeypatch, command):
+        # n = 7 passes the limit of two members in flight per worker
+        doc = small_doc()
+        doc["ensemble"] = {"n": 7, "base_seed": 3}
+        path = write_doc(tmp_path, doc)
+        outputs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"{cpus}cpus"
+            out.mkdir()
+            code, threads = self.run_at(monkeypatch, cpus, [command, "--config", str(path),
+                                                            "--out", str(out / "out"),
+                                                            "--quiet"])
+            assert code == 0 and len(threads) == 7
+            assert ("MainThread" in threads) == (cpus == 1)
+            outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                            if p.is_file()})
+        assert outputs[0] == outputs[1]
+        if command == "ensemble":
+            assert len(outputs[0]) == 8
+
+    def test_first_failing_member_by_index_decides(self, tmp_path, monkeypatch, capsys):
+        path = write_doc(tmp_path, failing_member_doc())
+        runs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"{cpus}cpus"
+            code, _ = self.run_at(monkeypatch, cpus, ["ensemble", "--config", str(path),
+                                                      "--out", str(out), "--quiet"])
+            runs.append((code, capsys.readouterr().err,
+                         {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert runs[0] == runs[1]
+        code, err, files = runs[1]
+        assert code == 3
+        assert err.startswith("math domain error: compartment went negative")
+        assert err.rstrip().endswith("at t=1.53")
+        # the members before the failing one are written; no summary, nothing after
+        assert sorted(files) == [f"traj_{i:03d}_seed_{derive_seed(6, i)}.csv"
+                                 for i in range(2)]
+
+    def test_each_distinct_warning_once_per_run_on_two_workers(self, example2_config_path,
+                                                               tmp_path, monkeypatch, capsys):
+        # TestWarnings at 2 workers: each member's path sampling warns, in the calling thread
+        use_cpus(monkeypatch, 2)
+        doc = json.loads(example2_config_path.read_text())
+        doc["simulation"].update({"dt": 0.05, "horizon": 5, "stride": 1})
+        doc["ensemble"] = {"n": 5, "base_seed": 1}
+        path = write_doc(tmp_path, doc)
+        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "ens"),
+                     "--quiet"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: dt * max exit rate = 0.5 > 0.1; "
+            "the grid approximation of the chain is coarse\n")
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         doc = valid_doc()
@@ -292,8 +377,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("params, named", [
-        # sigma0_min ** 2 overflows a Python float: OverflowError
-        (dict(EX1_PARAMS, sigma0=[1e200] * 4), ""),
+        # sigma0_min ** 2 overflows a Python float: the error names sigma0
+        (dict(EX1_PARAMS, sigma0=[1e200] * 4), "sigma0"),
         # numpy overflows to inf without raising: the report refuses the value
         (dict(EX1_PARAMS, beta=[1e300, *EX1_PARAMS["beta"][1:]],
               M=[1e300, *EX1_PARAMS["M"][1:]]), "lambda"),

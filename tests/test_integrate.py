@@ -28,7 +28,7 @@ from seqirsim.errors import NegativeState, StepTooLarge
 from seqirsim.integrate import NEGATIVITY_TOL, _clamp_negative, _run_py, _setup, _step
 from seqirsim.model import regime_constants
 
-from conftest import EX1_PARAMS, EX2_PARAMS, table_from_lists
+from conftest import EX1_PARAMS, EX2_PARAMS, stepping_threads, table_from_lists, use_cpus
 from test_model import params_from, random_state, zero_params
 
 LINEAR = PolicyFunction.linear()
@@ -543,6 +543,63 @@ class TestEnsemble:
     def test_size_validated(self, gen4, ex1_table):
         with pytest.raises(ValueError):
             simulate_ensemble(base_config(), gen4, ex1_table, LINEAR, n=0, base_seed=1)
+
+    @staticmethod
+    def members_at(monkeypatch, cpus, *args):
+        """simulate_ensemble at ``cpus`` usable CPUs, and the stepping threads."""
+        with monkeypatch.context() as m:
+            use_cpus(m, cpus)
+            threads = stepping_threads(m)
+            return simulate_ensemble(*args), threads
+
+    @staticmethod
+    def outcome(traj):
+        return (traj.times.tobytes(), traj.regimes.tobytes(), traj.states.tobytes(),
+                traj.metadata["clamp_events"], traj.metadata["backend"],
+                traj.metadata["config"])
+
+    def test_members_do_not_depend_on_the_worker_count(self, gen4, ex1_table, monkeypatch):
+        # n = 7 passes the limit of two members in flight per worker at 2 and 3 CPUs
+        args = (base_config(horizon=2.0, output_stride=7), gen4, ex1_table, LINEAR, 7, 5)
+        serial, threads = self.members_at(monkeypatch, 1, *args)
+        assert threads == ["MainThread"] * 7
+        for cpus in (2, 3):
+            pooled, threads = self.members_at(monkeypatch, cpus, *args)
+            assert [self.outcome(t) for t in pooled] == [self.outcome(t) for t in serial]
+            # the kernel calls ran on the pool, never in the calling thread
+            assert len(threads) == 7 and "MainThread" not in threads
+
+    def test_python_runner_steps_in_the_calling_thread(self, gen4, ex1_table, monkeypatch):
+        from seqirsim import _kernel
+
+        args = (base_config(horizon=0.5), gen4, ex1_table, LINEAR, 3, 5)
+        compiled, _ = self.members_at(monkeypatch, 2, *args)
+        monkeypatch.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
+        python, threads = self.members_at(monkeypatch, 2, *args)
+        assert threads == ["MainThread"] * 3
+        assert [t.metadata["backend"] for t in python] == ["python"] * 3
+        assert [t.states.tobytes() for t in python] == [t.states.tobytes() for t in compiled]
+
+    def test_a_failing_setup_comes_after_the_members_before_it(self, gen4, ex1_table,
+                                                               monkeypatch):
+        # members 0-2 are in flight on the pool when member 3's setup raises
+        use_cpus(monkeypatch, 2)
+        failing_seed = derive_seed(5, 3)
+        setup = integrate._setup
+
+        def flaky(config, *args):
+            if config.seed == failing_seed:
+                raise StepTooLarge("setup of member 3")
+            return setup(config, *args)
+
+        monkeypatch.setattr(integrate, "_setup", flaky)
+        members = integrate.iter_ensemble(base_config(horizon=0.5), gen4, ex1_table, LINEAR,
+                                          6, 5)
+        seeds = []
+        with pytest.raises(StepTooLarge, match="member 3"):
+            for traj in members:
+                seeds.append(traj.metadata["config"].seed)
+        assert seeds == [derive_seed(5, i) for i in range(3)]
 
 
 class TestDeterministicIntegrator:
