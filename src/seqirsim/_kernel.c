@@ -1,6 +1,6 @@
 /* Compiled kernel for seqirsim: the step loop of integrate.simulate, the
- * RK4 loop of integrate.simulate_deterministic and the sojourn walk of the
- * chain samplers.
+ * RK4 loop of integrate.simulate_deterministic, the sojourn walk of the
+ * chain samplers and the row formatter of cli._write_csv.
  *
  * drift is model.vector_field, the one C copy of it; both step loops call it.
  * seqir_run steps a whole stochastic run in one call: the regime in force at
@@ -19,9 +19,17 @@
  * distribution routines (linked from numpy/random/lib/libnpyrandom.a) on the
  * live bit generator of an np.random.Generator, so they consume the same
  * variates in the same stream order as the Python loops.
+ *
+ * seqir_csv writes CSV rows with the text that repr gives each float inside
+ * cli._write_csv's guard (x == 0 or 1e-4 <= |x| < 1e16): the shortest digits
+ * that read back to x, nearest to x, in positional form.  The search is
+ * exact, in unsigned 128-bit integers; without them seqir_csv returns -1 and
+ * the writer formats in Python, while the other routines are unaffected.
+ * No routine keeps mutable static state: ctypes calls them without the GIL.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define N_CONSTANTS 15            /* length of model.regime_constants */
 #define NEGATIVITY_TOL (-1e-12)   /* integrate.NEGATIVITY_TOL */
@@ -240,4 +248,204 @@ int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
     carry[0] = cur;
     carry[1] = steps;
     return n;
+}
+
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+#define P19 10000000000000000000u
+static const uint64_t POW10[20] = {
+    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u, 100000000u,
+    1000000000u, 10000000000u, 100000000000u, 1000000000000u, 10000000000000u,
+    100000000000000u, 1000000000000000u, 10000000000000000u, 100000000000000000u,
+    1000000000000000000u, P19};
+
+/* 10^t for t in 1..21 */
+static u128 pow10_wide(int t)
+{
+    return t < 20 ? (u128)POW10[t] : (u128)P19 * POW10[t - 19];
+}
+
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The decimal digits of v at p, two at a time from the last; returns the count. */
+static int put_digits(char *p, uint64_t v)
+{
+    int n = 1;
+    while (n < 20 && v >= POW10[n])
+        n++;
+    int j = n;
+    while (j >= 2) {
+        memcpy(p + j - 2, PAIRS + 2 * (v % 100), 2);
+        v /= 100;
+        j -= 2;
+    }
+    if (j)
+        p[0] = (char)('0' + v);
+    return n;
+}
+
+/* repr of a finite x with 1e-4 <= |x| < 1e16, written at p; returns the end.
+ *
+ * x = m 2^e with a 53-bit m and e in [-66, 1].  In units of 2^(e-2) x is
+ * V = 4m, and the doubles that round to x are those inside [L, U]: U = V + 2,
+ * and L = V - 2, or V - 1 at a power of two, where the gap below is half as
+ * wide.  The ends belong to the interval iff m is even (round half to even).
+ * No test can pin that rule in this range: an end is an odd multiple of half
+ * an ulp, which never has fewer significant digits than the shortest form of
+ * x and is never nearer to x, so it is never the digits chosen.
+ *
+ * With t = 16 - floor(E log10 2), where E = floor(log2 |x|), the multiples of
+ * 10^-t inside the interval are the integers [dl, dh] between L 10^t and
+ * U 10^t, shifted right by 2 - e bits: the products stay below 2^125, and
+ * there are 17 or 18 significant digits at this scale, so [dl, dh] is never
+ * empty (the interval is at least 3/4 ulp wide, more than 10^-t).  A
+ * multiple of 10^(j+1) is a multiple of 10^j, so the coarsest scale with a
+ * multiple in the interval is found by dropping one digit at a time, as
+ * long as [dl, dh] still holds a multiple of 10.  Of the multiples there,
+ * the one nearest V is taken, a tie to the even one, as repr takes it. */
+static char *put_short(char *p, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
+    const int biased = (int)(bits >> 52 & 0x7ff);
+    const uint64_t m = frac | UINT64_C(1) << 52;
+    const int s = 2 - (biased - 1075);            /* 1 .. 68 */
+    const int big_e = biased - 1023;              /* -14 .. 53 */
+    const int t = 16 - (big_e >= 0 ? big_e * 78913 >> 18 : -((-big_e * 78913 + 262143) >> 18));
+    const int inclusive = (m & 1) == 0;
+    const u128 mask = ((u128)1 << s) - 1, scale = pow10_wide(t);
+    const u128 w = (u128)(4 * m) * scale;
+    const u128 lo = w - (frac ? 2 * scale : scale), hi = w + 2 * scale;
+
+    if (bits >> 63)
+        *p++ = '-';
+    uint64_t dl = (uint64_t)(lo >> s) + (!inclusive || (lo & mask) != 0);
+    uint64_t dh = (uint64_t)(hi >> s) - (!inclusive && (hi & mask) == 0);
+    /* V at this scale is d + r / 2^s; each digit dropped from d goes to
+     * last, and a nonzero one below it sets sticky */
+    uint64_t d = (uint64_t)(w >> s);
+    const u128 r = w & mask, half = (u128)1 << (s - 1);
+    unsigned last = 0, sticky = r != 0;
+    int j = 0;
+    while ((dl + 9) / 10 <= dh / 10) {
+        dl = (dl + 9) / 10;
+        dh /= 10;
+        sticky |= last;
+        last = (unsigned)(d % 10);
+        d /= 10;
+        j++;
+    }
+
+    /* round V to the nearest integer at this scale, a tie to even */
+    int above, tie;
+    if (j == 0) {
+        above = r > half;
+        tie = r == half;
+    } else {
+        above = last > 5 || (last == 5 && sticky);
+        tie = last == 5 && !sticky;
+    }
+    d += above || (tie && (d & 1));
+    if (d < dl)
+        d = dl;
+    if (d > dh)
+        d = dh;
+
+    /* repr's positional form: x = 0.<digits> 10^decpt */
+    char digits[20];
+    const int n = put_digits(digits, d), decpt = n + j - t;
+    if (decpt <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (int z = 0; z < -decpt; z++)
+            *p++ = '0';
+        memcpy(p, digits, n);
+        p += n;
+    } else if (decpt < n) {
+        memcpy(p, digits, decpt);
+        p += decpt;
+        *p++ = '.';
+        memcpy(p, digits + decpt, n - decpt);
+        p += n - decpt;
+    } else {
+        memcpy(p, digits, n);
+        p += n;
+        for (int z = n; z < decpt; z++)
+            *p++ = '0';
+        *p++ = '.';
+        *p++ = '0';
+    }
+    return p;
+}
+
+/* v in decimal at p; returns the end */
+static char *put_int(char *p, int64_t v)
+{
+    uint64_t u = (uint64_t)v;
+    if (v < 0) {
+        *p++ = '-';
+        u = 0 - u;
+    }
+    return p + put_digits(p, u);
+}
+#endif
+
+/* Rows lo..hi-1 of a CSV table, into buf: cols[c] points at row 0 of column
+ * c, strides[c] is its step in bytes and ints[c] is nonzero for an int64
+ * column, else it holds doubles.  Integers are written in decimal, and a
+ * double inside the guard as put_short writes it.  Any other double (nan,
+ * +-inf, 0 < |x| < 1e-4, |x| >= 1e16) is left as an empty cell for the
+ * caller to fill: (its byte offset in buf, its row, its column) is stored
+ * in splices.  Each cell takes at most 24 bytes with its separator.  Sets
+ * *n_bytes and returns the number of cells left empty, or -1 where the
+ * compiler has no 128-bit integers and nothing is written. */
+int64_t seqir_csv(const char *const *cols, const int64_t *strides, const int64_t *ints,
+                  int64_t n_cols, int64_t lo, int64_t hi, char *buf, int64_t *splices,
+                  int64_t *n_bytes)
+{
+#ifdef __SIZEOF_INT128__
+    char *p = buf;
+    int64_t n_splices = 0;
+    for (int64_t row = lo; row < hi; row++) {
+        for (int64_t c = 0; c < n_cols; c++) {
+            const char *at = cols[c] + row * strides[c];
+            if (c)
+                *p++ = ',';
+            if (ints[c]) {
+                int64_t v;
+                memcpy(&v, at, sizeof v);
+                p = put_int(p, v);
+                continue;
+            }
+            double x;
+            memcpy(&x, at, sizeof x);
+            if (x == 0.0) {
+                if (signbit(x))
+                    *p++ = '-';
+                memcpy(p, "0.0", 3);
+                p += 3;
+            } else if (fabs(x) >= 1e-4 && fabs(x) < 1e16) {
+                p = put_short(p, x);
+            } else {
+                splices[3 * n_splices] = p - buf;
+                splices[3 * n_splices + 1] = row;
+                splices[3 * n_splices + 2] = c;
+                n_splices++;
+            }
+        }
+        *p++ = '\n';
+    }
+    *n_bytes = p - buf;
+    return n_splices;
+#else
+    (void)cols; (void)strides; (void)ints; (void)n_cols; (void)lo; (void)hi; (void)buf;
+    (void)splices; (void)n_bytes;
+    return -1;
+#endif
 }

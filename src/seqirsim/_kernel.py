@@ -8,10 +8,10 @@ private per-user directory (``$XDG_CACHE_HOME/seqirsim``, else
 ``~/.cache/seqirsim``, mode 0700) under a name derived from the sha256 of
 source, flags, machine, numpy version and archive, and loads it through
 ctypes.  Any failure leaves the kernel unavailable with a one-line reason,
-and the caller steps and walks in Python instead.  ``integrate.simulate``,
-``integrate.simulate_deterministic`` and the chain samplers import this
-module on first use, so importing the package neither builds nor loads the
-kernel.
+and the caller steps, walks and formats in Python instead.
+``integrate.simulate``, ``integrate.simulate_deterministic``, the chain
+samplers and the CSV writer ``cli._write_csv`` import this module on first
+use, so importing the package neither builds nor loads the kernel.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ _SIGNATURES = {
                    _P, _P), ctypes.c_int),
     "seqir_rk4": ((_P, _D, _P, _P, _I64, _P, _P), ctypes.c_int),
     "seqir_walk": ((_P, ctypes.c_int, _P, _P, _I64, _D, _D, _P, _P, _P, _P, _I64), _I64),
+    "seqir_csv": ((_P, _P, _P, _I64, _I64, _I64, _P, _P, _P), _I64),
 }
 
 
@@ -117,8 +118,9 @@ def _open():
 def load():
     """``(library, None)`` once the kernel is loaded, else ``(None, reason)``.
 
-    The library exposes ``seqir_run``, ``seqir_rk4`` and ``seqir_walk``,
-    typed."""
+    The library exposes ``seqir_run``, ``seqir_rk4``, ``seqir_walk`` and
+    ``seqir_csv``, typed.  ``seqir_csv`` returns -1 where the compiler has no
+    128-bit integers; the other three do not depend on them."""
     try:
         return _open(), None
     except KernelUnavailable as exc:

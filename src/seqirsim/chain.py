@@ -43,7 +43,7 @@ STEP_HARD_LIMIT = 1.0
 #: dt * max exit rate above which the grid sampler warns.
 STEP_WARN_LIMIT = 0.1
 
-#: jumps stored per call of the kernel walk; a longer path resumes the walk
+#: the most jumps stored per call of the kernel walk; a longer path resumes the walk
 _WALK_BUFFER = 65536
 
 
@@ -315,7 +315,9 @@ def _sample(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: b
 def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
             geometric: bool, param: np.ndarray, rng: np.random.Generator) -> RegimePath:
     """:func:`_walk` in the compiled ``kernel``, drawing from ``rng``'s own
-    bit generator under its lock, ``_WALK_BUFFER`` jumps per call."""
+    bit generator under its lock.  The first call stores up to 1024 jumps,
+    and each further call four times as many, up to ``_WALK_BUFFER``, so a
+    short path allocates little."""
     cdfs = np.ascontiguousarray(cdfs, dtype=np.float64)
     param = np.ascontiguousarray(param, dtype=np.float64)
     n = len(param)
@@ -323,18 +325,19 @@ def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
         raise ValueError(f"walk inputs do not fit {n} states starting in {r0}")
     clock = np.zeros(1)  # the exact clock
     carry = np.array([r0 - 1, 0, 0], dtype=np.int64)  # state, grid clock, ended
-    buf_t = np.empty(_WALK_BUFFER)
-    buf_r = np.empty(_WALK_BUFFER, dtype=np.int64)
     times, regimes = [np.zeros(1)], [np.array([r0], dtype=np.int64)]
+    size = min(1024, _WALK_BUFFER)
     bitgen = rng.bit_generator
     with bitgen.lock:
         while not carry[2]:
+            buf_t, buf_r = np.empty(size), np.empty(size, dtype=np.int64)
             stored = kernel.seqir_walk(bitgen.ctypes.bit_generator, geometric,
                                        param.ctypes.data, cdfs.ctypes.data, n, unit, horizon,
                                        clock.ctypes.data, carry.ctypes.data,
-                                       buf_t.ctypes.data, buf_r.ctypes.data, _WALK_BUFFER)
-            times.append(buf_t[:stored].copy())
-            regimes.append(buf_r[:stored].copy())
+                                       buf_t.ctypes.data, buf_r.ctypes.data, size)
+            times.append(buf_t[:stored])
+            regimes.append(buf_r[:stored])
+            size = min(4 * size, _WALK_BUFFER)
     return RegimePath(np.concatenate(times), np.concatenate(regimes), horizon, n)
 
 
@@ -371,7 +374,7 @@ def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: boo
 def occupancy(path: RegimePath) -> np.ndarray:
     """Fraction of [0, horizon] spent in each state; sums to 1."""
     durations = path.segment_durations()
-    occ = np.bincount(path.regimes - 1, weights=durations, minlength=path.n_states)
+    occ = np.bincount(path.regimes, weights=durations, minlength=path.n_states + 1)[1:]
     return occ / path.horizon
 
 

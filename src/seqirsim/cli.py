@@ -12,9 +12,12 @@ Exit codes: 0 success, 2 configuration error, 3 mathematical domain error
 error.  ``SEQIRSIM_OUT_DIR`` sets the default output directory.
 
 Every number in an output file is written by :func:`_fmt`, full round-trip
-precision with no exponent.  CSV files are written in chunks of rows, and
-a float there goes through Python's ``repr`` wherever that gives the same
-text (``x == 0`` or ``1e-4 <= |x| < 1e16``), at about a third of the cost.
+precision with no exponent.  CSV files are written in chunks of rows.
+Wherever ``x == 0`` or ``1e-4 <= |x| < 1e16`` (the guard), ``repr`` gives
+the same text as :func:`_fmt`, and a CSV float there is formatted as
+``repr`` formats it: by the compiled kernel's exact shortest-digit search
+when the kernel loads, else by ``repr`` itself.  Every other float goes
+through :func:`_fmt`.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ EXIT_IO = 4
 
 #: rows per CSV write: bounds the memory of a chunk's cell strings
 _CSV_CHUNK = 256
+#: the most bytes that seqir_csv writes for one cell, its separator included
+_CELL_BYTES = 24
 
 
 def _fmt(x: float) -> str:
@@ -71,25 +76,76 @@ def _write_report(path: Path, fields: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """One row per index of equal-length 1-D columns; integer columns are
-    printed with ``str``, the others with :func:`_fmt`.
+    """One row per index of equal-length 1-D columns; integer columns
+    (whose values fit in int64) are printed with ``str``, the others with
+    :func:`_fmt`.
 
-    Rows are formatted and written ``_CSV_CHUNK`` at a time, a column slice
-    at a time, through :func:`_cells`."""
+    Rows are formatted and written ``_CSV_CHUNK`` at a time.  When the
+    compiled kernel loads, :func:`_kernel_rows` formats each chunk;
+    otherwise :func:`_cells` does, a column slice at a time.  Both write the
+    same bytes."""
     n_rows = len(columns[0])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    if any(np.shape(col) != (n_rows,) for col in columns):
+        raise ValueError("CSV columns must be 1-D and of equal length")
+    from . import _kernel  # imported on first use: start-up does not pay for it
+    kernel, _ = _kernel.load()
+    rows = _kernel_rows(kernel, columns) if kernel is not None else None
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n_rows, _CSV_CHUNK):
-            cells = [_cells(col[lo:lo + _CSV_CHUNK]) for col in columns]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            hi = min(lo + _CSV_CHUNK, n_rows)
+            data = rows(lo, hi) if rows is not None else None
+            if data is None:
+                cells = [_cells(col[lo:hi]) for col in columns]
+                data = "".join([",".join(row) + "\n" for row in zip(*cells)]).encode()
+            fh.write(data)
+
+
+def _kernel_rows(kernel, columns: list[np.ndarray]):
+    """A function of ``(lo, hi)`` that returns the bytes of rows lo..hi-1
+    (at most ``_CSV_CHUNK``), formatted by the kernel's ``seqir_csv``, or
+    None where the kernel was built without 128-bit integers.
+
+    ``seqir_csv`` writes integers in decimal, and each float inside the
+    guard of :func:`_cells` with the shortest round-trip digits, found by an
+    exact integer search, in ``repr``'s positional form.  It leaves every
+    other float as an empty cell and records where; that cell is filled in
+    with :func:`_fmt` here.  Integer columns are passed as int64 and the
+    others as float64, in place when they already are."""
+    ints = np.array([np.issubdtype(col.dtype, np.integer) for col in columns], dtype=np.int64)
+    cols = [np.asarray(col, dtype=np.int64 if is_int else np.float64)
+            for col, is_int in zip(columns, ints)]
+    addrs = np.array([col.ctypes.data for col in cols], dtype=np.uintp)
+    strides = np.array([col.strides[0] for col in cols], dtype=np.int64)
+    cells = min(_CSV_CHUNK, len(cols[0])) * len(cols)
+    buf = np.empty(cells * _CELL_BYTES, dtype=np.uint8)
+    splices = np.empty((cells, 3), dtype=np.int64)  # byte offset, row, column
+    n_bytes = np.zeros(1, dtype=np.int64)
+    args = (addrs.ctypes.data, strides.ctypes.data, ints.ctypes.data, len(cols))
+    out = (buf.ctypes.data, splices.ctypes.data, n_bytes.ctypes.data)
+    view = memoryview(buf)
+
+    def rows(lo: int, hi: int):
+        n = kernel.seqir_csv(*args, lo, hi, *out)
+        if n < 0:
+            return None
+        parts, start = [], 0
+        for offset, row, col in splices[:n].tolist():
+            parts += (view[start:offset], _fmt(cols[col][row]).encode())
+            start = offset
+        # a view of buf when nothing is spliced: it is written before the next call
+        return b"".join([*parts, view[start:n_bytes[0]]]) if parts else view[:n_bytes[0]]
+
+    return rows
 
 
 def _cells(col: np.ndarray) -> list[str]:
     """The text of each value of a 1-D column: ``str`` of integers, and
-    :func:`_fmt` of floats.  Where ``x == 0`` or ``1e-4 <= |x| < 1e16``,
-    ``repr`` prints the same shortest round-trip digits with no exponent, so
-    it stands in for :func:`_fmt`; the other values (nan and inf among them)
-    go through :func:`_fmt` itself."""
+    :func:`_fmt` of floats.  Where ``x == 0`` or ``1e-4 <= |x| < 1e16`` (the
+    guard), ``repr`` prints the same shortest round-trip digits with no
+    exponent, so it stands in for :func:`_fmt`; the other values (nan and
+    inf among them) go through :func:`_fmt` itself.  This is the reference
+    that the kernel's writer is tested against, and its fallback."""
     if np.issubdtype(col.dtype, np.integer):
         return list(map(str, col.tolist()))
     cells = list(map(repr, col.tolist()))

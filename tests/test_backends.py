@@ -24,13 +24,14 @@ from seqirsim import (
     simulate_deterministic,
     validate_generator,
 )
-from seqirsim import _kernel, chain
+from seqirsim import _kernel, chain, cli
 from seqirsim.cli import main
 from seqirsim.errors import NegativeState, NonFiniteState
 from seqirsim.integrate import _BLOCK, _run_c, _run_py, _setup
 
 from conftest import EX1_PARAMS, EX2_PARAMS, GENERATOR_2, GENERATOR_4, table_from_lists
 from test_chain import GOLDEN_CASES, GOLDEN_DIGESTS, NEAR_ABSORBING, golden_digest
+from test_cli import csv_bytes, guard_sweep, no_fallback, reference_csv, repr_mismatches
 from test_config import valid_doc, write_doc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -190,6 +191,8 @@ def test_rk4_non_finite_state_raises_on_both_backends(kernel, monkeypatch, beta)
 #: name -> (generator, initial regime, horizon, grid dt or None for exact, seed)
 WALK_CASES = {
     "exact-gen4": (GENERATOR_4, 2, 30.0, None, 11),
+    # more jumps than the first two kernel buffers of the default size hold
+    "exact-gen4-long": (GENERATOR_4, 4, 600.0, None, 13),
     # about 1.7 jumps per 1e-3 step, several inside one step
     "exact-several-jumps-per-step": ((np.array(GENERATOR_4) * 200).tolist(), 1, 0.5, None, 3),
     "grid-gen4": (GENERATOR_4, 3, 30.0, 1e-3, 11),
@@ -249,8 +252,10 @@ def test_walk_cases_reach_the_paths_they_cover(kernel):
         assert sampled(name)[3] == np.random.default_rng(WALK_CASES[name][4]).bit_generator.state
     times = np.frombuffer(sampled("exact-several-jumps-per-step")[0])
     assert np.bincount((times / 1e-3).astype(int)).max() >= 3
-    # the walk resumes: more jumps than the smallest buffers hold
+    # the walk resumes: more jumps than the smallest buffers hold, and at
+    # the default size more than the buffers of 1024 and 4096 jumps hold
     assert min(jumps["exact-gen4"], jumps["grid-gen4"]) > 7
+    assert jumps["exact-gen4-long"] > 1024 + 4096
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -407,6 +412,46 @@ def test_run_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch
     compiled = [outcome(lambda run: _run_c(run, mutant), *case, h) for case in cases]
     reference = [outcome(_run_py, *case, h) for case in cases]
     assert compiled != reference
+
+
+#: one-operation changes of seqir_csv, each of which the repr identity sweep must detect
+CSV_MUTATIONS = {
+    "ties-round-up": ("d += above || (tie && (d & 1));", "d += above || tie;"),
+    "misplaced-digits-below-1": ("for (int z = 0; z < -decpt; z++)",
+                                 "for (int z = 0; z <= -decpt; z++)"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(CSV_MUTATIONS))
+def test_csv_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch, tmp_path,
+                                               mutation):
+    mutate_kernel(monkeypatch, tmp_path, *CSV_MUTATIONS[mutation])
+    mutant, reason = _kernel.load()
+    assert mutant is not None, reason
+    monkeypatch.setattr(cli, "_cells", no_fallback)
+    assert repr_mismatches(tmp_path / "sweep.csv", guard_sweep())
+
+
+def test_csv_alone_falls_back_without_128_bit_integers(kernel, fresh_loader, monkeypatch,
+                                                        tmp_path):
+    # the kernel as a compiler without unsigned __int128 builds it
+    source = _kernel.SOURCE.read_text()
+    assert source.count("__SIZEOF_INT128__") >= 2
+    narrow = tmp_path / "_kernel.c"
+    narrow.write_text(source.replace("__SIZEOF_INT128__", "SEQIRSIM_NO_INT128"))
+    monkeypatch.setattr(_kernel, "SOURCE", narrow)
+    lib, reason = _kernel.load()
+    assert lib is not None, reason
+    config, gen, table = case_inputs("clamping", scheme="euler_maruyama", output_stride=7)
+    assert simulate(config, gen, table, POLICIES["linear"]).metadata["backend"] == "c"
+
+    slices = []
+    cells = cli._cells
+    monkeypatch.setattr(cli, "_cells", lambda col: slices.append(len(col)) or cells(col))
+    columns = [np.arange(300) * 0.1, np.arange(300) % 4, np.linspace(-1e-6, 1e17, 300)]
+    header = ["t", "regime", "x"]
+    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+    assert slices == [256] * 3 + [44] * 3
 
 
 def test_import_and_config_load_do_not_build_or_load(kernel, tmp_path, example1_config_path):

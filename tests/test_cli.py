@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: files, exit codes, determinism."""
 
+import functools
 import hashlib
+import itertools
 import json
 import math
+import shutil
 import warnings
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
+from seqirsim import _kernel, cli
 from seqirsim.cli import _fmt, _write_csv, main
 from seqirsim.integrate import derive_seed
 
@@ -607,8 +611,88 @@ def csv_bytes(tmp_path, header, columns):
     return path.read_bytes()
 
 
+def in_guard(values):
+    """The values that the writers print as ``repr`` prints them."""
+    values = np.asarray(values, dtype=np.float64)
+    mag = np.abs(values)
+    return values[(values == 0) | ((mag >= 1e-4) & (mag < 1e16))]
+
+
+@functools.cache
+def guard_sweep() -> np.ndarray:
+    """Over a million seeded random doubles inside the guard, both signs,
+    and edge lists where digit search and rounding are hardest."""
+    rng = np.random.default_rng(20240614)
+    n = 1_050_000
+    bits = (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+            | rng.integers(1023 - 14, 1023 + 54, n, dtype=np.uint64) << np.uint64(52)
+            | rng.integers(0, 1 << 52, n, dtype=np.uint64))
+    edges = [2.0 ** k for k in range(-14, 54)]  # powers of two: the gap below is half
+    edges += [float(f"{k}e{e}") for k in range(1, 1000) for e in range(-4, 16)]
+    edges = [y for x in edges for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+    for centre in (2.0 ** 53, 1.5 * 2.0 ** 53):  # float sums, then rounded integers
+        edges += [centre + i for i in range(-5000, 5001)]
+        edges += [float(int(centre) + i) for i in range(-5000, 5001)]
+    grid = np.arange(1, 100_001)  # a time column of step 1e-4, computed and parsed
+    edges += (grid * 1e-4).tolist() + [float(f"{i}e-4") for i in grid.tolist()]
+    edges += [1e-4, np.nextafter(1e16, 0.0), 0.0]
+    edges = np.array(edges)
+    return in_guard(np.concatenate([bits.view(np.float64), edges, -edges]))
+
+
+def repr_mismatches(path, values):
+    """``(repr, written)`` for each value whose line in a one-column CSV
+    written by ``_write_csv`` is not its ``repr``."""
+    _write_csv(path, ["x"], [values])
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[0] == "x" and lines[-1] == "" and len(lines) == len(values) + 2
+    return [(r, w) for r, w in zip(map(repr, values.tolist()), lines[1:-1]) if r != w]
+
+
+def no_fallback(col):
+    raise AssertionError("the kernel's CSV writer fell back to _cells")
+
+
+#: values that both writers hand to _fmt, spliced into the kernel's rows
+SPLICED = [np.nan, np.inf, -np.inf, 5e-324, 1e-5, -1e-5, np.nextafter(1e-4, 0.0), 1e16,
+           -1e16, 1e300]
+
+
+arbitrary_columns = given(
+    pool=hyp.lists(hyp.one_of(hyp.floats(allow_nan=True, allow_infinity=True,
+                                         allow_subnormal=True),
+                              hyp.sampled_from(SPECIAL_VALUES)),
+                   min_size=1, max_size=40),
+    ints=hyp.lists(hyp.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=10),
+    n_rows=hyp.sampled_from(ROW_COUNTS), seed=hyp.integers(0, 2 ** 32))
+
+
+def check_arbitrary_columns(tmp_path_factory, pool, ints, n_rows, seed):
+    # the rows draw from small pools, so every pool value is written
+    # in a few hundred rows and hypothesis still shrinks the pool
+    rng = np.random.default_rng(seed)
+    pool, ints = np.array(pool, dtype=np.float64), np.array(ints, dtype=np.int64)
+    columns = [pool[rng.integers(0, len(pool), n_rows)],
+               ints[rng.integers(0, len(ints), n_rows)],
+               pool[rng.integers(0, len(pool), n_rows)]]
+    header = ["a", "b", "c"]
+    tmp_path = tmp_path_factory.mktemp("csv")
+    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+
+
 class TestCsvWriter:
-    """``_write_csv`` writes exactly what one ``_fmt`` (or ``str``) call per value writes."""
+    """``_write_csv`` writes exactly what one ``_fmt`` (or ``str``) call per
+    value writes.  Here it writes through the compiled kernel, which must then
+    format every chunk itself; on a machine without gcc, in Python."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def backend(self):
+        with pytest.MonkeyPatch.context() as mp:
+            if shutil.which(_kernel.CC) is not None:
+                kernel, reason = _kernel.load()
+                assert kernel is not None, reason
+                mp.setattr(cli, "_cells", no_fallback)
+            yield
 
     @pytest.mark.parametrize("n_rows", ROW_COUNTS)
     def test_chunked_rows_match_the_per_value_loop(self, tmp_path, n_rows):
@@ -628,21 +712,51 @@ class TestCsvWriter:
         assert data.decode().split("\n")[1:-1] == [_fmt(x) for x in column]
 
     @settings(max_examples=200, deadline=None)
-    @given(pool=hyp.lists(hyp.one_of(hyp.floats(allow_nan=True, allow_infinity=True,
-                                                 allow_subnormal=True),
-                                     hyp.sampled_from(SPECIAL_VALUES)),
-                          min_size=1, max_size=40),
-           ints=hyp.lists(hyp.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=10),
-           n_rows=hyp.sampled_from(ROW_COUNTS), seed=hyp.integers(0, 2 ** 32))
+    @arbitrary_columns
     def test_arbitrary_columns_match_the_per_value_loop(self, tmp_path_factory, pool, ints,
                                                          n_rows, seed):
-        # the rows draw from small pools, so every pool value is written
-        # in a few hundred rows and hypothesis still shrinks the pool
-        rng = np.random.default_rng(seed)
-        pool, ints = np.array(pool, dtype=np.float64), np.array(ints, dtype=np.int64)
-        columns = [pool[rng.integers(0, len(pool), n_rows)],
-                   ints[rng.integers(0, len(ints), n_rows)],
-                   pool[rng.integers(0, len(pool), n_rows)]]
-        header = ["a", "b", "c"]
-        tmp_path = tmp_path_factory.mktemp("csv")
+        check_arbitrary_columns(tmp_path_factory, pool, ints, n_rows, seed)
+
+    @pytest.mark.parametrize("columns", [[np.zeros(3), np.zeros(2)], [np.zeros((3, 1))]])
+    def test_columns_of_unequal_length_are_refused(self, tmp_path, columns):
+        # the kernel reads every column up to the first one's length
+        with pytest.raises(ValueError, match="equal length"):
+            csv_bytes(tmp_path, ["x"] * len(columns), columns)
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_in_guard_values_are_written_as_repr_writes_them(self, tmp_path):
+        values = guard_sweep()
+        assert len(values) > 1_000_000
+        bad = repr_mismatches(tmp_path / "sweep.csv", values)
+        assert not bad, f"{len(bad)} mismatches, first {bad[:10]}"
+
+    def test_values_outside_the_guard_are_spliced_into_their_cells(self, tmp_path):
+        n_rows = 600
+        rng = np.random.default_rng(3)
+        columns = [rng.uniform(-1e3, 1e3, n_rows), rng.integers(-9, 9, n_rows),
+                   rng.lognormal(0.0, 3.0, n_rows), rng.integers(0, 5, n_rows),
+                   rng.uniform(0.0, 1.0, n_rows)]
+        # first, middle and last column; first row, both sides of the first
+        # chunk boundary and the last row: 12 cells, so each value is placed
+        cells = itertools.product((0, 255, 256, n_rows - 1), (0, 2, 4))
+        for value, (row, col) in zip(itertools.cycle(SPLICED), cells):
+            columns[col][row] = value
+        header = ["a", "b", "c", "d", "e"]
         assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+
+
+class TestCsvWriterWithoutKernel(TestCsvWriter):
+    """The same tests of the Python writer, with the kernel unavailable."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def backend(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
+            yield
+
+    # hypothesis runs one test function under one class only
+    @settings(max_examples=200, deadline=None)
+    @arbitrary_columns
+    def test_arbitrary_columns_match_the_per_value_loop(self, tmp_path_factory, pool, ints,
+                                                         n_rows, seed):
+        check_arbitrary_columns(tmp_path_factory, pool, ints, n_rows, seed)
