@@ -31,9 +31,9 @@ from .integrate import (
     SimulationConfig,
     Trajectory,
     derive_seed,
+    iter_ensemble,
     simulate,
     simulate_deterministic,
-    simulate_ensemble,
 )
 from .thresholds import (
     ConditionReport,
@@ -63,8 +63,8 @@ __all__ = [
     "transition_matrix", "validate_generator",
     "EpidemicState", "PolicyFunction", "RegimeParameters", "RegimeParameterTable",
     "diffusion", "drift", "invariant_set_bounds", "w1", "w2",
-    "SimulationConfig", "Trajectory", "derive_seed", "simulate", "simulate_deterministic",
-    "simulate_ensemble",
+    "SimulationConfig", "Trajectory", "derive_seed", "iter_ensemble", "simulate",
+    "simulate_deterministic",
     "ConditionReport", "ThresholdReport", "check_conditions", "compute_lambda",
     "compute_rs_star", "compute_rtilde_star", "extinction_rate_bound",
     "persistence_bounds", "threshold_report",

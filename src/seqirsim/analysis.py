@@ -25,6 +25,8 @@ from .thresholds import ThresholdReport
 EXTINCTION_THRESHOLD = 1e-3
 #: default fraction of the horizon inspected by extinction detection
 EXTINCTION_TAIL = 0.1
+#: fraction of the horizon an ensemble summary averages over
+SUMMARY_TAIL = 0.5
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,13 @@ def _window_slice(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return mask
 
 
-def tail_window(times: np.ndarray, tail_fraction: float = 0.5) -> tuple[float, float]:
-    """The window [T*(1 - tail_fraction), T] of a recorded grid ending at T.
+def tail_window(times: np.ndarray) -> tuple[float, float]:
+    """The window [T*(1 - SUMMARY_TAIL), T] of a recorded grid ending at T.
 
     Raises :class:`EmptyWindow` unless it holds at least two samples.
     """
     horizon = float(times[-1])
-    window = (horizon * (1.0 - tail_fraction), horizon)
+    window = (horizon * (1.0 - SUMMARY_TAIL), horizon)
     _window_slice(times, window)
     return window
 
@@ -133,13 +135,13 @@ class MemberStatistics:
     occupancy: np.ndarray
 
 
-def member_statistics(traj: Trajectory, window: tuple[float, float], n_states: int,
-                      extinction_threshold: float = EXTINCTION_THRESHOLD) -> MemberStatistics:
+def member_statistics(traj: Trajectory, window: tuple[float, float],
+                      n_states: int) -> MemberStatistics:
     """Reduce one member to the values :func:`aggregate_ensemble` reads, so
     that its states can be dropped before the next member is reduced."""
     return MemberStatistics(
         tail_averages={name: time_average(traj, name, window) for name in Trajectory.COLUMNS},
-        extinct=detect_extinction(traj, extinction_threshold),
+        extinct=detect_extinction(traj),
         occupancy=occupancy_from_samples(traj, n_states),
     )
 
@@ -177,12 +179,10 @@ def aggregate_ensemble(members: Sequence[MemberStatistics], window: tuple[float,
 
 def summarize_ensemble(trajectories: Sequence[Trajectory],
                        pi: StationaryDistribution,
-                       report: Optional[ThresholdReport] = None,
-                       tail_fraction: float = 0.5,
-                       extinction_threshold: float = EXTINCTION_THRESHOLD) -> EnsembleSummary:
+                       report: Optional[ThresholdReport] = None) -> EnsembleSummary:
     """Aggregate per-trajectory tail statistics over an ensemble.
 
-    The tail window is [T*(1 - tail_fraction), T].  Extinction detection uses
+    The tail window is :func:`tail_window` of the grid.  Extinction detection uses
     the module defaults (threshold on the final ``EXTINCTION_TAIL`` of the
     run).  Raises :class:`InconsistentConfigs` when trajectories disagree on
     grid or horizon.  This is :func:`member_statistics` of each trajectory
@@ -196,8 +196,7 @@ def summarize_ensemble(trajectories: Sequence[Trajectory],
         if len(traj) != len(ref) or traj.horizon != ref.horizon:
             raise InconsistentConfigs("trajectories have mismatched grids or horizons")
 
-    window = tail_window(ref.times, tail_fraction)
+    window = tail_window(ref.times)
     n_states = len(pi.probabilities)
-    members = [member_statistics(traj, window, n_states, extinction_threshold)
-               for traj in trajectories]
+    members = [member_statistics(traj, window, n_states) for traj in trajectories]
     return aggregate_ensemble(members, window, pi, report)

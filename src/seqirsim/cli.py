@@ -34,8 +34,7 @@ import numpy as np
 from . import analysis, chain, thresholds
 from .config import RunConfig, load_config
 from .errors import ConfigError, EmptyWindow, MathDomainError
-from .integrate import (Trajectory, derive_seed, iter_ensemble, simulate, simulate_deterministic,
-                        simulate_ensemble)
+from .integrate import Trajectory, derive_seed, iter_ensemble, simulate, simulate_deterministic
 from .model import RegimeParameterTable
 
 EXIT_OK = 0
@@ -269,8 +268,8 @@ def cmd_compare_det(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
     frozen_table = RegimeParameterTable(rows=(params,))
     frozen_sim = replace(cfg.simulation, initial_regime=1)
 
-    trajectories = simulate_ensemble(frozen_sim, frozen_gen, frozen_table,
-                                     cfg.policy, cfg.ensemble_n, cfg.ensemble_base_seed)
+    trajectories = list(iter_ensemble(frozen_sim, frozen_gen, frozen_table,
+                                      cfg.policy, cfg.ensemble_n, cfg.ensemble_base_seed))
     mean_states = np.mean([t.states for t in trajectories], axis=0)
     det = simulate_deterministic(cfg.simulation.initial_state, params, params.M,
                                  cfg.simulation.dt, cfg.simulation.horizon,

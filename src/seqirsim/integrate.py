@@ -21,18 +21,19 @@ stochastic run is one kernel call that draws its normals from the run's
 generator in C.  Both backends give the same bytes and leave the generator
 in the same state, and ``Trajectory.metadata["backend"]`` says which ran.
 
-Ensembles: the kernel call releases the GIL, so :func:`iter_ensemble` steps
-members on a thread pool with one worker per usable CPU.  Each member is set
-up (path sampling, record arrays) in the calling thread in index order, only
-its kernel call runs in a worker, and members are returned in index order,
-so no output depends on the worker count.
+Ensembles: :func:`iter_ensemble` steps members on a thread pool, on both
+backends.  The kernel call releases the GIL, so compiled members step on one
+worker per usable CPU; the Python runner holds it, so its members step on
+one worker.  Each member is set up (path sampling, record arrays) in the
+calling thread in index order, only its stepping runs in a worker, and
+members are returned in index order, so no output depends on the worker
+count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -142,8 +143,8 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
 class Trajectory:
     """Recorded samples of one run: times, 1-based regimes, (m, 5) states.
 
-    ``metadata`` echoes the configuration and carries the clamp-event count,
-    the wall time and the stepping backend ("c" or "python", with a one-line
+    ``metadata`` echoes the configuration and carries the clamp-event count
+    and the stepping backend ("c" or "python", with a one-line
     ``backend_reason`` for "python").  Column order is S, E, Q, I, R.
     """
 
@@ -357,32 +358,27 @@ def simulate(config: SimulationConfig, generator: Generator,
     Raises :class:`NegativeState` (error policy) or :class:`NonFiniteState`
     when a stepped state fails.
     """
-    t_start = time.perf_counter()
     run = _setup(config, generator, table, h)
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, reason = _kernel.load()
     _advance(run, kernel)
-    return _trajectory(run, kernel, reason, time.perf_counter() - t_start)
+    return _trajectory(run, kernel, reason)
 
 
-def _advance(run: _Run, kernel) -> float:
-    """Step ``run`` on ``kernel``, or in Python when it is None; returns the
-    seconds that took."""
-    t_start = time.perf_counter()
+def _advance(run: _Run, kernel) -> None:
+    """Step ``run`` on ``kernel``, or in Python when it is None."""
     if kernel is None:
         _run_py(run)
     else:
         _run_c(run, kernel)
-    return time.perf_counter() - t_start
 
 
-def _trajectory(run: _Run, kernel, reason, wall_time_s: float) -> Trajectory:
+def _trajectory(run: _Run, kernel, reason) -> Trajectory:
     """The :class:`Trajectory` of a stepped ``run``, with its metadata."""
     metadata = {
         "config": run.config,
         "clamp_events": run.clamps,
         "backend": "python" if kernel is None else "c",
-        "wall_time_s": wall_time_s,
     }
     if reason is not None:
         metadata["backend_reason"] = reason
@@ -406,13 +402,12 @@ def iter_ensemble(config: SimulationConfig, generator: Generator,
     """Yield n independent trajectories in index order, with derived seeds.
 
     Member i is the :func:`simulate` run with seed ``derive_seed(base_seed,
-    i)``, byte for byte, whatever the worker count.  With the kernel loaded
-    and more than one usable CPU, members step on a thread pool: the calling
+    i)``, byte for byte, whatever the worker count and backend.  The calling
     thread sets up each member in index order (path sampling, with its
-    warnings, and the record arrays), hands its kernel call to a worker,
-    keeps at most two members per worker in flight, and yields each member
-    when it and every member before it are done.  Otherwise each member is
-    a :func:`simulate` call in the calling thread.
+    warnings, and the record arrays) and hands its stepping to a pool of
+    :func:`_workers` threads, or of one thread on the Python backend, keeps
+    at most two members per worker in flight, and yields each member when it
+    and every member before it are done.
 
     The first failing member by index raises, as in a serial run; members
     after it are not yielded.
@@ -420,24 +415,20 @@ def iter_ensemble(config: SimulationConfig, generator: Generator,
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
     from . import _kernel  # imported on first use: start-up does not pay for it
-    kernel, reason = _kernel.load()
-    workers = 1 if kernel is None else _workers(n)
-    if workers == 1:
-        for i in range(n):
-            yield simulate(replace(config, seed=derive_seed(base_seed, i)), generator, table, h)
-        return
-
     from concurrent.futures import ThreadPoolExecutor  # only ensembles pay its import
+    kernel, reason = _kernel.load()
+    # Python stepping holds the GIL: a second worker would only contend for it
+    workers = 1 if kernel is None else _workers(n)
     pool = ThreadPoolExecutor(workers)
-    pending = deque()  # (run, setup seconds, future of the stepping seconds), by index
+    pending = deque()  # (run, future of its stepping), by index
 
     def done():
-        run, setup_s, future = pending.popleft()
-        return _trajectory(run, kernel, reason, setup_s + future.result())
+        run, future = pending.popleft()
+        future.result()
+        return _trajectory(run, kernel, reason)
 
     try:
         for i in range(n):
-            t_start = time.perf_counter()
             try:
                 run = _setup(replace(config, seed=derive_seed(base_seed, i)),
                              generator, table, h)
@@ -446,26 +437,13 @@ def iter_ensemble(config: SimulationConfig, generator: Generator,
                 while pending:
                     yield done()
                 raise
-            pending.append((run, time.perf_counter() - t_start,
-                            pool.submit(_advance, run, kernel)))
+            pending.append((run, pool.submit(_advance, run, kernel)))
             if len(pending) == 2 * workers:
                 yield done()
         while pending:
             yield done()
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def simulate_ensemble(config: SimulationConfig, generator: Generator,
-                      table: RegimeParameterTable, h: PolicyFunction,
-                      n: int, base_seed: int) -> list[Trajectory]:
-    """The n members of :func:`iter_ensemble` as a list, in index order.
-
-    Member i is the :func:`simulate` run with seed ``derive_seed(base_seed,
-    i)``; the members are independent, each is bit-reproducible on its own,
-    and none depends on how many CPUs stepped them.
-    """
-    return list(iter_ensemble(config, generator, table, h, n, base_seed))
 
 
 def _rk4_py(k: tuple, dt: float, steps: np.ndarray, states: np.ndarray) -> None:
@@ -517,7 +495,6 @@ def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
     returned as computed.
     """
     _check_grid(dt, horizon, output_stride)
-    t_start = time.perf_counter()
     k = regime_constants(replace(params, M=M_const))
     steps = _record_steps(round(horizon / dt), output_stride)
     states = np.empty((len(steps), 5))
@@ -535,7 +512,6 @@ def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
                    "scheme": "rk4", "output_stride": output_stride},
         "clamp_events": 0,
         "backend": "python" if kernel is None else "c",
-        "wall_time_s": time.perf_counter() - t_start,
     }
     if reason is not None:
         metadata["backend_reason"] = reason

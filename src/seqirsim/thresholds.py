@@ -30,8 +30,6 @@ from .chain import Generator, StationaryDistribution, stationary_distribution
 from .errors import DegeneratePsi2, MathDomainError, NotPersistent
 from .model import RegimeParameterTable, w1, w2
 
-VERDICTS = ("extinction_certified", "persistence_certified", "indeterminate")
-
 
 @dataclass(frozen=True)
 class ConditionReport:

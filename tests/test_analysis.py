@@ -15,8 +15,8 @@ from seqirsim import (
     exponential_rate_estimate,
     extinction_rate_bound,
     invariant_set_bounds,
+    iter_ensemble,
     simulate,
-    simulate_ensemble,
     stationary_distribution,
     summarize_ensemble,
     threshold_report,
@@ -150,7 +150,7 @@ class TestRateEstimateOnBenchmarkRuns:
         cfg = SimulationConfig(dt=1e-3, horizon=200.0,
                                initial_state=EpidemicState(20, 20, 15, 10, 0),
                                initial_regime=3, output_stride=100)
-        runs = simulate_ensemble(cfg, gen4, ex1_table, LINEAR, 10, 42)
+        runs = list(iter_ensemble(cfg, gen4, ex1_table, LINEAR, 10, 42))
         slopes = [exponential_rate_estimate(traj, "E", (100.0, 200.0)) for traj in runs]
         assert max(slopes) <= bound + MARGIN, (bound, slopes)
 
@@ -179,7 +179,7 @@ def persistent_setup():
     cfg = SimulationConfig(dt=1e-3, horizon=200.0,
                            initial_state=EpidemicState(1.0, 0.3, 0.05, 0.05, 0.1),
                            initial_regime=1, seed=0, output_stride=100)
-    trajectories = simulate_ensemble(cfg, gen, table, LINEAR, n=5, base_seed=11)
+    trajectories = list(iter_ensemble(cfg, gen, table, LINEAR, n=5, base_seed=11))
     return gen, table, cfg, trajectories
 
 
@@ -193,7 +193,7 @@ class TestSummarizeEnsemble:
                                initial_regime=1, seed=1, output_stride=10)
         traj = simulate(cfg, gen1, table, LINEAR)
         pi = stationary_distribution(gen1)
-        summary = summarize_ensemble([traj], pi, tail_fraction=0.5)
+        summary = summarize_ensemble([traj], pi)
         assert summary.n_trajectories == 1
         window = (25.0, 50.0)
         for name in Trajectory.COLUMNS:
@@ -205,7 +205,7 @@ class TestSummarizeEnsemble:
         gen, table, cfg, trajectories = persistent_setup
         pi = stationary_distribution(gen)
         report = threshold_report(table, gen)
-        summary = summarize_ensemble(trajectories, pi, report, tail_fraction=0.5)
+        summary = summarize_ensemble(trajectories, pi, report)
         assert summary.extinction_fraction == 0.0
         assert summary.tail_means["E"] > 0.0
         assert summary.verdict == "persistence_certified"

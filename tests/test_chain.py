@@ -13,10 +13,10 @@ from seqirsim import (
     PolicyFunction,
     RegimePath,
     SimulationConfig,
+    iter_ensemble,
     occupancy,
     sample_path_discretized,
     sample_path_exact,
-    simulate_ensemble,
     stationary_distribution,
     transition_matrix,
     validate_generator,
@@ -263,7 +263,7 @@ class TestGridLawCache:
         g = validate_generator(GENERATOR_4)  # a generator with no cached law yet
         config = SimulationConfig(dt=1e-3, horizon=2.0, chain_mode="discretized",
                                   initial_state=EpidemicState(20, 20, 15, 10, 0))
-        simulate_ensemble(config, g, ex1_table, PolicyFunction.linear(), 4, 9)
+        list(iter_ensemble(config, g, ex1_table, PolicyFunction.linear(), 4, 9))
         assert calls == [1e-3]
 
     def test_cached_paths_equal_fresh_ones(self):

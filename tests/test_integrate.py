@@ -1,5 +1,6 @@
 """Stepping schemes, the SDE driver loop, RK4, seeds and reproducibility."""
 
+import concurrent.futures
 import math
 from contextlib import contextmanager
 from dataclasses import astuple, replace
@@ -17,9 +18,9 @@ from seqirsim import (
     RegimeParameters,
     derive_seed,
     diffusion,
+    iter_ensemble,
     simulate,
     simulate_deterministic,
-    simulate_ensemble,
     validate_generator,
 )
 from seqirsim import integrate
@@ -529,28 +530,37 @@ class TestSchemeConsistency:
 class TestEnsemble:
     def test_member_matches_standalone_run(self, gen4, ex1_table):
         cfg = base_config(horizon=2.0)
-        members = simulate_ensemble(cfg, gen4, ex1_table, LINEAR, n=1, base_seed=99)
+        members = list(iter_ensemble(cfg, gen4, ex1_table, LINEAR, n=1, base_seed=99))
         standalone = simulate(replace(cfg, seed=derive_seed(99, 0)), gen4, ex1_table, LINEAR)
         np.testing.assert_array_equal(members[0].states, standalone.states)
         np.testing.assert_array_equal(members[0].regimes, standalone.regimes)
 
     def test_members_are_independent_streams(self, gen4, ex1_table):
         cfg = base_config(horizon=2.0)
-        members = simulate_ensemble(cfg, gen4, ex1_table, LINEAR, n=3, base_seed=5)
+        members = list(iter_ensemble(cfg, gen4, ex1_table, LINEAR, n=3, base_seed=5))
         assert not np.array_equal(members[0].states, members[1].states)
         assert not np.array_equal(members[1].states, members[2].states)
 
     def test_size_validated(self, gen4, ex1_table):
         with pytest.raises(ValueError):
-            simulate_ensemble(base_config(), gen4, ex1_table, LINEAR, n=0, base_seed=1)
+            list(iter_ensemble(base_config(), gen4, ex1_table, LINEAR, n=0, base_seed=1))
 
     @staticmethod
     def members_at(monkeypatch, cpus, *args):
-        """simulate_ensemble at ``cpus`` usable CPUs, and the stepping threads."""
+        """The members of iter_ensemble at ``cpus`` usable CPUs, the stepping
+        threads, and the worker count of each pool it made."""
+        executor = concurrent.futures.ThreadPoolExecutor
+        pools = []
+
+        def pool(workers):
+            pools.append(workers)
+            return executor(workers)
+
         with monkeypatch.context() as m:
             use_cpus(m, cpus)
             threads = stepping_threads(m)
-            return simulate_ensemble(*args), threads
+            m.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+            return list(iter_ensemble(*args)), threads, pools
 
     @staticmethod
     def outcome(traj):
@@ -559,26 +569,32 @@ class TestEnsemble:
                 traj.metadata["config"])
 
     def test_members_do_not_depend_on_the_worker_count(self, gen4, ex1_table, monkeypatch):
-        # n = 7 passes the limit of two members in flight per worker at 2 and 3 CPUs
-        args = (base_config(horizon=2.0, output_stride=7), gen4, ex1_table, LINEAR, 7, 5)
-        serial, threads = self.members_at(monkeypatch, 1, *args)
-        assert threads == ["MainThread"] * 7
-        for cpus in (2, 3):
-            pooled, threads = self.members_at(monkeypatch, cpus, *args)
-            assert [self.outcome(t) for t in pooled] == [self.outcome(t) for t in serial]
-            # the kernel calls ran on the pool, never in the calling thread
+        # n = 7 passes the limit of two members in flight per worker at 1, 2 and 3 CPUs
+        config = base_config(horizon=2.0, output_stride=7)
+        standalone = [self.outcome(simulate(replace(config, seed=derive_seed(5, i)), gen4,
+                                            ex1_table, LINEAR)) for i in range(7)]
+        for cpus in (1, 2, 3):
+            members, threads, pools = self.members_at(monkeypatch, cpus, config, gen4,
+                                                      ex1_table, LINEAR, 7, 5)
+            assert [self.outcome(t) for t in members] == standalone
+            # every member stepped on the pool, never in the calling thread
             assert len(threads) == 7 and "MainThread" not in threads
+            assert pools == [cpus]
 
-    def test_python_runner_steps_in_the_calling_thread(self, gen4, ex1_table, monkeypatch):
+    def test_python_runner_steps_on_the_pool(self, gen4, ex1_table, monkeypatch):
         from seqirsim import _kernel
 
         args = (base_config(horizon=0.5), gen4, ex1_table, LINEAR, 3, 5)
-        compiled, _ = self.members_at(monkeypatch, 2, *args)
+        compiled, _, _ = self.members_at(monkeypatch, 2, *args)
         monkeypatch.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
-        python, threads = self.members_at(monkeypatch, 2, *args)
-        assert threads == ["MainThread"] * 3
-        assert [t.metadata["backend"] for t in python] == ["python"] * 3
-        assert [t.states.tobytes() for t in python] == [t.states.tobytes() for t in compiled]
+        for cpus in (1, 2):
+            python, threads, pools = self.members_at(monkeypatch, cpus, *args)
+            assert len(threads) == 3 and "MainThread" not in threads
+            # Python stepping holds the GIL, so its pool has one worker
+            assert pools == [1]
+            assert [t.metadata["backend"] for t in python] == ["python"] * 3
+            assert [t.states.tobytes() for t in python] == [t.states.tobytes()
+                                                            for t in compiled]
 
     def test_a_failing_setup_comes_after_the_members_before_it(self, gen4, ex1_table,
                                                                monkeypatch):
@@ -600,6 +616,42 @@ class TestEnsemble:
             for traj in members:
                 seeds.append(traj.metadata["config"].seed)
         assert seeds == [derive_seed(5, i) for i in range(3)]
+
+
+class TestMetadata:
+    """The keys of ``Trajectory.metadata``.  The benchmark tracer reads
+    ``clamp_events`` and, of RK4 runs, ``config["dt"]`` and
+    ``config["horizon"]``."""
+
+    @staticmethod
+    def keys(traj):
+        """The keys of ``traj``: a reason is given exactly for the Python backend."""
+        reason = {"backend_reason"} if traj.metadata["backend"] == "python" else set()
+        return {"config", "clamp_events", "backend"} | reason
+
+    @pytest.mark.parametrize("disabled", [False, True], ids=["as-loaded", "python"])
+    def test_keys_of_every_kind_of_run(self, gen4, ex1_table, monkeypatch, disabled):
+        from seqirsim import _kernel
+
+        if disabled:
+            monkeypatch.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
+        config = base_config(horizon=0.5)
+        runs = [simulate(config, gen4, ex1_table, LINEAR),
+                *iter_ensemble(config, gen4, ex1_table, LINEAR, 3, 5)]
+        for traj in runs:
+            assert set(traj.metadata) == self.keys(traj)
+            assert traj.metadata["backend"] in ("c", "python")
+            assert isinstance(traj.metadata["config"], integrate.SimulationConfig)
+            assert isinstance(traj.metadata["clamp_events"], int)
+        params = params_from(EX1_PARAMS, 1)
+        det = simulate_deterministic(EpidemicState(20, 20, 15, 10, 0), params, params.M,
+                                     0.01, 0.5, output_stride=5)
+        assert set(det.metadata) == self.keys(det)
+        assert det.metadata["config"] == {"dt": 0.01, "horizon": 0.5, "M_const": params.M,
+                                          "scheme": "rk4", "output_stride": 5}
+        assert det.metadata["clamp_events"] == 0
+        if disabled:
+            assert {t.metadata["backend"] for t in [*runs, det]} == {"python"}
 
 
 class TestDeterministicIntegrator:
