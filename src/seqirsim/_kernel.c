@@ -1,6 +1,7 @@
 /* Compiled kernel for seqirsim: the step loop of integrate.simulate, the
  * RK4 loop of integrate.simulate_deterministic, the sojourn walk of the
- * chain samplers and the row formatter of cli._write_csv.
+ * chain samplers, the occupancy sum of chain.occupancy and the row
+ * formatter of cli._write_csv.
  *
  * drift is model.vector_field, the one C copy of it; both step loops call it.
  * seqir_run steps a whole stochastic run in one call: the regime in force at
@@ -19,6 +20,9 @@
  * distribution routines (linked from numpy/random/lib/libnpyrandom.a) on the
  * live bit generator of an np.random.Generator, so they consume the same
  * variates in the same stream order as the Python loops.
+ *
+ * seqir_occupancy adds each segment's duration into its state's slot in
+ * index order, as np.bincount adds its weights, so the sums are the same.
  *
  * seqir_csv writes CSV rows with the text that repr gives each float inside
  * cli._write_csv's guard (x == 0 or 1e-4 <= |x| < 1e16): the shortest digits
@@ -194,15 +198,18 @@ int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
  * hold of scale param[cur] (geometric = 0; the clock is the double *clock)
  * or a geometric number of steps with success probability param[cur]
  * (geometric = 1; the clock is the int64 carry[1] and t = clock * unit).
- * The walk ends, setting carry[2], before drawing in a state whose param is
- * <= 0, or at the first jump time at or past horizon.  Otherwise a uniform u
+ * The walk ends, setting carry[2] = 1, before drawing in a state whose param
+ * is <= 0, or at the first jump time at or past horizon.  It stops with
+ * carry[2] = 2 at a jump time no later than the one before, a hold too short
+ * to move a large clock, which chain._walk refuses too.  Otherwise a uniform u
  * picks the landing state: the count of entries <= u in row cur of cdfs
  * (n_states - 1 per row), which is searchsorted(row, u, side="right").
  * Each jump stores its time and 1-based regime; when cap jumps are stored
  * the walk returns with carry[0] = cur and the clock, to be called again.
  * A grid clock that would pass INT64_MAX ends the walk: the caller only uses
  * this kernel when horizon <= 2**63 * unit, so such a jump time is past it.
- * Returns the number of jumps stored. */
+ * Returns the number of jumps stored; the caller grows the arrays when that
+ * is cap and the walk has not ended, and calls again past them. */
 int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
                    const double *cdfs, int64_t n_states, double unit,
                    double horizon, double *clock, int64_t *carry,
@@ -212,7 +219,7 @@ int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
     double dclock = *clock;
 
     while (n < cap) {
-        double t;
+        double t, before = geometric ? (double)steps * unit : dclock * unit;
         if (!(param[cur] > 0.0)) {
             carry[2] = 1;
             break;
@@ -233,6 +240,10 @@ int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
             carry[2] = 1;
             break;
         }
+        if (!(t > before)) {
+            carry[2] = 2;
+            break;
+        }
         double u = random_standard_uniform(bitgen);
         const double *row = cdfs + cur * (n_states - 1);
         int64_t k = 0;
@@ -248,6 +259,26 @@ int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
     carry[0] = cur;
     carry[1] = steps;
     return n;
+}
+
+
+/* chain.occupancy before the division by horizon: the path of n segments
+ * starting at times[j] in the 1-based regimes[j], the last ending at
+ * horizon.  For each j in order, occ (n_states entries, zeroed by the
+ * caller) gets times[j + 1] - times[j], or horizon - times[n - 1] for the
+ * last, added into slot regimes[j] - 1, as RegimePath.segment_durations
+ * subtracts and np.bincount(regimes, weights) adds.  Returns 1, with occ
+ * partly summed, at a regime outside 1..n_states; else 0. */
+int seqir_occupancy(const double *times, const int64_t *regimes, int64_t n,
+                    double horizon, int64_t n_states, double *occ)
+{
+    for (int64_t j = 0; j < n; j++) {
+        const int64_t r = regimes[j];
+        if (r < 1 || r > n_states)
+            return 1;
+        occ[r - 1] += (j + 1 < n ? times[j + 1] : horizon) - times[j];
+    }
+    return 0;
 }
 
 

@@ -10,8 +10,18 @@ Both samplers run one sojourn walk.  It runs in the compiled kernel
 (``_kernel.c``), which draws through numpy's own distribution routines on the
 Generator's bit generator, so it consumes the same variates in the same
 stream order as the Python reference :func:`_walk`; the reference runs when
-the kernel cannot be loaded.  The grid sampler computes its transition
-matrix once per generator and dt, so an ensemble's members share it.
+the kernel cannot be loaded.  The kernel walk writes into one pair of arrays
+that grows in place, so a path is not copied on its way out.  The grid
+sampler computes its transition matrix once per generator and dt, so an
+ensemble's members share it.
+
+A path that a user builds with ``RegimePath(...)`` is checked; a sampled path
+is trusted and built without the checks, since both walks build it valid:
+times strictly increasing from 0, each jump to a different state in range.
+A walk raises ``ValueError`` rather than return a jump time no later than
+the one before it.
+:func:`occupancy` sums a path's segments in the kernel too, in the order of
+the ``np.bincount`` it falls back to, so both give the same bytes.
 
 States are 1-based everywhere in the public interface.  All types are frozen
 and safe to share across threads; samplers take an explicit seed or Generator
@@ -43,8 +53,10 @@ STEP_HARD_LIMIT = 1.0
 #: dt * max exit rate above which the grid sampler warns.
 STEP_WARN_LIMIT = 0.1
 
-#: the most jumps stored per call of the kernel walk; a longer path resumes the walk
-_WALK_BUFFER = 65536
+#: the entries the kernel walk's arrays hold at first; they double whenever full
+_WALK_CAPACITY = 1024
+#: why a walk stops at a jump time no later than the one before it
+_STALLED = "a hold too short for the clock: jump times must be strictly increasing"
 
 
 @dataclass(frozen=True)
@@ -102,6 +114,17 @@ class RegimePath:
             raise ValueError("consecutive regimes must differ")
         if np.any((self.regimes < 1) | (self.regimes > self.n_states)):
             raise ValueError(f"regimes must lie in 1..{self.n_states}")
+
+    @classmethod
+    def _sampled(cls, jump_times: np.ndarray, regimes: np.ndarray, horizon: float,
+                 n_states: int) -> RegimePath:
+        """A path from a sampler, built without :meth:`__post_init__`'s checks:
+        the walks make every path valid, so only user-built paths pay them."""
+        path = object.__new__(cls)
+        for name, value in (("jump_times", jump_times), ("regimes", regimes),
+                            ("horizon", horizon), ("n_states", n_states)):
+            object.__setattr__(path, name, value)
+        return path
 
     @property
     def n_jumps(self) -> int:
@@ -247,7 +270,7 @@ def sample_path_exact(g: Generator, r0: int, horizon: float, rng_seed) -> Regime
     _check_initial(g, r0, horizon)
     rng = np.random.default_rng(rng_seed)
     if g.n_states == 1:
-        return RegimePath(np.array([0.0]), np.array([1]), horizon, 1)
+        return RegimePath._sampled(np.array([0.0]), np.array([1]), horizon, 1)
     # irreducibility (validate_generator) gives every state a positive exit rate
     return _sample(_jump_cdfs(g.rates), r0, horizon, 1.0, False, 1.0 / g.exit_rates, rng)
 
@@ -282,7 +305,7 @@ def sample_path_discretized(
     rng = np.random.default_rng(rng_seed)
     n = g.n_states
     if n == 1 or horizon <= dt:
-        return RegimePath(np.array([0.0]), np.array([r0]), horizon, n)
+        return RegimePath._sampled(np.array([0.0]), np.array([r0]), horizon, n)
     cdfs, leave = _grid_law(g, dt)
     return _sample(cdfs, r0, horizon, dt, True, leave, rng)
 
@@ -315,30 +338,39 @@ def _sample(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: b
 def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
             geometric: bool, param: np.ndarray, rng: np.random.Generator) -> RegimePath:
     """:func:`_walk` in the compiled ``kernel``, drawing from ``rng``'s own
-    bit generator under its lock.  The first call stores up to 1024 jumps,
-    and each further call four times as many, up to ``_WALK_BUFFER``, so a
-    short path allocates little."""
+    bit generator under its lock.  The walk writes into one pair of arrays
+    of ``_WALK_CAPACITY`` entries; whenever they are full they double in
+    place (``ndarray.resize``, a realloc) and the walk resumes.  At the end
+    they are cut to the path's length, so the path owns exactly its entries."""
     cdfs = np.ascontiguousarray(cdfs, dtype=np.float64)
     param = np.ascontiguousarray(param, dtype=np.float64)
     n = len(param)
     if param.shape != (n,) or cdfs.shape != (n, n - 1) or not 1 <= r0 <= n:
         raise ValueError(f"walk inputs do not fit {n} states starting in {r0}")
     clock = np.zeros(1)  # the exact clock
-    carry = np.array([r0 - 1, 0, 0], dtype=np.int64)  # state, grid clock, ended
-    times, regimes = [np.zeros(1)], [np.array([r0], dtype=np.int64)]
-    size = min(1024, _WALK_BUFFER)
+    carry = np.array([r0 - 1, 0, 0], dtype=np.int64)  # state, grid clock, ended (2: stalled)
+    times = np.empty(_WALK_CAPACITY)
+    regimes = np.empty(_WALK_CAPACITY, dtype=np.int64)
+    times[0], regimes[0] = 0.0, r0
+    stored = 1
     bitgen = rng.bit_generator
     with bitgen.lock:
-        while not carry[2]:
-            buf_t, buf_r = np.empty(size), np.empty(size, dtype=np.int64)
-            stored = kernel.seqir_walk(bitgen.ctypes.bit_generator, geometric,
-                                       param.ctypes.data, cdfs.ctypes.data, n, unit, horizon,
-                                       clock.ctypes.data, carry.ctypes.data,
-                                       buf_t.ctypes.data, buf_r.ctypes.data, size)
-            times.append(buf_t[:stored])
-            regimes.append(buf_r[:stored])
-            size = min(4 * size, _WALK_BUFFER)
-    return RegimePath(np.concatenate(times), np.concatenate(regimes), horizon, n)
+        while True:
+            # both arrays hold 8-byte entries: the walk goes on at entry `stored`
+            stored += kernel.seqir_walk(bitgen.ctypes.bit_generator, geometric,
+                                        param.ctypes.data, cdfs.ctypes.data, n, unit, horizon,
+                                        clock.ctypes.data, carry.ctypes.data,
+                                        times.ctypes.data + 8 * stored,
+                                        regimes.ctypes.data + 8 * stored, len(times) - stored)
+            if carry[2] == 2:
+                raise ValueError(_STALLED)
+            if carry[2]:
+                break
+            times.resize(2 * len(times))
+            regimes.resize(2 * len(regimes))
+    times.resize(stored)
+    regimes.resize(stored)
+    return RegimePath._sampled(times, regimes, horizon, n)
 
 
 def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: bool,
@@ -352,7 +384,9 @@ def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: boo
     laws ``cdfs`` (see :func:`_jump_cdfs`).  The walk stops at the first jump
     time at or past ``horizon``, or, before drawing, in a state whose param
     is <= 0.  The clock starts as the int 0, so integer holds keep it an
-    exact step count.
+    exact step count.  A jump time no later than the one before it, a hold
+    lost in the rounding of a large float clock, raises ``ValueError``, so
+    every path the walk returns has strictly increasing times.
     """
     hold = rng.geometric if geometric else rng.exponential
     param = param.tolist()  # a list indexes faster per jump than the array
@@ -365,16 +399,33 @@ def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: boo
         t = clock * unit
         if t >= horizon:
             break
+        if t <= times[-1]:
+            raise ValueError(_STALLED)
         cur = int(np.searchsorted(cdfs[cur], rng.random(), side="right"))
         times.append(t)
         regimes.append(cur + 1)
-    return RegimePath(np.array(times), np.array(regimes), horizon, len(param))
+    return RegimePath._sampled(np.array(times), np.array(regimes), horizon, len(param))
 
 
 def occupancy(path: RegimePath) -> np.ndarray:
-    """Fraction of [0, horizon] spent in each state; sums to 1."""
-    durations = path.segment_durations()
-    occ = np.bincount(path.regimes, weights=durations, minlength=path.n_states + 1)[1:]
+    """Fraction of [0, horizon] spent in each state; sums to 1.
+
+    Each segment's duration is added into its state's slot in index order:
+    by the kernel's ``seqir_occupancy`` when it loads, else by
+    ``np.bincount``, which adds its weights in the same order, so both give
+    the same bytes."""
+    from . import _kernel  # imported on first use: start-up does not pay for it
+    kernel, _ = _kernel.load()
+    if kernel is not None:
+        times = np.ascontiguousarray(path.jump_times, dtype=np.float64)
+        regimes = np.ascontiguousarray(path.regimes, dtype=np.int64)
+        occ = np.zeros(path.n_states)
+        # nonzero at a regime outside 1..n_states: the path is left to the bincount
+        if not kernel.seqir_occupancy(times.ctypes.data, regimes.ctypes.data, len(regimes),
+                                      path.horizon, path.n_states, occ.ctypes.data):
+            return occ / path.horizon
+    occ = np.bincount(path.regimes, weights=path.segment_durations(),
+                      minlength=path.n_states + 1)[1:]
     return occ / path.horizon
 
 

@@ -23,6 +23,8 @@ through :func:`_fmt`.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 import warnings
@@ -120,8 +122,9 @@ def _kernel_rows(kernel, columns: list[np.ndarray]):
     buf = np.empty(cells * _CELL_BYTES, dtype=np.uint8)
     splices = np.empty((cells, 3), dtype=np.int64)  # byte offset, row, column
     n_bytes = np.zeros(1, dtype=np.int64)
-    args = (addrs.ctypes.data, strides.ctypes.data, ints.ctypes.data, len(cols))
-    out = (buf.ctypes.data, splices.ctypes.data, n_bytes.ctypes.data)
+    # data_as pointers hold their arrays, so rows keeps alive what the kernel reads
+    args = (*map(_pointer, (addrs, strides, ints)), len(cols))
+    out = tuple(map(_pointer, (buf, splices, n_bytes)))
     view = memoryview(buf)
 
     def rows(lo: int, hi: int):
@@ -136,6 +139,11 @@ def _kernel_rows(kernel, columns: list[np.ndarray]):
         return b"".join([*parts, view[start:n_bytes[0]]]) if parts else view[:n_bytes[0]]
 
     return rows
+
+
+def _pointer(arr: np.ndarray) -> ctypes.c_void_p:
+    """The address of ``arr``'s data, as a pointer that keeps ``arr`` alive."""
+    return arr.ctypes.data_as(ctypes.c_void_p)
 
 
 def _cells(col: np.ndarray) -> list[str]:
@@ -299,7 +307,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand in ``COMMANDS``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="seqirsim",
         description="Regime-switching stochastic SEQIR simulator")

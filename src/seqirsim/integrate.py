@@ -55,7 +55,7 @@ NEGATIVITY_TOL = -1e-12
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-_BLOCK = 1 << 16  # the Python runner draws its normals in blocks of this size
+_BLOCK = 1 << 12  # the Python runner draws its normals in blocks of this size
 
 #: bound on horizon / dt: steps are int64 and m * dt is exact below it
 MAX_STEPS = float(1 << 53)

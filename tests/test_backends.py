@@ -17,6 +17,7 @@ import pytest
 from seqirsim import (
     EpidemicState,
     PolicyFunction,
+    RegimePath,
     SimulationConfig,
     sample_path_discretized,
     sample_path_exact,
@@ -52,7 +53,7 @@ CASES = {
     # 40 clamp events over 5000 Euler-Maruyama steps; the error policy raises
     "clamping": (GENERATOR_4, _with(EX1_PARAMS, sigma0=0.2), 0.01, 50.0,
                  (20, 20, 15, 10, 0), 3, 7),
-    # 65600 steps: the Python runner's second block of normals starts mid-run
+    # 65600 steps: more than one of the Python runner's blocks of normals, the last partial
     "two_blocks": (GENERATOR_4, EX2_PARAMS, 1e-3, 65.6, (20, 20, 15, 10, 0), 3, 7),
     # Milstein on the discretized chain overflows to inf at t = 5.5
     "blow_up": (GENERATOR_2, _with(BLOW_UP_PARAMS, beta=50.0, sigma0=50.0), 0.5, 10.0,
@@ -208,17 +209,35 @@ WALK_CASES = {
 }
 
 
-def sampled(case):
-    """Path bytes of one public sampler call and the stream state after it."""
+def sample(case, rng=None):
+    """The path of one public sampler call on a walk case."""
     raw, r0, horizon, dt, seed = WALK_CASES[case]
     g = validate_generator(raw)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if rng is None else rng
     if dt is None:
-        path = sample_path_exact(g, r0, horizon, rng)
-    else:
-        path = sample_path_discretized(g, r0, horizon, dt, rng)
+        return sample_path_exact(g, r0, horizon, rng)
+    return sample_path_discretized(g, r0, horizon, dt, rng)
+
+
+def sampled(case):
+    """Path bytes of one public sampler call, the stream state after it and
+    the bytes of the path's occupancy."""
+    rng = np.random.default_rng(WALK_CASES[case][4])
+    path = sample(case, rng)
     return path.jump_times.tobytes(), path.regimes.dtype, path.regimes.tobytes(), \
-        rng.bit_generator.state
+        rng.bit_generator.state, chain.occupancy(path).tobytes()
+
+
+def python_only(monkeypatch):
+    monkeypatch.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
+
+
+def kernel_only(monkeypatch):
+    """Make the Python walk and the bincount's durations fail."""
+    def fallback(*args):
+        raise AssertionError("the walk or the occupancy fell back to Python")
+    monkeypatch.setattr(chain, "_walk", fallback)
+    monkeypatch.setattr(RegimePath, "segment_durations", fallback)
 
 
 def walked(walk, cdfs, r0, horizon, unit, geometric, param, seed):
@@ -231,16 +250,33 @@ def walked(walk, cdfs, r0, horizon, unit, geometric, param, seed):
 
 
 @pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
-@pytest.mark.parametrize("buffer", [1, 7, chain._WALK_BUFFER])
+@pytest.mark.parametrize("capacity", [1, 7, 65536, chain._WALK_CAPACITY])
 @pytest.mark.parametrize("case", list(WALK_CASES))
-def test_walk_identity(kernel, monkeypatch, case, buffer):
-    # a buffer of 1 or 7 makes every longer path resume the kernel walk
-    monkeypatch.setattr(chain, "_WALK_BUFFER", buffer)
-    compiled = sampled(case)
+def test_walk_identity(kernel, monkeypatch, case, capacity):
+    # the walk's arrays start with `capacity` entries: 1 and 7 grow them and
+    # resume the walk on every longer path, the default grows them on the
+    # longest case, and 65536 holds every case in one call
+    monkeypatch.setattr(chain, "_WALK_CAPACITY", capacity)
     with monkeypatch.context() as m:
-        m.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
-        reference = sampled(case)
-    assert compiled == reference
+        kernel_only(m)
+        compiled = sampled(case)
+    python_only(monkeypatch)
+    assert compiled == sampled(case)
+
+
+@pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_sampled_paths_own_their_entries_and_pass_the_public_checks(kernel, monkeypatch,
+                                                                    case, backend):
+    if backend == "python":
+        python_only(monkeypatch)
+    path = sample(case)
+    for entries in (path.jump_times, path.regimes):
+        # not a view of a larger buffer: the path holds no memory it does not use
+        assert entries.base is None and entries.flags.owndata
+        assert entries.shape == (path.n_jumps + 1,)
+    RegimePath(path.jump_times, path.regimes, path.horizon, path.n_states)
 
 
 def test_walk_cases_reach_the_paths_they_cover(kernel):
@@ -252,10 +288,12 @@ def test_walk_cases_reach_the_paths_they_cover(kernel):
         assert sampled(name)[3] == np.random.default_rng(WALK_CASES[name][4]).bit_generator.state
     times = np.frombuffer(sampled("exact-several-jumps-per-step")[0])
     assert np.bincount((times / 1e-3).astype(int)).max() >= 3
-    # the walk resumes: more jumps than the smallest buffers hold, and at
-    # the default size more than the buffers of 1024 and 4096 jumps hold
+    # the walk resumes: more jumps than the smallest capacities hold, at the
+    # default capacity only on the longest case, and never at 65536
     assert min(jumps["exact-gen4"], jumps["grid-gen4"]) > 7
-    assert jumps["exact-gen4-long"] > 1024 + 4096
+    assert chain._WALK_CAPACITY < jumps["exact-gen4-long"] < 65536
+    assert max(jumps[name] for name in WALK_CASES if name != "exact-gen4-long") \
+        < chain._WALK_CAPACITY
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -280,6 +318,58 @@ def test_walk_identity_at_the_grid_clock_limits(kernel, param, horizon, unit, n_
     assert compiled == walked(chain._walk, *args)
     assert compiled == walked(chain._sample, *args)
     assert len(np.frombuffer(compiled[0])) - 1 == n_jumps
+
+
+#: state 2 holds for about 1e20, after which a hold of about 1 in state 1 is
+#: lost in the rounding of the exact clock
+STIFF = [[-1.0, 1.0], [1e-20, -1e-20]]
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_a_hold_lost_in_the_exact_clock_raises(kernel, monkeypatch, backend):
+    if backend == "python":
+        python_only(monkeypatch)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sample_path_exact(validate_generator(STIFF), 1, 1e24, 1)
+
+
+def test_a_hold_lost_in_the_grid_clock_raises_on_both_backends(kernel):
+    # holds of about 1e17 steps, past 2**53, and then of one step: the
+    # step count is exact, but its double is not
+    states = []
+    for walk in (chain._walk, lambda *a: chain._walk_c(kernel, *a)):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            walk(np.array(TWO_STATE_CDFS), 1, 2.0 ** 62, 1.0, True, np.array([1e-17, 1.0]), rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_occupancy_adds_the_segments_in_index_order(kernel, monkeypatch, backend):
+    # state 1 holds for 2**-53, 2**-53 and then 1.0: added in that order the
+    # two halves of an ulp of 1.0 make a whole one, and with 1.0 first each
+    # rounds away
+    tiny = 2.0 ** -53
+    path = RegimePath(np.array([0.0, tiny, 2 * tiny, 3 * tiny, 4 * tiny]),
+                      np.array([1, 2, 1, 2, 1]), 1.0 + 4 * tiny, 2)
+    if backend == "python":
+        python_only(monkeypatch)
+    else:
+        kernel_only(monkeypatch)
+    expected = np.array([2 * tiny + 1.0, 2 * tiny]) / path.horizon
+    assert chain.occupancy(path).tobytes() == expected.tobytes()
+
+
+def test_occupancy_of_a_path_changed_out_of_range_is_the_bincount(kernel, monkeypatch):
+    # a path's arrays can be written after its checks: the kernel stops at
+    # the regime out of range, writing nothing past occ, and leaves the path
+    # to the bincount
+    path = RegimePath(np.array([0.0, 1.0, 2.0]), np.array([1, 2, 1]), 4.0, 2)
+    path.regimes[1] = 5
+    compiled = chain.occupancy(path)
+    python_only(monkeypatch)
+    assert compiled.tobytes() == chain.occupancy(path).tobytes()
 
 
 def zero_at_second_draw() -> np.random.Generator:
@@ -452,6 +542,29 @@ def test_csv_alone_falls_back_without_128_bit_integers(kernel, fresh_loader, mon
     header = ["t", "regime", "x"]
     assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
     assert slices == [256] * 3 + [44] * 3
+
+
+def test_csv_rows_keep_the_arrays_the_kernel_reads_alive(kernel):
+    # rows hands seqir_csv the addresses of the column table and the flags;
+    # freed, their memory goes to the next arrays of the same size.  In a
+    # child interpreter, so a crash fails this test and not the run
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from seqirsim import _kernel, cli\n"
+        "kernel, _ = _kernel.load()\n"
+        "cols = [np.arange(10) * 0.1, np.arange(10) % 4, *[np.linspace(1.0, 2.0, 10)] * 5]\n"
+        "rows = cli._kernel_rows(kernel, cols)\n"
+        "taken = [np.full(7, 7, dtype=np.int64) for _ in range(8)]\n"
+        "expected = ''.join(','.join(row) + '\\n' for row in zip(*map(cli._cells, cols)))\n"
+        "sys.stdout.write(str(bytes(rows(0, 10)) == expected.encode()))\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "True"
 
 
 def test_import_and_config_load_do_not_build_or_load(kernel, tmp_path, example1_config_path):

@@ -308,6 +308,12 @@ class TestOccupancyAndPath:
             RegimePath(np.array([0.5, 1.0]), np.array([1, 2]), 2.0, 2)  # not from 0
         with pytest.raises(ValueError):
             RegimePath(np.array([0.0, 1.0]), np.array([1, 3]), 2.0, 2)  # state range
+        with pytest.raises(ValueError):
+            RegimePath(np.array([0.0, 1.0]), np.array([0, 2]), 2.0, 2)  # state 0
+        with pytest.raises(ValueError):
+            RegimePath(np.array([0.0, 1.0, 1.0]), np.array([1, 2, 1]), 2.0, 2)  # repeated time
+        with pytest.raises(ValueError):
+            RegimePath(np.array([0.0, 1.0, 0.5]), np.array([1, 2, 1]), 2.0, 2)  # time goes back
 
 
 #: a two-state chain whose first state is left at rate 1e-14: exp(dt * rates)

@@ -349,6 +349,18 @@ class TestEnsemblePool:
             "the grid approximation of the chain is coarse\n")
 
 
+def test_the_parser_is_built_once_and_handlers_are_looked_up_per_call(
+        example1_config_path, tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    help_text, suffix, _ = cli.COMMANDS["thresholds"]
+    monkeypatch.setitem(cli.COMMANDS, "thresholds",
+                        (help_text, suffix, lambda cfg, out, quiet: calls.append(out) or 0))
+    out = tmp_path / "report.txt"
+    assert main(["thresholds", "--config", str(example1_config_path), "--out", str(out)]) == 0
+    assert calls == [out] and not out.exists()
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         doc = valid_doc()
