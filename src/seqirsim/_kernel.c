@@ -27,8 +27,8 @@
  * seqir_csv writes CSV rows with the text that repr gives each float inside
  * cli._write_csv's guard (x == 0 or 1e-4 <= |x| < 1e16): the shortest digits
  * that read back to x, nearest to x, in positional form.  The search is
- * exact, in unsigned 128-bit integers; without them seqir_csv returns -1 and
- * the writer formats in Python, while the other routines are unaffected.
+ * exact, in unsigned 128-bit integers: a compiler without them fails the
+ * build, and the whole kernel is then unavailable, as for any build failure.
  * No routine keeps mutable static state: ctypes calls them without the GIL.
  */
 #include <math.h>
@@ -206,8 +206,8 @@ int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
  * (n_states - 1 per row), which is searchsorted(row, u, side="right").
  * Each jump stores its time and 1-based regime; when cap jumps are stored
  * the walk returns with carry[0] = cur and the clock, to be called again.
- * A grid clock that would pass INT64_MAX ends the walk: the caller only uses
- * this kernel when horizon <= 2**63 * unit, so such a jump time is past it.
+ * A grid clock that would pass INT64_MAX ends the walk: chain's grid sampler
+ * refuses a horizon past 2**63 * unit, so such a jump time is past it.
  * Returns the number of jumps stored; the caller grows the arrays when that
  * is cap and the walk has not ended, and calls again past them. */
 int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
@@ -282,7 +282,6 @@ int seqir_occupancy(const double *times, const int64_t *regimes, int64_t n,
 }
 
 
-#ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
 #define P19 10000000000000000000u
@@ -425,7 +424,6 @@ static char *put_int(char *p, int64_t v)
     }
     return p + put_digits(p, u);
 }
-#endif
 
 /* Rows lo..hi-1 of a CSV table, into buf: cols[c] points at row 0 of column
  * c, strides[c] is its step in bytes and ints[c] is nonzero for an int64
@@ -434,13 +432,11 @@ static char *put_int(char *p, int64_t v)
  * +-inf, 0 < |x| < 1e-4, |x| >= 1e16) is left as an empty cell for the
  * caller to fill: (its byte offset in buf, its row, its column) is stored
  * in splices.  Each cell takes at most 24 bytes with its separator.  Sets
- * *n_bytes and returns the number of cells left empty, or -1 where the
- * compiler has no 128-bit integers and nothing is written. */
+ * *n_bytes and returns the number of cells left empty. */
 int64_t seqir_csv(const char *const *cols, const int64_t *strides, const int64_t *ints,
                   int64_t n_cols, int64_t lo, int64_t hi, char *buf, int64_t *splices,
                   int64_t *n_bytes)
 {
-#ifdef __SIZEOF_INT128__
     char *p = buf;
     int64_t n_splices = 0;
     for (int64_t row = lo; row < hi; row++) {
@@ -474,9 +470,4 @@ int64_t seqir_csv(const char *const *cols, const int64_t *strides, const int64_t
     }
     *n_bytes = p - buf;
     return n_splices;
-#else
-    (void)cols; (void)strides; (void)ints; (void)n_cols; (void)lo; (void)hi; (void)buf;
-    (void)splices; (void)n_bytes;
-    return -1;
-#endif
 }

@@ -7,8 +7,9 @@ regime walk.  It caches the shared object in a
 private per-user directory (``$XDG_CACHE_HOME/seqirsim``, else
 ``~/.cache/seqirsim``, mode 0700) under a name derived from the sha256 of
 source, flags, machine, numpy version and archive, and loads it through
-ctypes.  Any failure leaves the kernel unavailable with a one-line reason,
-and the caller steps, walks and formats in Python instead.
+ctypes.  It loads whole or not at all: any failure (a compiler without
+128-bit integers too) leaves it unavailable with a one-line reason, and
+every caller steps, walks, sums and formats in Python instead.
 ``integrate.simulate``, ``integrate.simulate_deterministic``, the chain
 samplers, ``chain.occupancy`` and the CSV writer ``cli._write_csv`` import
 this module on first use, so importing the package neither builds nor loads
@@ -121,9 +122,8 @@ def load():
     """``(library, None)`` once the kernel is loaded, else ``(None, reason)``.
 
     The library exposes ``seqir_run``, ``seqir_rk4``, ``seqir_walk``,
-    ``seqir_occupancy`` and ``seqir_csv``, typed.  ``seqir_csv`` returns -1
-    where the compiler has no 128-bit integers; the others do not depend on
-    them."""
+    ``seqir_occupancy`` and ``seqir_csv``, typed; a loaded library runs all
+    five, and ``None`` leaves all five to their Python references."""
     try:
         return _open(), None
     except KernelUnavailable as exc:

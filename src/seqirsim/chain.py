@@ -6,22 +6,20 @@ validates rate matrices, solves for the stationary distribution, computes
 finite-interval transition matrices, and samples regime paths either exactly
 (event-driven, exponential holding times) or on a fixed grid.
 
-Both samplers run one sojourn walk.  It runs in the compiled kernel
-(``_kernel.c``), which draws through numpy's own distribution routines on the
-Generator's bit generator, so it consumes the same variates in the same
-stream order as the Python reference :func:`_walk`; the reference runs when
-the kernel cannot be loaded.  The kernel walk writes into one pair of arrays
-that grows in place, so a path is not copied on its way out.  The grid
-sampler computes its transition matrix once per generator and dt, so an
-ensemble's members share it.
+Both samplers run one sojourn walk, in the compiled kernel (``_kernel.c``)
+when it loads, else in the Python reference :func:`_walk`.  The kernel draws
+through numpy's own distribution routines on the Generator's bit generator,
+so both consume the same variates in the same stream order, and writes into
+one pair of arrays that grows in place, so a path is not copied on its way
+out.  The grid sampler computes its transition matrix once per generator and
+dt, so an ensemble's members share it.
 
 A path that a user builds with ``RegimePath(...)`` is checked; a sampled path
 is trusted and built without the checks, since both walks build it valid:
 times strictly increasing from 0, each jump to a different state in range.
-A walk raises ``ValueError`` rather than return a jump time no later than
-the one before it.
-:func:`occupancy` sums a path's segments in the kernel too, in the order of
-the ``np.bincount`` it falls back to, so both give the same bytes.
+A walk raises :class:`StalledClock` rather than repeat a jump time.
+:func:`occupancy` sums a path's segments in the kernel, or with the
+``np.bincount`` that adds in the same order, so both give the same bytes.
 
 States are 1-based everywhere in the public interface.  All types are frozen
 and safe to share across threads; samplers take an explicit seed or Generator
@@ -41,6 +39,7 @@ from .errors import (
     ReducibleChain,
     RowSumViolation,
     SingularSystem,
+    StalledClock,
     StepTooLarge,
 )
 
@@ -286,10 +285,14 @@ def sample_path_discretized(
     steps spent in a state is geometric with success probability
     ``1 - P[i, i]``, and the landing state is drawn from the off-diagonal row
     conditioned on leaving.  This is the same law at a fraction of the draws.
+    A horizon past ``2**63 * dt`` is refused with ``ValueError`` before any
+    draw: the kernel counts grid steps in an int64.
     """
     _check_initial(g, r0, horizon)
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not horizon <= 2.0 ** 63 * dt:
+        raise ValueError(f"horizon {horizon} exceeds 2**63 grid steps of {dt}")
     stiffness = dt * g.exit_rates.max(initial=0.0)
     if stiffness > STEP_HARD_LIMIT:
         raise StepTooLarge(
@@ -322,15 +325,11 @@ def _grid_law(g: Generator, dt: float) -> tuple:
 
 def _sample(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: bool,
             param: np.ndarray, rng: np.random.Generator) -> RegimePath:
-    """The sojourn walk of both samplers, in the kernel when it loads.
-
-    A grid clock is an int64 in the kernel; one past INT64_MAX is a jump
-    time past ``horizon`` only when ``horizon <= 2**63 * unit``, so a longer
-    grid horizon walks in Python.
-    """
+    """The sojourn walk of both samplers: in the kernel when it loads, else
+    in Python."""
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, _ = _kernel.load()
-    if kernel is None or (geometric and not horizon <= 2.0 ** 63 * unit):
+    if kernel is None:
         return _walk(cdfs, r0, horizon, unit, geometric, param, rng)
     return _walk_c(kernel, cdfs, r0, horizon, unit, geometric, param, rng)
 
@@ -363,7 +362,7 @@ def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
                                         times.ctypes.data + 8 * stored,
                                         regimes.ctypes.data + 8 * stored, len(times) - stored)
             if carry[2] == 2:
-                raise ValueError(_STALLED)
+                raise StalledClock(_STALLED)
             if carry[2]:
                 break
             times.resize(2 * len(times))
@@ -385,8 +384,9 @@ def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: boo
     time at or past ``horizon``, or, before drawing, in a state whose param
     is <= 0.  The clock starts as the int 0, so integer holds keep it an
     exact step count.  A jump time no later than the one before it, a hold
-    lost in the rounding of a large float clock, raises ``ValueError``, so
-    every path the walk returns has strictly increasing times.
+    lost in the rounding of a large float clock, raises
+    :class:`StalledClock`, so every path the walk returns has strictly
+    increasing times.
     """
     hold = rng.geometric if geometric else rng.exponential
     param = param.tolist()  # a list indexes faster per jump than the array
@@ -400,7 +400,7 @@ def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: boo
         if t >= horizon:
             break
         if t <= times[-1]:
-            raise ValueError(_STALLED)
+            raise StalledClock(_STALLED)
         cur = int(np.searchsorted(cdfs[cur], rng.random(), side="right"))
         times.append(t)
         regimes.append(cur + 1)
@@ -413,19 +413,23 @@ def occupancy(path: RegimePath) -> np.ndarray:
     Each segment's duration is added into its state's slot in index order:
     by the kernel's ``seqir_occupancy`` when it loads, else by
     ``np.bincount``, which adds its weights in the same order, so both give
-    the same bytes."""
+    the same bytes.  A regime outside 1..n_states, written into the path's
+    array after its checks, raises ``ValueError`` on both."""
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, _ = _kernel.load()
-    if kernel is not None:
+    regimes = np.ascontiguousarray(path.regimes, dtype=np.int64)
+    out_of_range = ValueError(f"regimes must lie in 1..{path.n_states}")
+    if kernel is None:
+        if regimes.min() < 1 or regimes.max() > path.n_states:
+            raise out_of_range
+        occ = np.bincount(regimes, weights=path.segment_durations(),
+                          minlength=path.n_states + 1)[1:]
+    else:
         times = np.ascontiguousarray(path.jump_times, dtype=np.float64)
-        regimes = np.ascontiguousarray(path.regimes, dtype=np.int64)
         occ = np.zeros(path.n_states)
-        # nonzero at a regime outside 1..n_states: the path is left to the bincount
-        if not kernel.seqir_occupancy(times.ctypes.data, regimes.ctypes.data, len(regimes),
-                                      path.horizon, path.n_states, occ.ctypes.data):
-            return occ / path.horizon
-    occ = np.bincount(path.regimes, weights=path.segment_durations(),
-                      minlength=path.n_states + 1)[1:]
+        if kernel.seqir_occupancy(times.ctypes.data, regimes.ctypes.data, len(regimes),
+                                  path.horizon, path.n_states, occ.ctypes.data):
+            raise out_of_range
     return occ / path.horizon
 
 

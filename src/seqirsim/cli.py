@@ -95,17 +95,16 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
         fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n_rows, _CSV_CHUNK):
             hi = min(lo + _CSV_CHUNK, n_rows)
-            data = rows(lo, hi) if rows is not None else None
-            if data is None:
+            if rows is None:
                 cells = [_cells(col[lo:hi]) for col in columns]
-                data = "".join([",".join(row) + "\n" for row in zip(*cells)]).encode()
-            fh.write(data)
+                fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]).encode())
+            else:
+                fh.write(rows(lo, hi))
 
 
 def _kernel_rows(kernel, columns: list[np.ndarray]):
     """A function of ``(lo, hi)`` that returns the bytes of rows lo..hi-1
-    (at most ``_CSV_CHUNK``), formatted by the kernel's ``seqir_csv``, or
-    None where the kernel was built without 128-bit integers.
+    (at most ``_CSV_CHUNK``), formatted by the kernel's ``seqir_csv``.
 
     ``seqir_csv`` writes integers in decimal, and each float inside the
     guard of :func:`_cells` with the shortest round-trip digits, found by an
@@ -129,8 +128,6 @@ def _kernel_rows(kernel, columns: list[np.ndarray]):
 
     def rows(lo: int, hi: int):
         n = kernel.seqir_csv(*args, lo, hi, *out)
-        if n < 0:
-            return None
         parts, start = [], 0
         for offset, row, col in splices[:n].tolist():
             parts += (view[start:offset], _fmt(cols[col][row]).encode())
@@ -152,7 +149,8 @@ def _cells(col: np.ndarray) -> list[str]:
     guard), ``repr`` prints the same shortest round-trip digits with no
     exponent, so it stands in for :func:`_fmt`; the other values (nan and
     inf among them) go through :func:`_fmt` itself.  This is the reference
-    that the kernel's writer is tested against, and its fallback."""
+    that the kernel's writer is tested against, and the writer when the
+    kernel does not load."""
     if np.issubdtype(col.dtype, np.integer):
         return list(map(str, col.tolist()))
     cells = list(map(repr, col.tolist()))
@@ -279,9 +277,8 @@ def cmd_compare_det(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
     trajectories = list(iter_ensemble(frozen_sim, frozen_gen, frozen_table,
                                       cfg.policy, cfg.ensemble_n, cfg.ensemble_base_seed))
     mean_states = np.mean([t.states for t in trajectories], axis=0)
-    det = simulate_deterministic(cfg.simulation.initial_state, params, params.M,
-                                 cfg.simulation.dt, cfg.simulation.horizon,
-                                 cfg.simulation.output_stride)
+    det = simulate_deterministic(cfg.simulation.initial_state, params, cfg.simulation.dt,
+                                 cfg.simulation.horizon, cfg.simulation.output_stride)
     header = ["t", *(f"{c}_{kind}" for c in Trajectory.COLUMNS for kind in ("mean", "det"))]
     # column views, so no paired copy of the states is made
     columns = [states[:, j] for j in range(len(Trajectory.COLUMNS))

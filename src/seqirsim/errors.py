@@ -40,6 +40,10 @@ class StepTooLarge(MathDomainError):
     """Discretization step too coarse for the chain's fastest exit rate."""
 
 
+class StalledClock(MathDomainError):
+    """A hold lost in the rounding of the chain's clock repeats a jump time."""
+
+
 # --- model / thresholds -----------------------------------------------------
 
 class DegenerateBounds(MathDomainError):

@@ -480,13 +480,12 @@ def _rk4_c(k: tuple, dt: float, steps: np.ndarray, states: np.ndarray, kernel) -
         raise RuntimeError(f"kernel status {status} without a failing state")
 
 
-def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
-                           M_const: float, dt: float, horizon: float,
-                           output_stride: int = 1) -> Trajectory:
+def simulate_deterministic(initial: EpidemicState, params: RegimeParameters, dt: float,
+                           horizon: float, output_stride: int = 1) -> Trajectory:
     """Classical 4-stage Runge-Kutta integration of the noise-free model.
 
     Single frozen regime, linear policy incidence p*S*M with the constant
-    intensity ``M_const``.  Local error O(dt^5).  The grid is checked and
+    intensity ``params.M``.  Local error O(dt^5).  The grid is checked and
     recorded as for :class:`SimulationConfig`.  The steps run in the compiled
     kernel when it is available, else in Python; both give the same bytes,
     and ``metadata["backend"]`` says which ran, as for :func:`simulate`.
@@ -495,7 +494,7 @@ def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
     returned as computed.
     """
     _check_grid(dt, horizon, output_stride)
-    k = regime_constants(replace(params, M=M_const))
+    k = regime_constants(params)
     steps = _record_steps(round(horizon / dt), output_stride)
     states = np.empty((len(steps), 5))
     states[0] = (initial.S, initial.E, initial.Q, initial.I, initial.R)
@@ -508,8 +507,8 @@ def simulate_deterministic(initial: EpidemicState, params: RegimeParameters,
         _rk4_c(k, dt, steps, states, kernel)
 
     metadata = {
-        "config": {"dt": dt, "horizon": horizon, "M_const": M_const,
-                   "scheme": "rk4", "output_stride": output_stride},
+        "config": {"dt": dt, "horizon": horizon, "scheme": "rk4",
+                   "output_stride": output_stride},
         "clamp_events": 0,
         "backend": "python" if kernel is None else "c",
     }

@@ -291,8 +291,7 @@ def test_c07_noise_off_consistency():
                            initial_regime=1, seed=0, output_stride=50)
     from seqirsim import simulate_deterministic
     stochastic = simulate(cfg, gen1, table, LINEAR)
-    reference = simulate_deterministic(init, params, params.M, 1e-3, 50.0,
-                                       output_stride=50)
+    reference = simulate_deterministic(init, params, 1e-3, 50.0, output_stride=50)
     gap = float(np.abs(stochastic.states - reference.states).max())
     ok = gap < 1e-3
     report(7, "noise-off-consistency", ok, f"sup-norm gap {gap:.2e} < 1e-3", t0)

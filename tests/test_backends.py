@@ -27,12 +27,12 @@ from seqirsim import (
 )
 from seqirsim import _kernel, chain, cli
 from seqirsim.cli import main
-from seqirsim.errors import NegativeState, NonFiniteState
+from seqirsim.errors import NegativeState, NonFiniteState, StalledClock
 from seqirsim.integrate import _BLOCK, _run_c, _run_py, _setup
 
 from conftest import EX1_PARAMS, EX2_PARAMS, GENERATOR_2, GENERATOR_4, table_from_lists
 from test_chain import GOLDEN_CASES, GOLDEN_DIGESTS, NEAR_ABSORBING, golden_digest
-from test_cli import csv_bytes, guard_sweep, no_fallback, reference_csv, repr_mismatches
+from test_cli import guard_sweep, no_fallback, repr_mismatches
 from test_config import valid_doc, write_doc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -125,7 +125,7 @@ def test_identity_cases_reach_the_paths_they_cover(kernel):
     assert name == "NonFiniteState" and "t=5.5" in message
 
 
-#: name -> (parameters, regime, initial state, M_const, dt, horizon)
+#: name -> (parameters, regime, initial state, policy intensity M, dt, horizon)
 RK4_CASES = {
     # 5000 steps of the rich dynamics of benchmark set 2
     "ex2-regime3": (EX2_PARAMS, 3, (20, 20, 15, 10, 0), 2.0, 1e-3, 5.0),
@@ -143,9 +143,9 @@ def rk4_outcome(params, regime, init, m_const, dt, horizon, stride=1):
     """Times and states bytes and backend of one RK4 run, or its error and message."""
     if stride == "beyond":
         stride = round(horizon / dt) + 5
-    row = table_from_lists(params)[regime]
+    row = replace(table_from_lists(params)[regime], M=m_const)
     try:
-        traj = simulate_deterministic(EpidemicState(*init), row, m_const, dt, horizon, stride)
+        traj = simulate_deterministic(EpidemicState(*init), row, dt, horizon, stride)
     except NonFiniteState as exc:
         return type(exc).__name__, str(exc)
     return traj.times.tobytes(), traj.states.tobytes(), traj.metadata["backend"]
@@ -329,7 +329,7 @@ STIFF = [[-1.0, 1.0], [1e-20, -1e-20]]
 def test_a_hold_lost_in_the_exact_clock_raises(kernel, monkeypatch, backend):
     if backend == "python":
         python_only(monkeypatch)
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(StalledClock, match="strictly increasing"):
         sample_path_exact(validate_generator(STIFF), 1, 1e24, 1)
 
 
@@ -339,10 +339,30 @@ def test_a_hold_lost_in_the_grid_clock_raises_on_both_backends(kernel):
     states = []
     for walk in (chain._walk, lambda *a: chain._walk_c(kernel, *a)):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(StalledClock, match="strictly increasing"):
             walk(np.array(TWO_STATE_CDFS), 1, 2.0 ** 62, 1.0, True, np.array([1e-17, 1.0]), rng)
         states.append(rng.bit_generator.state)
     assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_a_stalled_clock_is_exit_3_without_report(kernel, tmp_path, monkeypatch, capsys,
+                                                  example1_config_path, backend):
+    # example1 cut to its first two regimes, with the stiff generator
+    doc = json.loads(example1_config_path.read_text())
+    doc["generator"] = STIFF
+    doc["regimes"] = doc["regimes"][:2]
+    doc["simulation"].update({"dt": 1e9, "horizon": 1e24})
+    doc["initial"]["regime"] = 1
+    path = write_doc(tmp_path, doc)
+    if backend == "python":
+        python_only(monkeypatch)
+    out = tmp_path / "chain.txt"
+    assert main(["chain", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("math domain error: a hold too short for the clock")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -361,15 +381,20 @@ def test_occupancy_adds_the_segments_in_index_order(kernel, monkeypatch, backend
     assert chain.occupancy(path).tobytes() == expected.tobytes()
 
 
-def test_occupancy_of_a_path_changed_out_of_range_is_the_bincount(kernel, monkeypatch):
-    # a path's arrays can be written after its checks: the kernel stops at
-    # the regime out of range, writing nothing past occ, and leaves the path
-    # to the bincount
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("regime", [0, 5])
+def test_occupancy_of_a_path_changed_out_of_range_raises(kernel, monkeypatch, backend,
+                                                         regime):
+    # a path's arrays can be written after its checks; np.bincount alone
+    # would count regime 5 into a slot of its own and drop regime 0
     path = RegimePath(np.array([0.0, 1.0, 2.0]), np.array([1, 2, 1]), 4.0, 2)
-    path.regimes[1] = 5
-    compiled = chain.occupancy(path)
-    python_only(monkeypatch)
-    assert compiled.tobytes() == chain.occupancy(path).tobytes()
+    path.regimes[1] = regime
+    if backend == "python":
+        python_only(monkeypatch)
+    else:
+        kernel_only(monkeypatch)
+    with pytest.raises(ValueError, match=r"^regimes must lie in 1\.\.2$"):
+        chain.occupancy(path)
 
 
 def zero_at_second_draw() -> np.random.Generator:
@@ -399,14 +424,24 @@ def test_a_uniform_equal_to_a_cdf_entry_lands_past_it(kernel):
     assert compiled.jump_times.tobytes() == reference.jump_times.tobytes()
 
 
-def test_grid_horizon_past_the_int64_clock_walks_in_python(kernel):
-    # holds of INT64_MAX steps add up past 2**63 before the horizon: only
-    # Python's int clock follows them, so the sampler must not take the kernel
-    args = (TWO_STATE_CDFS, 1, 1e20, 1.0, True, [1e-300, 1e-300], 4)
-    reference = walked(chain._walk, *args)
-    assert len(np.frombuffer(reference[0])) > 10
-    assert walked(chain._sample, *args) == reference
-    assert walked(lambda *a: chain._walk_c(kernel, *a), *args) != reference
+def test_grid_horizon_past_the_int64_clock_is_refused(kernel, monkeypatch):
+    # the kernel counts grid steps in an int64: a longer horizon is refused
+    # on both backends before a draw, and one of exactly 2**63 steps is
+    # sampled alike, in holds of about 4.5e15 steps
+    g = validate_generator([[-2e-16, 2e-16], [2e-16, -2e-16]])
+    outcomes = []
+    for backend in ("c", "python"):
+        with monkeypatch.context() as m:
+            (kernel_only if backend == "c" else python_only)(m)
+            rng = np.random.default_rng(4)
+            with pytest.raises(ValueError, match=r"exceeds 2\*\*63 grid steps"):
+                sample_path_discretized(g, 1, 1e20, 1.0, rng)
+            assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+            path = sample_path_discretized(g, 1, 2.0 ** 63, 1.0, rng)
+            outcomes.append((path.jump_times.tobytes(), path.regimes.tobytes(),
+                             rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+    assert len(np.frombuffer(outcomes[0][0])) > 1000
 
 
 @pytest.fixture
@@ -444,7 +479,8 @@ def test_fallback_to_python_when_the_kernel_cannot_build(kernel, fresh_loader, m
             fallback.metadata["clamp_events"]) == compiled[:4]
     assert compiled[3] > 0
     # RK4 falls back too, with the same reason
-    det = simulate_deterministic(EpidemicState(20, 20, 15, 10, 0), table[3], 0.5, 0.01, 1.0)
+    det = simulate_deterministic(EpidemicState(20, 20, 15, 10, 0), replace(table[3], M=0.5),
+                                 0.01, 1.0)
     assert det.metadata["backend"] == "python"
     assert det.metadata["backend_reason"] == fallback.metadata["backend_reason"]
     assert not [f for f in (tmp_path / "cache").rglob("*") if not f.is_dir()]
@@ -522,26 +558,21 @@ def test_csv_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch
     assert repr_mismatches(tmp_path / "sweep.csv", guard_sweep())
 
 
-def test_csv_alone_falls_back_without_128_bit_integers(kernel, fresh_loader, monkeypatch,
-                                                        tmp_path):
-    # the kernel as a compiler without unsigned __int128 builds it
+def test_no_kernel_without_128_bit_integers(kernel, fresh_loader, monkeypatch, tmp_path):
+    # the kernel as a compiler without unsigned __int128 (and without the
+    # macro that announces it) meets it: the build fails and no routine
+    # loads, so every one runs in Python
     source = _kernel.SOURCE.read_text()
-    assert source.count("__SIZEOF_INT128__") >= 2
+    assert "unsigned __int128" in source
     narrow = tmp_path / "_kernel.c"
-    narrow.write_text(source.replace("__SIZEOF_INT128__", "SEQIRSIM_NO_INT128"))
+    narrow.write_text(source.replace("__SIZEOF_INT128__", "SEQIRSIM_NO_INT128")
+                      .replace("unsigned __int128", "unsigned __seqirsim_no_int128"))
     monkeypatch.setattr(_kernel, "SOURCE", narrow)
     lib, reason = _kernel.load()
-    assert lib is not None, reason
+    assert lib is None and reason.startswith(f"{_kernel.CC} failed: ")
     config, gen, table = case_inputs("clamping", scheme="euler_maruyama", output_stride=7)
-    assert simulate(config, gen, table, POLICIES["linear"]).metadata["backend"] == "c"
-
-    slices = []
-    cells = cli._cells
-    monkeypatch.setattr(cli, "_cells", lambda col: slices.append(len(col)) or cells(col))
-    columns = [np.arange(300) * 0.1, np.arange(300) % 4, np.linspace(-1e-6, 1e17, 300)]
-    header = ["t", "regime", "x"]
-    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
-    assert slices == [256] * 3 + [44] * 3
+    traj = simulate(config, gen, table, POLICIES["linear"])
+    assert (traj.metadata["backend"], traj.metadata["backend_reason"]) == ("python", reason)
 
 
 def test_csv_rows_keep_the_arrays_the_kernel_reads_alive(kernel):

@@ -493,8 +493,7 @@ class TestNoiseOffLimit:
         cfg = SimulationConfig(dt=1e-3, horizon=10.0, initial_state=init,
                                initial_regime=1, seed=0, output_stride=10)
         stochastic = simulate(cfg, gen1, table, LINEAR)
-        reference = simulate_deterministic(init, params, params.M, 1e-3, 10.0,
-                                           output_stride=10)
+        reference = simulate_deterministic(init, params, 1e-3, 10.0, output_stride=10)
         gap = np.abs(stochastic.states - reference.states).max()
         assert gap < 1e-3
 
@@ -644,11 +643,11 @@ class TestMetadata:
             assert isinstance(traj.metadata["config"], integrate.SimulationConfig)
             assert isinstance(traj.metadata["clamp_events"], int)
         params = params_from(EX1_PARAMS, 1)
-        det = simulate_deterministic(EpidemicState(20, 20, 15, 10, 0), params, params.M,
-                                     0.01, 0.5, output_stride=5)
+        det = simulate_deterministic(EpidemicState(20, 20, 15, 10, 0), params, 0.01, 0.5,
+                                     output_stride=5)
         assert set(det.metadata) == self.keys(det)
-        assert det.metadata["config"] == {"dt": 0.01, "horizon": 0.5, "M_const": params.M,
-                                          "scheme": "rk4", "output_stride": 5}
+        assert det.metadata["config"] == {"dt": 0.01, "horizon": 0.5, "scheme": "rk4",
+                                          "output_stride": 5}
         assert det.metadata["clamp_events"] == 0
         if disabled:
             assert {t.metadata["backend"] for t in [*runs, det]} == {"python"}
@@ -657,23 +656,23 @@ class TestMetadata:
 class TestDeterministicIntegrator:
     def test_pure_recruitment_linear_growth(self):
         p = zero_params(A=1.0)
-        traj = simulate_deterministic(EpidemicState(2, 0, 0, 0, 0), p, 0.0, 0.01, 5.0)
+        traj = simulate_deterministic(EpidemicState(2, 0, 0, 0, 0), p, 0.01, 5.0)
         np.testing.assert_allclose(traj.compartment("S"), 2.0 + traj.times, atol=1e-10)
 
     def test_relaxation_to_closed_form(self):
         # S' = 1 - S from S(0) = 0 has solution 1 - exp(-t)
         p = zero_params(A=1.0, xi=1.0)
-        traj = simulate_deterministic(EpidemicState(0, 0, 0, 0, 0), p, 0.0, 1e-3, 1.0)
+        traj = simulate_deterministic(EpidemicState(0, 0, 0, 0, 0), p, 1e-3, 1.0)
         assert traj.compartment("S")[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
         np.testing.assert_allclose(traj.states[:, 1:], 0.0, atol=1e-14)
 
     def test_fourth_order_convergence(self):
         params = params_from(EX2_PARAMS, 1)
         init = EpidemicState(10, 5, 1, 1, 0)
-        ref = simulate_deterministic(init, params, params.M, 1e-4, 2.0).states[-1]
+        ref = simulate_deterministic(init, params, 1e-4, 2.0).states[-1]
         errs = []
         for dt in (0.2, 0.1):
-            end = simulate_deterministic(init, params, params.M, dt, 2.0).states[-1]
+            end = simulate_deterministic(init, params, dt, 2.0).states[-1]
             errs.append(np.abs(end - ref).max())
         ratio = errs[0] / errs[1]
         assert 8.0 < ratio < 32.0  # nominal 16 for order 4
@@ -686,7 +685,7 @@ class TestDeterministicIntegrator:
     def test_grid_checked_as_for_simulation_config(self, dt, horizon, stride, match):
         p = zero_params(A=1.0)
         with pytest.raises(ValueError, match=match):
-            simulate_deterministic(EpidemicState(2, 0, 0, 0, 0), p, 0.0, dt, horizon,
+            simulate_deterministic(EpidemicState(2, 0, 0, 0, 0), p, dt, horizon,
                                    output_stride=stride)
         with pytest.raises(ValueError, match=match):
             base_config(dt=dt, horizon=horizon, output_stride=stride)
@@ -694,7 +693,7 @@ class TestDeterministicIntegrator:
     def test_records_the_simulation_config_grid(self):
         p = zero_params(A=1.0)
         for stride in (1, 7, 3000):
-            traj = simulate_deterministic(EpidemicState(2, 0, 0, 0, 0), p, 0.0, 1e-3, 2.0,
+            traj = simulate_deterministic(EpidemicState(2, 0, 0, 0, 0), p, 1e-3, 2.0,
                                           output_stride=stride)
             expected = base_config(horizon=2.0, output_stride=stride).record_times()
             assert traj.times.tobytes() == expected.tobytes()
@@ -705,6 +704,6 @@ class TestDeterministicIntegrator:
     def test_against_rich_dynamics_self_consistency(self):
         params = params_from(EX2_PARAMS, 3)
         init = EpidemicState(20, 20, 15, 10, 0)
-        a = simulate_deterministic(init, params, params.M, 1e-3, 5.0, output_stride=100)
-        b = simulate_deterministic(init, params, params.M, 5e-4, 5.0, output_stride=200)
+        a = simulate_deterministic(init, params, 1e-3, 5.0, output_stride=100)
+        b = simulate_deterministic(init, params, 5e-4, 5.0, output_stride=200)
         np.testing.assert_allclose(a.states, b.states, rtol=1e-9, atol=1e-11)
