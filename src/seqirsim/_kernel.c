@@ -27,8 +27,12 @@
  * seqir_csv writes CSV rows with the text that repr gives each float inside
  * cli._write_csv's guard (x == 0 or 1e-4 <= |x| < 1e16): the shortest digits
  * that read back to x, nearest to x, in positional form.  The search is
- * exact, in unsigned 128-bit integers: a compiler without them fails the
- * build, and the whole kernel is then unavailable, as for any build failure.
+ * exact, in 64 x 64-bit products with unsigned 128-bit results (a compiler
+ * without them fails the build, and the whole kernel is then unavailable, as
+ * for any build failure), and branch-free until more than two digits can go.
+ * One digit writer serves floats and integers: it makes 18 ASCII digits in
+ * 64-bit words and stores them with fixed-size stores in place, each inside
+ * the cell's 24 bytes, so no byte is written past the caller's buffer.
  * No routine keeps mutable static state: ctypes calls them without the GIL.
  */
 #include <math.h>
@@ -284,42 +288,89 @@ int seqir_occupancy(const double *times, const int64_t *regimes, int64_t n,
 
 typedef unsigned __int128 u128;
 
-#define P19 10000000000000000000u
-static const uint64_t POW10[20] = {
+static const uint64_t POW10[19] = {
     1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u, 100000000u,
     1000000000u, 10000000000u, 100000000000u, 1000000000000u, 10000000000000u,
     100000000000000u, 1000000000000000u, 10000000000000000u, 100000000000000000u,
-    1000000000000000000u, P19};
+    1000000000000000000u};
 
-/* 10^t for t in 1..21 */
-static u128 pow10_wide(int t)
+/* w at p, its lowest byte first, on either byte order */
+static inline void store8(char *p, uint64_t w)
 {
-    return t < 20 ? (u128)POW10[t] : (u128)P19 * POW10[t - 19];
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    memcpy(p, &w, sizeof w);
 }
 
-static const char PAIRS[] =
-    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
-    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
-    "8081828384858687888990919293949596979899";
-
-/* The decimal digits of v at p, two at a time from the last; returns the count. */
-static int put_digits(char *p, uint64_t v)
+/* The 8 decimal digits of v < 10^8 in ASCII, zero-padded, the first in the
+ * lowest byte.  v splits into two 4-digit lanes of the word, each lane into
+ * two 2-digit lanes and each of those into two digits: at each step a lane y
+ * becomes (y / k) + (y mod k) 2^w, that is y 2^w - (y / k) (k 2^w - 1), with
+ * quotients by multiply-shift that are exact in these ranges (y / 100 for
+ * y < 43699, y / 10 for y < 179) and no carry between lanes. */
+static inline uint64_t ascii8(uint64_t v)
 {
-    int n = 1;
-    while (n < 20 && v >= POW10[n])
-        n++;
-    int j = n;
-    while (j >= 2) {
-        memcpy(p + j - 2, PAIRS + 2 * (v % 100), 2);
-        v /= 100;
-        j -= 2;
-    }
-    if (j)
-        p[0] = (char)('0' + v);
-    return n;
+    const uint64_t q = v / 10000;
+    uint64_t x = (v << 32) - q * ((UINT64_C(10000) << 32) - 1);
+    uint64_t hi = (x * 10486 >> 20) & UINT64_C(0x0000007F0000007F);
+    x = (x << 16) - hi * ((100 << 16) - 1);
+    hi = (x * 103 >> 10) & UINT64_C(0x000F000F000F000F);
+    return (x << 8) - hi * ((10 << 8) - 1) + UINT64_C(0x3030303030303030);
 }
+
+/* The digit writer of put_short and put_int: the 18 decimal digits of
+ * v < 10^18 in ASCII, zero-padded, the first 8 in lo, the next 8 in hi and
+ * the last 2 in tail, each with its first digit in the lowest byte.  A value
+ * of n < 18 digits scaled by 10^(18-n) has its digits first, so that the
+ * fixed-size stores of put_text write them wherever they go. */
+typedef struct {
+    uint64_t lo, hi;
+    unsigned tail;
+} text18;
+
+static inline text18 ascii18(uint64_t v)
+{
+    const uint64_t top = v / 10000000000u, v100 = v / 100;
+    const uint64_t last = v - 100 * v100;
+    const text18 text = {ascii8(top), ascii8(v100 - 100000000 * top),
+                         (unsigned)((last << 8) - (last * 103 >> 10) * 2559 + 0x3030)};
+    return text;
+}
+
+/* the 18 characters of text at p; returns the end of the first n */
+static inline char *put_text(char *p, text18 text, int n)
+{
+    store8(p, text.lo);
+    store8(p + 8, text.hi);
+    p[16] = (char)text.tail;
+    p[17] = (char)(text.tail >> 8);
+    return p + n;
+}
+
+/* The scale of put_short's search for each exponent of the guard, biased
+ * 1009 .. 1076 (E = biased - 1023 in -14 .. 53): t = 16 - floor(E log10 2),
+ * and 10^t = 10^(t-low) 10^low with low = min(t, 19), so that each factor
+ * fits 64 bits.  scale is 10^low shifted up to bit 63 (by z), and up is
+ * 10^(t-low) shifted by g = biased - 1009 - z, in 0 .. 7: then for
+ * x = m 2^e, 4m 10^t / 2^(2-e) = (4m up) scale / 2^68. */
+#define P10(k) (((k) & 1 ? UINT64_C(10) : 1) * ((k) & 2 ? UINT64_C(100) : 1) \
+                * ((k) & 4 ? UINT64_C(10000) : 1) * ((k) & 8 ? UINT64_C(100000000) : 1) \
+                * ((k) & 16 ? UINT64_C(10000000000000000) : 1))
+#define SCALE_T(b) (21 - ((((b) - 1023) * 78913 + 5 * 262144) >> 18))
+#define SCALE_LOW(b) (SCALE_T(b) < 19 ? SCALE_T(b) : 19)
+#define SCALE_Z(b) (63 - (SCALE_LOW(b) * 1701 >> 9))
+#define SCALE(b) {P10(SCALE_LOW(b)) << SCALE_Z(b), \
+                  P10(SCALE_T(b) - SCALE_LOW(b)) << ((b) - 1009 - SCALE_Z(b)), SCALE_T(b)}
+#define SCALE4(b) SCALE(b), SCALE((b) + 1), SCALE((b) + 2), SCALE((b) + 3)
+#define SCALE16(b) SCALE4(b), SCALE4((b) + 4), SCALE4((b) + 8), SCALE4((b) + 12)
+static const struct {
+    uint64_t scale, up;
+    int t;
+} SCALES[68] = {SCALE16(1009), SCALE16(1025), SCALE16(1041), SCALE16(1057), SCALE4(1073)};
 
 /* repr of a finite x with 1e-4 <= |x| < 1e16, written at p; returns the end.
+ * Every byte it stores lies within 24 of the p it was called with.
  *
  * x = m 2^e with a 53-bit m and e in [-66, 1].  In units of 2^(e-2) x is
  * V = 4m, and the doubles that round to x are those inside [L, U]: U = V + 2,
@@ -329,15 +380,24 @@ static int put_digits(char *p, uint64_t v)
  * an ulp, which never has fewer significant digits than the shortest form of
  * x and is never nearer to x, so it is never the digits chosen.
  *
- * With t = 16 - floor(E log10 2), where E = floor(log2 |x|), the multiples of
- * 10^-t inside the interval are the integers [dl, dh] between L 10^t and
- * U 10^t, shifted right by 2 - e bits: the products stay below 2^125, and
- * there are 17 or 18 significant digits at this scale, so [dl, dh] is never
- * empty (the interval is at least 3/4 ulp wide, more than 10^-t).  A
- * multiple of 10^(j+1) is a multiple of 10^j, so the coarsest scale with a
- * multiple in the interval is found by dropping one digit at a time, as
- * long as [dl, dh] still holds a multiple of 10.  Of the multiples there,
- * the one nearest V is taken, a tie to the even one, as repr takes it. */
+ * At the scale 10^-t of SCALES, V, L and U are exact products with 68 bits
+ * below the binary point, and the integers [dl, dh] between L and U are the
+ * multiples of 10^-t inside the interval: 17 or 18 significant digits, like
+ * d, the integer part of V.  The interval is one ulp wide, under 22.3 units at
+ * this scale, so it is never empty, and it holds a multiple of 10^j iff
+ * dh mod 10^j <= dh - dl < 23.  The last two digits of d and dh - d give the
+ * tests for j = 1 and j = 2 at once; only past two digits, where the digits of
+ * dh above its last two must be zeros, does a loop count them.  Of the
+ * multiples of 10^j in the interval, the one nearest V is taken, a tie to the
+ * even one, as repr takes it, with no branch.
+ *
+ * The digits are the first n of d, the last of them raised by one at most:
+ * the result is never a multiple of 10, so the raise never carries.  Their
+ * text is made from d while the search runs, and the raise is added to the
+ * digit in place.  x = 0.<digits> 10^point is laid out as repr does: below 1
+ * as 0.<zeros><digits>; else with '.' inserted at byte point of a 128-bit
+ * word.  A whole x is a whole multiple of 10^-t, so the digits of d past n
+ * are zeros: the trailing zeros of an integer and the 0 of its ".0". */
 static char *put_short(char *p, double x)
 {
     uint64_t bits;
@@ -345,73 +405,64 @@ static char *put_short(char *p, double x)
     const uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
     const int biased = (int)(bits >> 52 & 0x7ff);
     const uint64_t m = frac | UINT64_C(1) << 52;
-    const int s = 2 - (biased - 1075);            /* 1 .. 68 */
-    const int big_e = biased - 1023;              /* -14 .. 53 */
-    const int t = 16 - (big_e >= 0 ? big_e * 78913 >> 18 : -((-big_e * 78913 + 262143) >> 18));
-    const int inclusive = (m & 1) == 0;
-    const u128 mask = ((u128)1 << s) - 1, scale = pow10_wide(t);
-    const u128 w = (u128)(4 * m) * scale;
-    const u128 lo = w - (frac ? 2 * scale : scale), hi = w + 2 * scale;
+    const int t = SCALES[biased - 1009].t;
+    const uint64_t up = SCALES[biased - 1009].up, scale = SCALES[biased - 1009].scale;
+    const u128 pw = (u128)(4 * m * up) * scale;
+    const u128 pl = (u128)((4 * m - 1 - (frac != 0)) * up) * scale;
+    const u128 ph = (u128)((4 * m + 2) * up) * scale;
+
+    const uint64_t d = (uint64_t)(pw >> 68);
+    const unsigned exclusive = m & 1, half = (unsigned)(pw >> 67) & 1, sticky = pw << 61 != 0;
+    /* dh - d and d - dl, each at most 22 */
+    const unsigned above = (unsigned)((uint64_t)(ph >> 68) - (exclusive & (ph << 60 == 0)) - d);
+    const unsigned below = (unsigned)(d - (uint64_t)(pl >> 68) - (exclusive | (pl << 60 != 0)));
+    const unsigned wide = d >= POW10[17];         /* 18 digits, else 17 */
+    const text18 text = ascii18(d * (10 - 9 * wide));
+
+    /* the last two digits of d, and those of dh plus 100 on a carry out of
+     * them; the selects are arithmetic, as j is 0, 1 or 2 unpredictably */
+    const uint64_t d100 = d / 100;
+    const unsigned r = (unsigned)(d - 100 * d100), tens = r * 103 >> 10, rh = r + above;
+    const uint64_t dh100 = d100 + (rh >= 100);
+    const unsigned slack = above + below;
+    const unsigned one = rh - 10 * (rh * 103 >> 10) <= slack;
+    const unsigned two = rh - 100 * (rh >= 100) <= slack;
+    int j = one + two;
+    uint64_t p10 = 1 + 9 * one + 90 * two;
+    uint64_t dropped = ((r - 10 * tens) & -one) + (10 * tens & -two);
+    unsigned odd = ((unsigned)d ^ (((unsigned)d ^ tens) & -one) ^ ((tens ^ (unsigned)d100) & -two)) & 1;
+    if (two && dh100 % 10 == 0) {                 /* three or more digits go */
+        for (uint64_t zeros = dh100 / 10; zeros % 10 == 0; zeros /= 10)
+            j++;
+        p10 = POW10[++j];
+        dropped = d % p10;
+        odd = d / p10 & 1;
+    }
+    /* d + (the 68 bits below it) / 2^68, over 10^j, rounded to the nearest, a
+     * tie to even, raises the last digit kept by one; so does a nearest that
+     * falls below dl, at a power of two, as the next one up is then inside */
+    const unsigned inc = (2 * dropped + half + (sticky | odd) > p10) | (dropped > below);
+    const int n = 17 + wide - j, point = 17 + wide - t;
 
     if (bits >> 63)
         *p++ = '-';
-    uint64_t dl = (uint64_t)(lo >> s) + (!inclusive || (lo & mask) != 0);
-    uint64_t dh = (uint64_t)(hi >> s) - (!inclusive && (hi & mask) == 0);
-    /* V at this scale is d + r / 2^s; each digit dropped from d goes to
-     * last, and a nonzero one below it sets sticky */
-    uint64_t d = (uint64_t)(w >> s);
-    const u128 r = w & mask, half = (u128)1 << (s - 1);
-    unsigned last = 0, sticky = r != 0;
-    int j = 0;
-    while ((dl + 9) / 10 <= dh / 10) {
-        dl = (dl + 9) / 10;
-        dh /= 10;
-        sticky |= last;
-        last = (unsigned)(d % 10);
-        d /= 10;
-        j++;
+    if (point <= 0) {                             /* at most three zeros */
+        memcpy(p, "0.000000", 8);
+        p = put_text(p + 2 - point, text, n);
+        p[-1] += inc;
+        return p;
     }
-
-    /* round V to the nearest integer at this scale, a tie to even */
-    int above, tie;
-    if (j == 0) {
-        above = r > half;
-        tie = r == half;
-    } else {
-        above = last > 5 || (last == 5 && sticky);
-        tie = last == 5 && !sticky;
-    }
-    d += above || (tie && (d & 1));
-    if (d < dl)
-        d = dl;
-    if (d > dh)
-        d = dh;
-
-    /* repr's positional form: x = 0.<digits> 10^decpt */
-    char digits[20];
-    const int n = put_digits(digits, d), decpt = n + j - t;
-    if (decpt <= 0) {
-        *p++ = '0';
-        *p++ = '.';
-        for (int z = 0; z < -decpt; z++)
-            *p++ = '0';
-        memcpy(p, digits, n);
-        p += n;
-    } else if (decpt < n) {
-        memcpy(p, digits, decpt);
-        p += decpt;
-        *p++ = '.';
-        memcpy(p, digits + decpt, n - decpt);
-        p += n - decpt;
-    } else {
-        memcpy(p, digits, n);
-        p += n;
-        for (int z = n; z < decpt; z++)
-            *p++ = '0';
-        *p++ = '.';
-        *p++ = '0';
-    }
-    return p;
+    /* point is 1 .. 16: digits [0, point), '.', then at least one more, the
+     * last digit kept when n > point (else inc is 0) */
+    const u128 digits = text.lo | (u128)text.hi << 64;
+    const u128 before = ~(u128)0 >> (128 - 8 * point), rest = digits & ~before;
+    const u128 merged = digits - rest + (rest << 8) + (before + 1) * '.';
+    store8(p, (uint64_t)merged);
+    store8(p + 8, (uint64_t)(merged >> 64));
+    p[16] = point == 16 ? '.' : (char)(text.hi >> 56);
+    p[17] = (char)text.tail;
+    p[n] += inc;
+    return p + (n > point ? n + 1 : point + 2);
 }
 
 /* v in decimal at p; returns the end */
@@ -422,7 +473,15 @@ static char *put_int(char *p, int64_t v)
         *p++ = '-';
         u = 0 - u;
     }
-    return p + put_digits(p, u);
+    if (u >= POW10[18]) {                         /* 19 digits: 18, then the last */
+        p = put_text(p, ascii18(u / 10), 18);
+        *p++ = (char)('0' + u % 10);
+        return p;
+    }
+    /* n digits, from the bit length and one compare (0 has one) */
+    const int b = (64 - __builtin_clzll(u | 1)) * 1233 >> 12;
+    const int n = b + ((u | 1) >= POW10[b]);
+    return put_text(p, ascii18(u * POW10[18 - n]), n);
 }
 
 /* Rows lo..hi-1 of a CSV table, into buf: cols[c] points at row 0 of column
@@ -431,8 +490,10 @@ static char *put_int(char *p, int64_t v)
  * double inside the guard as put_short writes it.  Any other double (nan,
  * +-inf, 0 < |x| < 1e-4, |x| >= 1e16) is left as an empty cell for the
  * caller to fill: (its byte offset in buf, its row, its column) is stored
- * in splices.  Each cell takes at most 24 bytes with its separator.  Sets
- * *n_bytes and returns the number of cells left empty. */
+ * in splices.  Each cell takes at most 24 bytes with its separator, and
+ * every byte stored for a cell lies within the 24 from its start, so buf
+ * needs 24 bytes a cell and no more.  Sets *n_bytes and returns the number
+ * of cells left empty. */
 int64_t seqir_csv(const char *const *cols, const int64_t *strides, const int64_t *ints,
                   int64_t n_cols, int64_t lo, int64_t hi, char *buf, int64_t *splices,
                   int64_t *n_bytes)

@@ -340,7 +340,10 @@ def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
     bit generator under its lock.  The walk writes into one pair of arrays
     of ``_WALK_CAPACITY`` entries; whenever they are full they double in
     place (``ndarray.resize``, a realloc) and the walk resumes.  At the end
-    they are cut to the path's length, so the path owns exactly its entries."""
+    they are cut to the path's length, so the path owns exactly its entries.
+    The resize skips numpy's reference check: both arrays are local and
+    nothing views them, but a profiler set with ``sys.setprofile`` holds a
+    reference to ``times`` while its method runs, which the check refuses."""
     cdfs = np.ascontiguousarray(cdfs, dtype=np.float64)
     param = np.ascontiguousarray(param, dtype=np.float64)
     n = len(param)
@@ -365,10 +368,10 @@ def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
                 raise StalledClock(_STALLED)
             if carry[2]:
                 break
-            times.resize(2 * len(times))
-            regimes.resize(2 * len(regimes))
-    times.resize(stored)
-    regimes.resize(stored)
+            times.resize(2 * len(times), refcheck=False)
+            regimes.resize(2 * len(regimes), refcheck=False)
+    times.resize(stored, refcheck=False)
+    regimes.resize(stored, refcheck=False)
     return RegimePath._sampled(times, regimes, horizon, n)
 
 
@@ -436,8 +439,8 @@ def occupancy(path: RegimePath) -> np.ndarray:
 def _check_initial(g: Generator, r0: int, horizon: float) -> None:
     if not 1 <= r0 <= g.n_states:
         raise ValueError(f"initial regime {r0} outside 1..{g.n_states}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
 
 
 def _jump_cdfs(m: np.ndarray) -> np.ndarray:

@@ -46,7 +46,8 @@ EXIT_IO = 4
 
 #: rows per CSV write: bounds the memory of a chunk's cell strings
 _CSV_CHUNK = 256
-#: the most bytes that seqir_csv writes for one cell, its separator included
+#: the most bytes that seqir_csv writes for one cell, its separator included; its
+#: fixed-size stores stay inside them too, so a chunk's buffer needs no slack
 _CELL_BYTES = 24
 
 

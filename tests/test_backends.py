@@ -296,6 +296,41 @@ def test_walk_cases_reach_the_paths_they_cover(kernel):
         < chain._WALK_CAPACITY
 
 
+@pytest.mark.parametrize("dt", [None, 1e-3])
+def test_the_kernel_walk_runs_under_a_profiler(kernel, monkeypatch, dt):
+    # a profiler set with sys.setprofile, as cProfile and pyinstrument set
+    # one, holds a reference to the walk's times array while its resize runs
+    kernel_only(monkeypatch)
+    g = validate_generator(GENERATOR_4)
+
+    def walk():
+        rng = np.random.default_rng(13)
+        path = (sample_path_exact(g, 4, 600.0, rng) if dt is None
+                else sample_path_discretized(g, 4, 600.0, dt, rng))
+        return path.jump_times.tobytes(), path.regimes.tobytes(), rng.bit_generator.state
+
+    plain = walk()
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        profiled = walk()
+    finally:
+        sys.setprofile(None)
+    assert "c_call" in events
+    assert len(np.frombuffer(plain[0])) > chain._WALK_CAPACITY
+    assert profiled == plain
+
+
+def test_chain_command_runs_under_a_profiler(kernel, tmp_path):
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        code = main(["chain", "--config", str(SRC / "seqirsim" / "configs" / "example1.json"),
+                     "--out", str(tmp_path / "chain.txt"), "--quiet"])
+    finally:
+        sys.setprofile(None)
+    assert code == 0 and (tmp_path / "chain.txt").exists()
+
+
 @pytest.mark.parametrize("backend", ["c", "python"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_paths_on_both_backends(kernel, monkeypatch, backend, name):
@@ -542,9 +577,17 @@ def test_run_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch
 
 #: one-operation changes of seqir_csv, each of which the repr identity sweep must detect
 CSV_MUTATIONS = {
-    "ties-round-up": ("d += above || (tie && (d & 1));", "d += above || tie;"),
-    "misplaced-digits-below-1": ("for (int z = 0; z < -decpt; z++)",
-                                 "for (int z = 0; z <= -decpt; z++)"),
+    "ties-round-up": ("half + (sticky | odd) > p10", "half + 1 > p10"),
+    "misplaced-digits-below-1": ("p = put_text(p + 2 - point, text, n);",
+                                 "p = put_text(p + 1 - point, text, n);"),
+    # d = 10^17 (x = 10.0, 1000.0, ...) counted as 17 digits
+    "digit-count-off-at-a-power-of-ten": ("d >= POW10[17]", "d > POW10[17]"),
+    # the two-digit test made with dh's last digit: two digits go where one may
+    "two-digits-dropped-where-one-may-go": (
+        "const unsigned two = rh - 100 * (rh >= 100) <= slack;",
+        "const unsigned two = rh - 10 * (rh * 103 >> 10) <= slack;"),
+    # below 2^-9 (t = 20, 21) the factor 10^(t-19) is left out of the product
+    "t-19-product-below-2^-9": ("P10(SCALE_T(b) - SCALE_LOW(b))", "P10(0)"),
 }
 
 
@@ -556,6 +599,30 @@ def test_csv_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch
     assert mutant is not None, reason
     monkeypatch.setattr(cli, "_cells", no_fallback)
     assert repr_mismatches(tmp_path / "sweep.csv", guard_sweep())
+
+
+def test_csv_rows_of_the_longest_cells_end_inside_the_buffer(kernel):
+    # a full chunk of the longest in-guard cells (23 characters and a
+    # separator: _CELL_BYTES each) fills the buffer that _kernel_rows
+    # allocates to its last byte; the fixed-size stores of the digit writer
+    # must not pass that end, where the canary bytes sit
+    assert len(repr(-0.00012345678901234567)) + 1 == cli._CELL_BYTES
+    n_rows, n_cols = cli._CSV_CHUNK, 3
+    cols = [np.full(n_rows, -0.00012345678901234567) for _ in range(n_cols)]
+    size = n_rows * n_cols * cli._CELL_BYTES
+    buf = np.full(size + 64, 0xA5, dtype=np.uint8)
+    splices = np.empty((n_rows * n_cols, 3), dtype=np.int64)
+    n_bytes = np.zeros(1, dtype=np.int64)
+    addrs = np.array([col.ctypes.data for col in cols], dtype=np.uintp)
+    strides = np.full(n_cols, 8, dtype=np.int64)
+    ints = np.zeros(n_cols, dtype=np.int64)
+    assert kernel.seqir_csv(addrs.ctypes.data, strides.ctypes.data, ints.ctypes.data, n_cols,
+                            0, n_rows, buf.ctypes.data, splices.ctypes.data,
+                            n_bytes.ctypes.data) == 0
+    assert n_bytes[0] == size
+    assert buf[:size].tobytes() == (",".join(["-0.00012345678901234567"] * n_cols)
+                                    + "\n").encode() * n_rows
+    assert (buf[size:] == 0xA5).all()
 
 
 def test_no_kernel_without_128_bit_integers(kernel, fresh_loader, monkeypatch, tmp_path):

@@ -252,6 +252,18 @@ class TestSamplePathDiscretized:
         assert np.abs(grid_occ - pi).sum() < 0.05
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_horizon_is_refused_before_a_draw(gen4, horizon):
+    # an infinite horizon would walk until memory runs out
+    samplers = (lambda rng: sample_path_exact(gen4, 1, horizon, rng),
+                lambda rng: sample_path_discretized(gen4, 1, horizon, 1e-3, rng))
+    for sample in samplers:
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="^horizon must be positive and finite$"):
+            sample(rng)
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
 class TestGridLawCache:
     """The grid sampler computes transition_matrix once per (generator, dt)."""
 

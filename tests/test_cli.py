@@ -613,6 +613,9 @@ GUARD_EDGES = [x for edge in (1e-4, 1e16) for x in (np.nextafter(edge, 0.0), edg
                                                       np.nextafter(edge, np.inf))]
 SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
                   1.7976931348623157e308, *GUARD_EDGES, *(-x for x in GUARD_EDGES)]
+#: integers of every digit count, next to each power of ten, and the int64 ends
+INT_EDGES = [0, *(sign * v for k in range(19) for v in (10 ** k - 1, 10 ** k, 10 ** k + 1)
+                  for sign in (1, -1)), 2 ** 63 - 1, -2 ** 63]
 #: every chunk boundary of _write_csv is crossed, and the header-only file
 ROW_COUNTS = [0, 1, 255, 256, 257, 513]
 
@@ -722,6 +725,10 @@ class TestCsvWriter:
         column = np.array(SPECIAL_VALUES)
         data = csv_bytes(tmp_path, ["x"], [column])
         assert data.decode().split("\n")[1:-1] == [_fmt(x) for x in column]
+
+    def test_integers_of_every_digit_count_are_written_as_str_writes_them(self, tmp_path):
+        data = csv_bytes(tmp_path, ["n"], [np.array(INT_EDGES, dtype=np.int64)])
+        assert data.decode().split("\n")[1:-1] == list(map(str, INT_EDGES))
 
     @settings(max_examples=200, deadline=None)
     @arbitrary_columns
