@@ -20,6 +20,9 @@ times strictly increasing from 0, each jump to a different state in range.
 A walk raises :class:`StalledClock` rather than repeat a jump time.
 :func:`occupancy` sums a path's segments in the kernel, or with the
 ``np.bincount`` that adds in the same order, so both give the same bytes.
+:func:`sample_occupancy_exact` gives the jump count and occupancy of an
+exact path with those bytes in constant memory: its kernel walk reuses one
+block and adds it into the sums whenever it fills.
 
 States are 1-based everywhere in the public interface.  All types are frozen
 and safe to share across threads; samplers take an explicit seed or Generator
@@ -54,6 +57,8 @@ STEP_WARN_LIMIT = 0.1
 
 #: the entries the kernel walk's arrays hold at first; they double whenever full
 _WALK_CAPACITY = 1024
+#: the entries of the one block that sample_occupancy_exact's kernel walk reuses
+_OCCUPANCY_BLOCK = 16384
 #: why a walk stops at a jump time no later than the one before it
 _STALLED = "a hold too short for the clock: jump times must be strictly increasing"
 
@@ -274,6 +279,24 @@ def sample_path_exact(g: Generator, r0: int, horizon: float, rng_seed) -> Regime
     return _sample(_jump_cdfs(g.rates), r0, horizon, 1.0, False, 1.0 / g.exit_rates, rng)
 
 
+def sample_occupancy_exact(g: Generator, r0: int, horizon: float,
+                           rng_seed) -> tuple[int, np.ndarray]:
+    """``(path.n_jumps, occupancy(path))`` for ``path =
+    sample_path_exact(g, r0, horizon, rng_seed)``, with the same bytes and
+    the same draws, without building the path: the kernel walk's block is
+    folded into the sums whenever it fills (:func:`_occupancy_c`), so the
+    memory does not grow with the number of jumps.  Without the kernel it
+    is that expression itself, the reference."""
+    from . import _kernel  # imported on first use: start-up does not pay for it
+    kernel, _ = _kernel.load()
+    if kernel is None or g.n_states == 1:
+        path = sample_path_exact(g, r0, horizon, rng_seed)
+        return path.n_jumps, occupancy(path)
+    _check_initial(g, r0, horizon)
+    rng = np.random.default_rng(rng_seed)
+    return _occupancy_c(kernel, _jump_cdfs(g.rates), r0, horizon, 1.0 / g.exit_rates, rng)
+
+
 def sample_path_discretized(
     g: Generator, r0: int, horizon: float, dt: float, rng_seed
 ) -> RegimePath:
@@ -336,14 +359,64 @@ def _sample(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: b
 
 def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
             geometric: bool, param: np.ndarray, rng: np.random.Generator) -> RegimePath:
+    """:func:`_walk` in the compiled ``kernel``: the walk of
+    :func:`_kernel_walk` in one pair of arrays of ``_WALK_CAPACITY`` entries
+    that double in place (``ndarray.resize``, a realloc) whenever they are
+    full.  At the end they are cut to the path's length, so the path owns
+    exactly its entries.  The resize skips numpy's reference check: both
+    arrays are local and nothing views them, but a profiler set with
+    ``sys.setprofile`` holds a reference to ``times`` while its method runs,
+    which the check refuses."""
+    def grow(times: np.ndarray, regimes: np.ndarray, stored: int) -> int:
+        times.resize(2 * len(times), refcheck=False)
+        regimes.resize(2 * len(regimes), refcheck=False)
+        return stored
+
+    times, regimes, stored = _kernel_walk(kernel, cdfs, r0, horizon, unit, geometric, param,
+                                          rng, _WALK_CAPACITY, grow)
+    times.resize(stored, refcheck=False)
+    regimes.resize(stored, refcheck=False)
+    return RegimePath._sampled(times, regimes, horizon, len(param))
+
+
+def _occupancy_c(kernel, cdfs: np.ndarray, r0: int, horizon: float,
+                 param: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """The jump count and :func:`occupancy` of the exact walk of
+    :func:`_kernel_walk`, in one block of ``_OCCUPANCY_BLOCK`` entries that
+    is reused.  When the block is full after m jumps, ``seqir_occupancy``
+    adds its first m segments, each ending at the next entry's time, and
+    entry m, the last jump, moves to entry 0; at the end it adds the rest,
+    the last segment ending at ``horizon``.  Every segment is thus added
+    in index order with the subtraction that :func:`occupancy` makes, so
+    the sums have its bytes."""
+    n = len(param)
+    occ = np.zeros(n)
+    folded = 0
+
+    def fold(times: np.ndarray, regimes: np.ndarray, stored: int) -> int:
+        nonlocal folded
+        m = stored - 1
+        kernel.seqir_occupancy(times.ctypes.data, regimes.ctypes.data, m, times[m], n,
+                               occ.ctypes.data)
+        times[0], regimes[0] = times[m], regimes[m]
+        folded += m
+        return 1
+
+    times, regimes, stored = _kernel_walk(kernel, cdfs, r0, horizon, 1.0, False, param, rng,
+                                          _OCCUPANCY_BLOCK, fold)
+    kernel.seqir_occupancy(times.ctypes.data, regimes.ctypes.data, stored, horizon, n,
+                           occ.ctypes.data)
+    return folded + stored - 1, occ / horizon
+
+
+def _kernel_walk(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
+                 geometric: bool, param: np.ndarray, rng: np.random.Generator, size: int,
+                 full) -> tuple[np.ndarray, np.ndarray, int]:
     """:func:`_walk` in the compiled ``kernel``, drawing from ``rng``'s own
-    bit generator under its lock.  The walk writes into one pair of arrays
-    of ``_WALK_CAPACITY`` entries; whenever they are full they double in
-    place (``ndarray.resize``, a realloc) and the walk resumes.  At the end
-    they are cut to the path's length, so the path owns exactly its entries.
-    The resize skips numpy's reference check: both arrays are local and
-    nothing views them, but a profiler set with ``sys.setprofile`` holds a
-    reference to ``times`` while its method runs, which the check refuses."""
+    bit generator under its lock, into a pair of arrays of ``size`` entries,
+    the first (0, r0).  Whenever they are full, ``full(times, regimes,
+    stored)`` makes room and returns the entry at which the walk goes on.
+    Returns the arrays and the number of entries they hold at the end."""
     cdfs = np.ascontiguousarray(cdfs, dtype=np.float64)
     param = np.ascontiguousarray(param, dtype=np.float64)
     n = len(param)
@@ -351,8 +424,8 @@ def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
         raise ValueError(f"walk inputs do not fit {n} states starting in {r0}")
     clock = np.zeros(1)  # the exact clock
     carry = np.array([r0 - 1, 0, 0], dtype=np.int64)  # state, grid clock, ended (2: stalled)
-    times = np.empty(_WALK_CAPACITY)
-    regimes = np.empty(_WALK_CAPACITY, dtype=np.int64)
+    times = np.empty(size)
+    regimes = np.empty(size, dtype=np.int64)
     times[0], regimes[0] = 0.0, r0
     stored = 1
     bitgen = rng.bit_generator
@@ -367,12 +440,8 @@ def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
             if carry[2] == 2:
                 raise StalledClock(_STALLED)
             if carry[2]:
-                break
-            times.resize(2 * len(times), refcheck=False)
-            regimes.resize(2 * len(regimes), refcheck=False)
-    times.resize(stored, refcheck=False)
-    regimes.resize(stored, refcheck=False)
-    return RegimePath._sampled(times, regimes, horizon, n)
+                return times, regimes, stored
+            stored = full(times, regimes, stored)
 
 
 def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: bool,

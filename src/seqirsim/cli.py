@@ -251,14 +251,14 @@ def cmd_chain(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
     pi = chain.stationary_distribution(cfg.generator)
     dt = cfg.simulation.dt
     p = chain.transition_matrix(cfg.generator, dt)
-    path = chain.sample_path_exact(cfg.generator, cfg.simulation.initial_regime,
-                                   max(cfg.simulation.horizon, dt), cfg.simulation.seed)
-    occ = chain.occupancy(path)
+    horizon = max(cfg.simulation.horizon, dt)
+    n_jumps, occ = chain.sample_occupancy_exact(cfg.generator, cfg.simulation.initial_regime,
+                                                horizon, cfg.simulation.seed)
     l1 = float(np.abs(occ - pi.probabilities).sum())
     fields = {"n_states": cfg.generator.n_states, "pi": pi.probabilities, "dt": dt}
     for i, row in enumerate(p):
         fields[f"P_row_{i + 1}"] = row
-    fields.update(sampled_horizon=path.horizon, sampled_jumps=path.n_jumps,
+    fields.update(sampled_horizon=horizon, sampled_jumps=n_jumps,
                   sampled_occupancy=occ, occupancy_l1_distance=l1)
     _write_report(out_path, fields)
     if not quiet:
@@ -275,22 +275,38 @@ def cmd_compare_det(cfg: RunConfig, out_path: Path, quiet: bool) -> int:
     frozen_table = RegimeParameterTable(rows=(params,))
     frozen_sim = replace(cfg.simulation, initial_regime=1)
 
-    trajectories = list(iter_ensemble(frozen_sim, frozen_gen, frozen_table,
-                                      cfg.policy, cfg.ensemble_n, cfg.ensemble_base_seed))
-    mean_states = np.mean([t.states for t in trajectories], axis=0)
+    first, mean_states = _member_mean(iter_ensemble(frozen_sim, frozen_gen, frozen_table,
+                                                    cfg.policy, cfg.ensemble_n,
+                                                    cfg.ensemble_base_seed))
     det = simulate_deterministic(cfg.simulation.initial_state, params, cfg.simulation.dt,
                                  cfg.simulation.horizon, cfg.simulation.output_stride)
     header = ["t", *(f"{c}_{kind}" for c in Trajectory.COLUMNS for kind in ("mean", "det"))]
     # column views, so no paired copy of the states is made
     columns = [states[:, j] for j in range(len(Trajectory.COLUMNS))
                for states in (mean_states, det.states)]
-    _write_csv(out_path, header, [trajectories[0].times, *columns])
+    _write_csv(out_path, header, [first.times, *columns])
     if not quiet:
         gap = float(np.abs(mean_states - det.states).max())
         print(f"comparison (regime {k}, n={cfg.ensemble_n}, ensemble backend "
-              f"{_backend(trajectories[0])}, rk4 backend {_backend(det)}) -> {out_path} "
+              f"{_backend(first)}, rk4 backend {_backend(det)}) -> {out_path} "
               f"(max |mean - det| = {gap:.3e})")
     return EXIT_OK
+
+
+def _member_mean(members) -> tuple[Trajectory, np.ndarray]:
+    """The first of one or more members and the mean of all their states.
+    The states are added in index order into a copy of the first member's
+    and divided by the count, which gives the bytes of ``np.mean`` over the
+    list of them (axis 0) while it holds the sum, the first member and the
+    one being added."""
+    members = iter(members)
+    first = next(members)
+    total = first.states.copy()
+    n = 1
+    for traj in members:
+        total += traj.states
+        n += 1
+    return first, total / n
 
 
 # one row per subcommand: name -> (help, default output suffix, handler)

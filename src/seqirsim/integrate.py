@@ -115,7 +115,11 @@ class SimulationConfig:
 
 
 def _check_grid(dt: float, horizon: float, stride: int) -> None:
-    """Reject a grid that is not a whole number of steps below 2**53 or a bad stride."""
+    """Reject a grid that is not a whole number of steps below 2**53 or a bad stride.
+
+    The grid end may miss the horizon by 1e-9 of the horizon, the rounding
+    of decimal input.  A dt far past a nonzero horizon, whose grid ends at 0
+    or at dt, is thus refused; a horizon of 0 is a grid of one sample."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if horizon < 0:
@@ -126,7 +130,7 @@ def _check_grid(dt: float, horizon: float, stride: int) -> None:
         raise ValueError(f"horizon / dt = {horizon / dt:.6g} must be "
                          f"finite and below 2**53 steps")
     end = round(horizon / dt) * dt
-    if abs(end - horizon) > 1e-9 * max(horizon, dt):
+    if abs(end - horizon) > 1e-9 * horizon:
         raise ValueError(f"horizon {horizon!r} is not a whole number of steps of dt {dt!r} "
                          f"(the nearest grid end is {end!r})")
 

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from seqirsim.integrate import _BLOCK, _run_c, _run_py, _setup
 
 from conftest import EX1_PARAMS, EX2_PARAMS, GENERATOR_2, GENERATOR_4, table_from_lists
 from test_chain import GOLDEN_CASES, GOLDEN_DIGESTS, NEAR_ABSORBING, golden_digest
-from test_cli import guard_sweep, no_fallback, repr_mismatches
+from test_cli import guard_sweep, no_fallback, parse_report, repr_mismatches
 from test_config import valid_doc, write_doc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -294,6 +295,56 @@ def test_walk_cases_reach_the_paths_they_cover(kernel):
     assert chain._WALK_CAPACITY < jumps["exact-gen4-long"] < 65536
     assert max(jumps[name] for name in WALK_CASES if name != "exact-gen4-long") \
         < chain._WALK_CAPACITY
+
+
+def occupancy_outcome(case, reference):
+    """The jump count, occupancy bytes and stream state of an exact walk
+    case, from :func:`chain.sample_occupancy_exact` or, for ``reference``,
+    from the path that :func:`sample_path_exact` samples."""
+    raw, r0, horizon, _, seed = WALK_CASES[case]
+    g = validate_generator(raw)
+    rng = np.random.default_rng(seed)
+    if reference:
+        path = sample_path_exact(g, r0, horizon, rng)
+        n_jumps, occ = path.n_jumps, chain.occupancy(path)
+    else:
+        n_jumps, occ = chain.sample_occupancy_exact(g, r0, horizon, rng)
+    return n_jumps, occ.tobytes(), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("block", [2, 7, chain._OCCUPANCY_BLOCK])
+@pytest.mark.parametrize("case", [name for name, case in WALK_CASES.items() if case[3] is None])
+def test_sampled_occupancy_is_that_of_the_sampled_path(kernel, monkeypatch, case, block,
+                                                       backend):
+    # the block is folded into the sums after every jump (2), after every six
+    # (7), or, at the default size, only at the end of these paths; the
+    # reference runs on the other backend
+    monkeypatch.setattr(chain, "_OCCUPANCY_BLOCK", block)
+    with monkeypatch.context() as m:
+        (kernel_only if backend == "c" else python_only)(m)
+        sampled_occupancy = occupancy_outcome(case, reference=False)
+    (python_only if backend == "c" else kernel_only)(monkeypatch)
+    assert sampled_occupancy == occupancy_outcome(case, reference=True)
+
+
+def test_chain_command_memory_does_not_grow_with_the_path(kernel, tmp_path,
+                                                         example1_config_path):
+    # about 1e6 jumps: a path of them takes 16 MB in its two arrays alone
+    doc = json.loads(example1_config_path.read_text())
+    doc["generator"] = (np.array(doc["generator"]) * 50).tolist()
+    doc["simulation"]["horizon"] = 2200.0
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "chain.txt"
+    tracemalloc.start()
+    try:
+        code = main(["chain", "--config", str(path), "--out", str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert int(parse_report(out)["sampled_jumps"]) > 900_000
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3])

@@ -6,7 +6,9 @@ import itertools
 import json
 import math
 import shutil
+import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -227,6 +229,43 @@ class TestCompareDetCommand:
             data = np.array([[float(v) for v in line.split(",")] for line in lines])
             gaps.append(np.abs(data[:, 1::2][:, :5] - data[:, 2::2]).max())
         assert gaps[0] < gaps[1] < gaps[2]
+
+
+    def test_members_are_not_all_held(self, tmp_path, monkeypatch):
+        # when member i arrives, members 1..i-2 are gone: only the first
+        # (its times are written) and the one last added may still live
+        held = []
+        real = cli.iter_ensemble
+
+        def tracked(*args):
+            for i, traj in enumerate(real(*args)):
+                held.append(sum(ref() is not None for ref in members[1:i - 1]))
+                members.append(weakref.ref(traj))
+                yield traj
+
+        members = []
+        monkeypatch.setattr(cli, "iter_ensemble", tracked)
+        doc = small_doc(horizon=1.0)
+        doc["ensemble"] = {"n": 6, "base_seed": 3}
+        path = write_doc(tmp_path, doc)
+        assert main(["compare-det", "--config", str(path), "--out", str(tmp_path / "cmp.csv"),
+                     "--quiet"]) == 0
+        assert held == [0] * 6
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1001, 20001])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, 33, 64, 257])
+def test_member_mean_has_the_bytes_of_np_mean(n, rows):
+    # states spread over 35 orders of magnitude, so that every rounding of
+    # the sum shows; np.mean adds along the member axis in index order
+    rng = np.random.default_rng(n * 100003 + rows)
+    states = np.exp(rng.uniform(-60.0, 20.0, size=(n, rows, 5)))
+    members = [types.SimpleNamespace(states=member) for member in states]
+    expected, first_states = np.mean(list(states), axis=0).tobytes(), states[0].tobytes()
+    first, mean = cli._member_mean(members)
+    assert first is members[0]
+    assert mean.tobytes() == expected
+    assert states[0].tobytes() == first_states  # the sum is a copy
 
 
 class TestWarnings:
@@ -476,6 +515,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "2**53" in err
+        assert not out.exists()
+
+    def test_dt_past_the_horizon_is_2_for_chain(self, tmp_path, capsys):
+        # it used to load, then sample a path to dt and end in a MemoryError traceback
+        path = write_doc(tmp_path, small_doc(dt=1e9, horizon=1.0))
+        out = tmp_path / "chain.txt"
+        assert main(["chain", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: simulation: horizon 1.0 is not a whole number")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("horizon", [0.004, 0.057], ids=["below-half-step", "off-grid"])

@@ -186,3 +186,15 @@ class TestValidation:
         doc["simulation"]["dt"] = "small"
         with pytest.raises(ConfigError, match=r"simulation\.dt"):
             load_config(write_doc(tmp_path, doc))
+
+    def test_dt_past_a_nonzero_horizon_rejected(self, tmp_path):
+        # a grid of zero whole steps short of the horizon: chain would sample
+        # to dt, about 1e10 jumps at example1's rates
+        doc = valid_doc()
+        doc["simulation"].update(dt=1e9, horizon=1.0)
+        with pytest.raises(ConfigError, match=r"^simulation: horizon 1\.0 is not a whole number "
+                                              r"of steps of dt 1000000000\.0"):
+            load_config(write_doc(tmp_path, doc))
+        # a horizon of zero steps is still a grid, of one sample
+        doc["simulation"].update(horizon=0.0)
+        assert load_config(write_doc(tmp_path, doc)).simulation.n_steps == 0
