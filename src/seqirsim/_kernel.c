@@ -1,7 +1,7 @@
 /* Compiled kernel for seqirsim: the step loop of integrate.simulate, the
  * RK4 loop of integrate.simulate_deterministic, the sojourn walk of the
- * chain samplers, the occupancy sum of chain.occupancy and the row
- * formatter of cli._write_csv.
+ * chain samplers, which sums its own occupancy, and the row formatter of
+ * cli._write_csv.
  *
  * drift is model.vector_field, the one C copy of it; both step loops call it.
  * seqir_run steps a whole stochastic run in one call: the regime in force at
@@ -20,9 +20,6 @@
  * distribution routines (linked from numpy/random/lib/libnpyrandom.a) on the
  * live bit generator of an np.random.Generator, so they consume the same
  * variates in the same stream order as the Python loops.
- *
- * seqir_occupancy adds each segment's duration into its state's slot in
- * index order, as np.bincount adds its weights, so the sums are the same.
  *
  * seqir_csv writes CSV rows with the text that repr gives each float inside
  * cli._write_csv's guard (x == 0 or 1e-4 <= |x| < 1e16): the shortest digits
@@ -210,6 +207,12 @@ int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
  * (n_states - 1 per row), which is searchsorted(row, u, side="right").
  * Each jump stores its time and 1-based regime; when cap jumps are stored
  * the walk returns with carry[0] = cur and the clock, to be called again.
+ * occ (n_states entries, zeroed by the caller before the first call) gets
+ * each segment's duration added into slot cur as the walk leaves it: t -
+ * before at a jump, and horizon - before when the walk ends, where before is
+ * the segment's start.  That is the subtraction of
+ * RegimePath.segment_durations, added in index order as np.bincount adds the
+ * weights of chain.occupancy, so the sums have its bytes.
  * A grid clock that would pass INT64_MAX ends the walk: chain's grid sampler
  * refuses a horizon past 2**63 * unit, so such a jump time is past it.
  * Returns the number of jumps stored; the caller grows the arrays when that
@@ -217,13 +220,14 @@ int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
 int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
                    const double *cdfs, int64_t n_states, double unit,
                    double horizon, double *clock, int64_t *carry,
-                   double *times, int64_t *regimes, int64_t cap)
+                   double *times, int64_t *regimes, int64_t cap, double *occ)
 {
     int64_t cur = carry[0], steps = carry[1], n = 0;
-    double dclock = *clock;
+    double dclock = *clock, before = 0.0;
 
     while (n < cap) {
-        double t, before = geometric ? (double)steps * unit : dclock * unit;
+        double t;
+        before = geometric ? (double)steps * unit : dclock * unit;
         if (!(param[cur] > 0.0)) {
             carry[2] = 1;
             break;
@@ -253,36 +257,19 @@ int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
         int64_t k = 0;
         for (int64_t j = 0; j < n_states - 1; j++)
             k += row[j] <= u;
+        occ[cur] += t - before;
         cur = k;
         times[n] = t;
         regimes[n] = cur + 1;
         n++;
     }
 
+    if (carry[2] == 1)
+        occ[cur] += horizon - before;
     *clock = dclock;
     carry[0] = cur;
     carry[1] = steps;
     return n;
-}
-
-
-/* chain.occupancy before the division by horizon: the path of n segments
- * starting at times[j] in the 1-based regimes[j], the last ending at
- * horizon.  For each j in order, occ (n_states entries, zeroed by the
- * caller) gets times[j + 1] - times[j], or horizon - times[n - 1] for the
- * last, added into slot regimes[j] - 1, as RegimePath.segment_durations
- * subtracts and np.bincount(regimes, weights) adds.  Returns 1, with occ
- * partly summed, at a regime outside 1..n_states; else 0. */
-int seqir_occupancy(const double *times, const int64_t *regimes, int64_t n,
-                    double horizon, int64_t n_states, double *occ)
-{
-    for (int64_t j = 0; j < n; j++) {
-        const int64_t r = regimes[j];
-        if (r < 1 || r > n_states)
-            return 1;
-        occ[r - 1] += (j + 1 < n ? times[j + 1] : horizon) - times[j];
-    }
-    return 0;
 }
 
 

@@ -9,11 +9,10 @@ private per-user directory (``$XDG_CACHE_HOME/seqirsim``, else
 source, flags, machine, numpy version and archive, and loads it through
 ctypes.  It loads whole or not at all: any failure (a compiler without
 128-bit integers too) leaves it unavailable with a one-line reason, and
-every caller steps, walks, sums and formats in Python instead.
+every caller steps, walks and formats in Python instead.
 ``integrate.simulate``, ``integrate.simulate_deterministic``, the chain
-samplers, ``chain.occupancy`` and the CSV writer ``cli._write_csv`` import
-this module on first use, so importing the package neither builds nor loads
-the kernel.
+samplers and the CSV writer ``cli._write_csv`` import this module on first
+use, so importing the package neither builds nor loads the kernel.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ _SIGNATURES = {
     "seqir_run": ((_P, _I64, _D, _P, _P, _I64, _P, ctypes.c_int, _D, ctypes.c_int, _P, _P,
                    _P, _P), ctypes.c_int),
     "seqir_rk4": ((_P, _D, _P, _P, _I64, _P, _P), ctypes.c_int),
-    "seqir_walk": ((_P, ctypes.c_int, _P, _P, _I64, _D, _D, _P, _P, _P, _P, _I64), _I64),
-    "seqir_occupancy": ((_P, _P, _I64, _D, _I64, _P), ctypes.c_int),
+    "seqir_walk": ((_P, ctypes.c_int, _P, _P, _I64, _D, _D, _P, _P, _P, _P, _I64, _P), _I64),
     "seqir_csv": ((_P, _P, _P, _I64, _I64, _I64, _P, _P, _P), _I64),
 }
 
@@ -121,9 +119,9 @@ def _open():
 def load():
     """``(library, None)`` once the kernel is loaded, else ``(None, reason)``.
 
-    The library exposes ``seqir_run``, ``seqir_rk4``, ``seqir_walk``,
-    ``seqir_occupancy`` and ``seqir_csv``, typed; a loaded library runs all
-    five, and ``None`` leaves all five to their Python references."""
+    The library exposes ``seqir_run``, ``seqir_rk4``, ``seqir_walk`` and
+    ``seqir_csv``, typed; a loaded library runs all four, and ``None`` leaves
+    all four to their Python references."""
     try:
         return _open(), None
     except KernelUnavailable as exc:

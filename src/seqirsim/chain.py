@@ -18,11 +18,11 @@ A path that a user builds with ``RegimePath(...)`` is checked; a sampled path
 is trusted and built without the checks, since both walks build it valid:
 times strictly increasing from 0, each jump to a different state in range.
 A walk raises :class:`StalledClock` rather than repeat a jump time.
-:func:`occupancy` sums a path's segments in the kernel, or with the
-``np.bincount`` that adds in the same order, so both give the same bytes.
-:func:`sample_occupancy_exact` gives the jump count and occupancy of an
-exact path with those bytes in constant memory: its kernel walk reuses one
-block and adds it into the sums whenever it fills.
+:func:`occupancy` sums a path's segments with ``np.bincount``.  The kernel
+walk adds each segment into the same sums, in the same order, as it leaves
+it, so :func:`sample_occupancy_exact` gives the jump count and occupancy of
+an exact path with those bytes in constant memory, reusing one block for
+the jumps.
 
 States are 1-based everywhere in the public interface.  All types are frozen
 and safe to share across threads; samplers take an explicit seed or Generator
@@ -283,10 +283,10 @@ def sample_occupancy_exact(g: Generator, r0: int, horizon: float,
                            rng_seed) -> tuple[int, np.ndarray]:
     """``(path.n_jumps, occupancy(path))`` for ``path =
     sample_path_exact(g, r0, horizon, rng_seed)``, with the same bytes and
-    the same draws, without building the path: the kernel walk's block is
-    folded into the sums whenever it fills (:func:`_occupancy_c`), so the
-    memory does not grow with the number of jumps.  Without the kernel it
-    is that expression itself, the reference."""
+    the same draws, without building the path: the kernel walk sums the
+    occupancy itself and reuses one block for the jumps
+    (:func:`_occupancy_c`), so the memory does not grow with their number.
+    Without the kernel it is that expression itself, the reference."""
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, _ = _kernel.load()
     if kernel is None or g.n_states == 1:
@@ -366,57 +366,49 @@ def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
     exactly its entries.  The resize skips numpy's reference check: both
     arrays are local and nothing views them, but a profiler set with
     ``sys.setprofile`` holds a reference to ``times`` while its method runs,
-    which the check refuses."""
-    def grow(times: np.ndarray, regimes: np.ndarray, stored: int) -> int:
-        times.resize(2 * len(times), refcheck=False)
-        regimes.resize(2 * len(regimes), refcheck=False)
-        return stored
-
-    times, regimes, stored = _kernel_walk(kernel, cdfs, r0, horizon, unit, geometric, param,
-                                          rng, _WALK_CAPACITY, grow)
+    which the check refuses.  The walk's occupancy is not used."""
+    times, regimes, stored, _ = _kernel_walk(kernel, cdfs, r0, horizon, unit, geometric,
+                                             param, rng, _WALK_CAPACITY, _grow)
     times.resize(stored, refcheck=False)
     regimes.resize(stored, refcheck=False)
     return RegimePath._sampled(times, regimes, horizon, len(param))
 
 
+def _grow(times: np.ndarray, regimes: np.ndarray, stored: int) -> int:
+    """The ``full`` of :func:`_walk_c`: double both arrays in place."""
+    times.resize(2 * len(times), refcheck=False)
+    regimes.resize(2 * len(regimes), refcheck=False)
+    return stored
+
+
 def _occupancy_c(kernel, cdfs: np.ndarray, r0: int, horizon: float,
                  param: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """The jump count and :func:`occupancy` of the exact walk of
-    :func:`_kernel_walk`, in one block of ``_OCCUPANCY_BLOCK`` entries that
-    is reused.  When the block is full after m jumps, ``seqir_occupancy``
-    adds its first m segments, each ending at the next entry's time, and
-    entry m, the last jump, moves to entry 0; at the end it adds the rest,
-    the last segment ending at ``horizon``.  Every segment is thus added
-    in index order with the subtraction that :func:`occupancy` makes, so
-    the sums have its bytes."""
-    n = len(param)
-    occ = np.zeros(n)
-    folded = 0
+    :func:`_kernel_walk`, which sums the occupancy itself, in one block of
+    ``_OCCUPANCY_BLOCK`` entries: whenever it is full, its jumps are counted
+    and the walk goes on at entry 1."""
+    jumps = 0
 
-    def fold(times: np.ndarray, regimes: np.ndarray, stored: int) -> int:
-        nonlocal folded
-        m = stored - 1
-        kernel.seqir_occupancy(times.ctypes.data, regimes.ctypes.data, m, times[m], n,
-                               occ.ctypes.data)
-        times[0], regimes[0] = times[m], regimes[m]
-        folded += m
+    def rewind(times: np.ndarray, regimes: np.ndarray, stored: int) -> int:
+        nonlocal jumps
+        jumps += stored - 1
         return 1
 
-    times, regimes, stored = _kernel_walk(kernel, cdfs, r0, horizon, 1.0, False, param, rng,
-                                          _OCCUPANCY_BLOCK, fold)
-    kernel.seqir_occupancy(times.ctypes.data, regimes.ctypes.data, stored, horizon, n,
-                           occ.ctypes.data)
-    return folded + stored - 1, occ / horizon
+    _, _, stored, occ = _kernel_walk(kernel, cdfs, r0, horizon, 1.0, False, param, rng,
+                                     _OCCUPANCY_BLOCK, rewind)
+    return jumps + stored - 1, occ / horizon
 
 
 def _kernel_walk(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
                  geometric: bool, param: np.ndarray, rng: np.random.Generator, size: int,
-                 full) -> tuple[np.ndarray, np.ndarray, int]:
+                 full) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """:func:`_walk` in the compiled ``kernel``, drawing from ``rng``'s own
     bit generator under its lock, into a pair of arrays of ``size`` entries,
     the first (0, r0).  Whenever they are full, ``full(times, regimes,
     stored)`` makes room and returns the entry at which the walk goes on.
-    Returns the arrays and the number of entries they hold at the end."""
+    Returns the arrays, the number of entries they hold at the end and the
+    time spent in each state, which the walk adds up segment by segment as
+    :func:`occupancy` does before its division by ``horizon``."""
     cdfs = np.ascontiguousarray(cdfs, dtype=np.float64)
     param = np.ascontiguousarray(param, dtype=np.float64)
     n = len(param)
@@ -424,6 +416,7 @@ def _kernel_walk(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
         raise ValueError(f"walk inputs do not fit {n} states starting in {r0}")
     clock = np.zeros(1)  # the exact clock
     carry = np.array([r0 - 1, 0, 0], dtype=np.int64)  # state, grid clock, ended (2: stalled)
+    occ = np.zeros(n)
     times = np.empty(size)
     regimes = np.empty(size, dtype=np.int64)
     times[0], regimes[0] = 0.0, r0
@@ -436,11 +429,12 @@ def _kernel_walk(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
                                         param.ctypes.data, cdfs.ctypes.data, n, unit, horizon,
                                         clock.ctypes.data, carry.ctypes.data,
                                         times.ctypes.data + 8 * stored,
-                                        regimes.ctypes.data + 8 * stored, len(times) - stored)
+                                        regimes.ctypes.data + 8 * stored, len(times) - stored,
+                                        occ.ctypes.data)
             if carry[2] == 2:
                 raise StalledClock(_STALLED)
             if carry[2]:
-                return times, regimes, stored
+                return times, regimes, stored, occ
             stored = full(times, regimes, stored)
 
 
@@ -482,26 +476,15 @@ def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: boo
 def occupancy(path: RegimePath) -> np.ndarray:
     """Fraction of [0, horizon] spent in each state; sums to 1.
 
-    Each segment's duration is added into its state's slot in index order:
-    by the kernel's ``seqir_occupancy`` when it loads, else by
-    ``np.bincount``, which adds its weights in the same order, so both give
-    the same bytes.  A regime outside 1..n_states, written into the path's
-    array after its checks, raises ``ValueError`` on both."""
-    from . import _kernel  # imported on first use: start-up does not pay for it
-    kernel, _ = _kernel.load()
-    regimes = np.ascontiguousarray(path.regimes, dtype=np.int64)
-    out_of_range = ValueError(f"regimes must lie in 1..{path.n_states}")
-    if kernel is None:
-        if regimes.min() < 1 or regimes.max() > path.n_states:
-            raise out_of_range
-        occ = np.bincount(regimes, weights=path.segment_durations(),
-                          minlength=path.n_states + 1)[1:]
-    else:
-        times = np.ascontiguousarray(path.jump_times, dtype=np.float64)
-        occ = np.zeros(path.n_states)
-        if kernel.seqir_occupancy(times.ctypes.data, regimes.ctypes.data, len(regimes),
-                                  path.horizon, path.n_states, occ.ctypes.data):
-            raise out_of_range
+    ``np.bincount`` adds each segment's duration into its state's slot in
+    index order.  A regime outside 1..n_states, written into the path's
+    array after its checks, raises ``ValueError``: bincount alone would
+    count it in a slot of its own or drop it."""
+    regimes = np.asarray(path.regimes, dtype=np.int64)
+    if regimes.min() < 1 or regimes.max() > path.n_states:
+        raise ValueError(f"regimes must lie in 1..{path.n_states}")
+    occ = np.bincount(regimes, weights=path.segment_durations(),
+                      minlength=path.n_states + 1)[1:]
     return occ / path.horizon
 
 

@@ -7,9 +7,10 @@ Subcommands
     chain        chain diagnostics: stationary law, transition matrix, occupancy
     compare-det  ensemble mean vs deterministic solution, paired columns
 
-Exit codes: 0 success, 2 configuration error, 3 mathematical domain error
-(arithmetic overflow and a non-finite report value among them), 4 output I/O
-error.  ``SEQIRSIM_OUT_DIR`` sets the default output directory.
+Exit codes: 0 success, 2 configuration error (a run too large to allocate
+among them), 3 mathematical domain error (arithmetic overflow and a
+non-finite report value among them), 4 output I/O error.
+``SEQIRSIM_OUT_DIR`` sets the default output directory.
 
 Every number in an output file is written by :func:`_fmt`, full round-trip
 precision with no exponent.  CSV files are written in chunks of rows.
@@ -371,6 +372,11 @@ def _run(handler, cfg: RunConfig, out: Path, quiet: bool) -> int:
     except (MathDomainError, ArithmeticError) as exc:
         print(f"math domain error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory ({exc}); lower "
+              f"simulation.horizon or raise simulation.dt or simulation.stride",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO

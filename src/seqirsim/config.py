@@ -231,19 +231,15 @@ def _load_simulation(sim_doc, init_doc, n_states: int) -> SimulationConfig:
 
     dt = _number(_require(sim_doc, "dt", "simulation"), "simulation.dt")
     horizon = _number(_require(sim_doc, "horizon", "simulation"), "simulation.horizon")
-    seed = _integer(sim_doc.get("seed", 0), "simulation.seed")
-    stride = _integer(sim_doc.get("stride", 1), "simulation.stride")
+    # only the fields the file sets: SimulationConfig holds the defaults
+    given = {key: sim_doc[key] for key in ("scheme", "chain_mode", "negativity_policy")
+             if key in sim_doc}
+    if "seed" in sim_doc:
+        given["seed"] = _integer(sim_doc["seed"], "simulation.seed")
+    if "stride" in sim_doc:
+        given["output_stride"] = _integer(sim_doc["stride"], "simulation.stride")
     try:
-        return SimulationConfig(
-            dt=dt,
-            horizon=horizon,
-            initial_state=EpidemicState(**comp),
-            initial_regime=regime,
-            scheme=sim_doc.get("scheme", "milstein"),
-            chain_mode=sim_doc.get("chain_mode", "discretized"),
-            seed=seed,
-            output_stride=stride,
-            negativity_policy=sim_doc.get("negativity_policy", "clamp_to_zero"),
-        )
+        return SimulationConfig(dt=dt, horizon=horizon, initial_state=EpidemicState(**comp),
+                                initial_regime=regime, **given)
     except ValueError as exc:
         raise ConfigError(f"simulation: {exc}") from exc

@@ -221,24 +221,24 @@ def sample(case, rng=None):
 
 
 def sampled(case):
-    """Path bytes of one public sampler call, the stream state after it and
-    the bytes of the path's occupancy."""
+    """Path bytes of one public sampler call and the stream state after it."""
     rng = np.random.default_rng(WALK_CASES[case][4])
     path = sample(case, rng)
     return path.jump_times.tobytes(), path.regimes.dtype, path.regimes.tobytes(), \
-        rng.bit_generator.state, chain.occupancy(path).tobytes()
+        rng.bit_generator.state
 
 
 def python_only(monkeypatch):
     monkeypatch.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
 
 
+def fallback(*args):
+    raise AssertionError("the kernel's work fell back to Python")
+
+
 def kernel_only(monkeypatch):
-    """Make the Python walk and the bincount's durations fail."""
-    def fallback(*args):
-        raise AssertionError("the walk or the occupancy fell back to Python")
+    """Make the Python walk fail."""
     monkeypatch.setattr(chain, "_walk", fallback)
-    monkeypatch.setattr(RegimePath, "segment_durations", fallback)
 
 
 def walked(walk, cdfs, r0, horizon, unit, geometric, param, seed):
@@ -263,6 +263,35 @@ def test_walk_identity(kernel, monkeypatch, case, capacity):
         compiled = sampled(case)
     python_only(monkeypatch)
     assert compiled == sampled(case)
+
+
+def walk_inputs(case):
+    """The kernel walk's landing laws, initial regime, horizon, unit,
+    geometric flag and param for a walk case, as its sampler passes them.
+    The samplers do not walk a one-state chain: its landing laws are empty
+    (of 0 / 0), its grid walk ends before a draw and its exact walk holds
+    for an infinite mean time (of 1 / 0), ending at its first draw."""
+    raw, r0, horizon, dt, _ = WALK_CASES[case]
+    g = validate_generator(raw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if dt is None:
+            return chain._jump_cdfs(g.rates), r0, horizon, 1.0, False, 1.0 / g.exit_rates
+        cdfs, leave = chain._grid_law(g, dt)
+    return cdfs, r0, horizon, dt, True, leave
+
+
+@pytest.mark.parametrize("capacity", [1, 7, chain._WALK_CAPACITY])
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_the_kernel_walk_sums_the_occupancy_of_its_path(kernel, case, capacity):
+    # the sums go on across the calls that resume the walk in grown arrays;
+    # occupancy divides its sums by the horizon, and so does the chain report
+    cdfs, r0, horizon, unit, geometric, param = walk_inputs(case)
+    rng = np.random.default_rng(WALK_CASES[case][4])
+    times, regimes, stored, occ = chain._kernel_walk(kernel, cdfs, r0, horizon, unit,
+                                                     geometric, param, rng, capacity,
+                                                     chain._grow)
+    path = RegimePath(times[:stored], regimes[:stored], horizon, len(param))
+    assert (occ / horizon).tobytes() == chain.occupancy(path).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
@@ -317,12 +346,15 @@ def occupancy_outcome(case, reference):
 @pytest.mark.parametrize("case", [name for name, case in WALK_CASES.items() if case[3] is None])
 def test_sampled_occupancy_is_that_of_the_sampled_path(kernel, monkeypatch, case, block,
                                                        backend):
-    # the block is folded into the sums after every jump (2), after every six
-    # (7), or, at the default size, only at the end of these paths; the
-    # reference runs on the other backend
+    # the block is rewound after every jump (2), after every six (7), or, at
+    # the default size, never on these paths; the reference runs on the
+    # other backend.  The kernel walk sums the occupancy of every chain that
+    # it walks, that is of more than one state
     monkeypatch.setattr(chain, "_OCCUPANCY_BLOCK", block)
     with monkeypatch.context() as m:
         (kernel_only if backend == "c" else python_only)(m)
+        if backend == "c" and len(WALK_CASES[case][0]) > 1:
+            m.setattr(RegimePath, "segment_durations", fallback)
         sampled_occupancy = occupancy_outcome(case, reference=False)
     (python_only if backend == "c" else kernel_only)(monkeypatch)
     assert sampled_occupancy == occupancy_outcome(case, reference=True)
@@ -449,38 +481,6 @@ def test_a_stalled_clock_is_exit_3_without_report(kernel, tmp_path, monkeypatch,
     assert err.startswith("math domain error: a hold too short for the clock")
     assert "Traceback" not in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("backend", ["c", "python"])
-def test_occupancy_adds_the_segments_in_index_order(kernel, monkeypatch, backend):
-    # state 1 holds for 2**-53, 2**-53 and then 1.0: added in that order the
-    # two halves of an ulp of 1.0 make a whole one, and with 1.0 first each
-    # rounds away
-    tiny = 2.0 ** -53
-    path = RegimePath(np.array([0.0, tiny, 2 * tiny, 3 * tiny, 4 * tiny]),
-                      np.array([1, 2, 1, 2, 1]), 1.0 + 4 * tiny, 2)
-    if backend == "python":
-        python_only(monkeypatch)
-    else:
-        kernel_only(monkeypatch)
-    expected = np.array([2 * tiny + 1.0, 2 * tiny]) / path.horizon
-    assert chain.occupancy(path).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("backend", ["c", "python"])
-@pytest.mark.parametrize("regime", [0, 5])
-def test_occupancy_of_a_path_changed_out_of_range_raises(kernel, monkeypatch, backend,
-                                                         regime):
-    # a path's arrays can be written after its checks; np.bincount alone
-    # would count regime 5 into a slot of its own and drop regime 0
-    path = RegimePath(np.array([0.0, 1.0, 2.0]), np.array([1, 2, 1]), 4.0, 2)
-    path.regimes[1] = regime
-    if backend == "python":
-        python_only(monkeypatch)
-    else:
-        kernel_only(monkeypatch)
-    with pytest.raises(ValueError, match=r"^regimes must lie in 1\.\.2$"):
-        chain.occupancy(path)
 
 
 def zero_at_second_draw() -> np.random.Generator:

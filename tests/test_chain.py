@@ -327,6 +327,25 @@ class TestOccupancyAndPath:
         with pytest.raises(ValueError):
             RegimePath(np.array([0.0, 1.0, 0.5]), np.array([1, 2, 1]), 2.0, 2)  # time goes back
 
+    def test_occupancy_adds_the_segments_in_index_order(self):
+        # state 1 holds for 2**-53, 2**-53 and then 1.0: added in that order the
+        # two halves of an ulp of 1.0 make a whole one, and with 1.0 first each
+        # rounds away
+        tiny = 2.0 ** -53
+        path = RegimePath(np.array([0.0, tiny, 2 * tiny, 3 * tiny, 4 * tiny]),
+                          np.array([1, 2, 1, 2, 1]), 1.0 + 4 * tiny, 2)
+        expected = np.array([2 * tiny + 1.0, 2 * tiny]) / path.horizon
+        assert occupancy(path).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("regime", [0, 5])
+    def test_occupancy_of_a_path_changed_out_of_range_raises(self, regime):
+        # a path's arrays can be written after its checks; np.bincount alone
+        # would count regime 5 into a slot of its own and drop regime 0
+        path = RegimePath(np.array([0.0, 1.0, 2.0]), np.array([1, 2, 1]), 4.0, 2)
+        path.regimes[1] = regime
+        with pytest.raises(ValueError, match=r"^regimes must lie in 1\.\.2$"):
+            occupancy(path)
+
 
 #: a two-state chain whose first state is left at rate 1e-14: exp(dt * rates)
 #: rounds its stay probability to 1.0, so the grid sampler never leaves it

@@ -5,10 +5,14 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import types
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,6 +450,34 @@ class TestExitCodes:
         assert "Traceback" not in err
         lines = [line for line in err.splitlines() if line.startswith("math domain error: ")]
         assert len(lines) == 1 and named in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "compare-det"])
+    def test_a_run_too_large_to_allocate_is_2(self, tmp_path, example1_config_path, command):
+        # 1e12 steps: ensemble and compare-det ask 7.28 TiB for the recorded
+        # steps, and simulate's chain walk grows its path until the limit
+        # refuses it.  The run is a child with its own address-space limit,
+        # so it fails at that limit rather than at the machine's memory
+        doc = json.loads(example1_config_path.read_text())
+        doc["simulation"].update(horizon=1e8, dt=1e-4, stride=1)
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        _kernel.load()  # built before the limit, which the compiler must not meet
+        limit = 512 * 2 ** 20
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                "from seqirsim.cli import main\n"
+                f"sys.exit(main({[command, '--config', str(path), '--out', str(out)]!r}))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("config error: the run does not fit in memory (")
+        assert res.stderr.endswith("; lower simulation.horizon or raise simulation.dt or "
+                                   "simulation.stride\n")
         assert not out.exists()
 
     def test_io_error_is_4(self, tmp_path):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from seqirsim import load_config
+from seqirsim import EpidemicState, SimulationConfig, load_config
 from seqirsim.errors import ConfigError
 from seqirsim.model import PARAMETER_NAMES
 
@@ -180,6 +180,13 @@ class TestValidation:
         doc["ensemble"]["n"] = 0
         with pytest.raises(ConfigError, match=r"ensemble\.n"):
             load_config(write_doc(tmp_path, doc))
+
+    def test_simulation_defaults_are_the_dataclass_defaults(self, tmp_path):
+        doc = valid_doc()
+        doc["simulation"] = {"dt": 0.001, "horizon": 10.0}
+        state = EpidemicState(S=1.0, E=0.5, Q=0.1, I=0.1, R=0.0)
+        assert load_config(write_doc(tmp_path, doc)).simulation == \
+            SimulationConfig(0.001, 10.0, state, 1)
 
     def test_type_errors_diagnosed(self, tmp_path):
         doc = valid_doc()
