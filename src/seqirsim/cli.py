@@ -13,12 +13,15 @@ non-finite report value among them), 4 output I/O error.
 ``SEQIRSIM_OUT_DIR`` sets the default output directory.
 
 Every number in an output file is written by :func:`_fmt`, full round-trip
-precision with no exponent.  CSV files are written in chunks of rows.
-Wherever ``x == 0`` or ``1e-4 <= |x| < 1e16`` (the guard), ``repr`` gives
-the same text as :func:`_fmt`, and a CSV float there is formatted as
+precision with no exponent.  CSV files are written in chunks of rows, in
+order.  Wherever ``x == 0`` or ``1e-4 <= |x| < 1e16`` (the guard), ``repr``
+gives the same text as :func:`_fmt`, and a CSV float there is formatted as
 ``repr`` formats it: by the compiled kernel's exact shortest-digit search
 when the kernel loads, else by ``repr`` itself.  Every other float goes
-through :func:`_fmt`.
+through :func:`_fmt`.  The kernel formats the chunks of one file on as many
+threads as ensemble members step on (``integrate._workers``), the calling
+thread among them; the calling thread writes every chunk, in order, so no
+byte depends on the thread count.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, chain, thresholds
+from . import analysis, chain, integrate, thresholds
 from .config import RunConfig, load_config
 from .errors import ConfigError, EmptyWindow, MathDomainError
 from .integrate import Trajectory, derive_seed, iter_ensemble, simulate, simulate_deterministic
@@ -45,8 +48,10 @@ EXIT_CONFIG = 2
 EXIT_MATH = 3
 EXIT_IO = 4
 
-#: rows per CSV write: bounds the memory of a chunk's cell strings
-_CSV_CHUNK = 256
+#: rows per CSV write.  A kernel-written file holds 2 x threads chunk slots (one
+#: slot on one thread), each of _CSV_CHUNK x columns x _CELL_BYTES bytes and a
+#: splice table of the same size; the Python writer holds one chunk's strings
+_CSV_CHUNK = 1024
 #: the most bytes that seqir_csv writes for one cell, its separator included; its
 #: fixed-size stores stay inside them too, so a chunk's buffer needs no slack
 _CELL_BYTES = 24
@@ -83,61 +88,174 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     (whose values fit in int64) are printed with ``str``, the others with
     :func:`_fmt`.
 
-    Rows are formatted and written ``_CSV_CHUNK`` at a time.  When the
-    compiled kernel loads, :func:`_kernel_rows` formats each chunk;
-    otherwise :func:`_cells` does, a column slice at a time.  Both write the
-    same bytes."""
+    Rows are formatted and written ``_CSV_CHUNK`` at a time, in index order.
+    When the compiled kernel loads, :func:`_kernel_rows` formats the chunks on
+    ``integrate._workers(n_chunks)`` threads: the calling thread and helper
+    threads started for this file and joined before it returns.  Otherwise
+    :func:`_python_rows` formats them, a column slice at a time, on the
+    calling thread alone, since it holds the GIL.  :func:`_write_chunks`
+    says how the threads share the chunks.  The calling thread writes each
+    chunk, in order, so no byte depends on the thread count, and both
+    formatters write the same bytes."""
     n_rows = len(columns[0])
     if any(np.shape(col) != (n_rows,) for col in columns):
         raise ValueError("CSV columns must be 1-D and of equal length")
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, _ = _kernel.load()
-    rows = _kernel_rows(kernel, columns) if kernel is not None else None
+    n_chunks = -(-n_rows // _CSV_CHUNK)
+    threads = 1 if kernel is None or n_chunks < 2 else integrate._workers(n_chunks)
+    # one thread writes chunk i before it formats chunk i + 1: one slot holds it
+    n_slots = 1 if threads == 1 else 2 * threads
+    fill, text = (_python_rows(columns) if kernel is None
+                  else _kernel_rows(kernel, columns, n_slots))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, n_rows, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, n_rows)
-            if rows is None:
-                cells = [_cells(col[lo:hi]) for col in columns]
-                fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]).encode())
-            else:
-                fh.write(rows(lo, hi))
+        _write_chunks(fh, fill, text, n_rows, threads, n_slots)
 
 
-def _kernel_rows(kernel, columns: list[np.ndarray]):
-    """A function of ``(lo, hi)`` that returns the bytes of rows lo..hi-1
-    (at most ``_CSV_CHUNK``), formatted by the kernel's ``seqir_csv``.
+def _write_chunks(fh, fill, text, n_rows: int, threads: int, n_slots: int) -> None:
+    """Write the ``_CSV_CHUNK``-row chunks of ``n_rows`` rows to ``fh`` in
+    index order.  ``fill(lo, hi, slot)`` formats rows lo..hi-1 into a buffer
+    slot and returns a count for ``text(slot, count)``, which returns the
+    bytes to write.
+
+    The calling thread and ``threads - 1`` helper threads claim chunks in
+    index order under one condition; chunk i goes to slot ``i % n_slots``,
+    and it is not claimed until chunk ``i - n_slots`` has been written, so no
+    slot is refilled while its bytes are being written.  The calling thread
+    writes chunk i as soon as it is formatted; while it waits for it, it
+    claims and formats the next unclaimed chunk itself.  With one thread it
+    formats and writes each chunk in turn, and no thread is started.
+
+    What ``fill`` raises on a chunk, on any thread, is that chunk's result:
+    it is raised here once the chunks before it are written.  Every helper
+    has ended when this returns or raises."""
+    import threading  # imported on first use: start-up does not pay for it
+    n_chunks = -(-n_rows // _CSV_CHUNK)
+    cond = threading.Condition()
+    done = {}  # chunk -> its count for text, or what fill raised on it
+    claimed = written = 0
+    stop = False
+
+    def claim():
+        """The next chunk, now claimed, or None: none is left, the writer has
+        stopped, or the next one's slot holds a chunk not yet written.  Called
+        with ``cond`` held."""
+        nonlocal claimed
+        if stop or claimed == n_chunks or claimed == written + n_slots:
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def format_chunk(i):
+        lo = i * _CSV_CHUNK
+        try:
+            result = fill(lo, min(lo + _CSV_CHUNK, n_rows), i % n_slots)
+        except BaseException as exc:  # handed to the writer as chunk i
+            result = exc
+        with cond:
+            done[i] = result
+            cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                while (i := claim()) is None:
+                    if stop or claimed == n_chunks:
+                        return
+                    cond.wait()
+            format_chunk(i)
+
+    helpers = []
+    try:
+        for _ in range(threads - 1):
+            thread = threading.Thread(target=helper, name="seqirsim-csv")
+            thread.start()
+            helpers.append(thread)
+        for i in range(n_chunks):
+            while True:
+                with cond:
+                    if i in done:
+                        result = done.pop(i)
+                        break
+                    j = claim()
+                    if j is None:
+                        cond.wait()
+                        continue
+                format_chunk(j)
+            if isinstance(result, BaseException):
+                raise result
+            fh.write(text(i % n_slots, result))
+            with cond:
+                written += 1
+                cond.notify_all()
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in helpers:
+            thread.join()
+
+
+def _python_rows(columns: list[np.ndarray]):
+    """``(fill, text)`` of :func:`_write_chunks` for :func:`_cells`, with one
+    slot: ``fill`` keeps the bytes of the rows and ``text`` returns them."""
+    out = [b""]
+
+    def fill(lo: int, hi: int, slot: int) -> int:
+        cells = [_cells(col[lo:hi]) for col in columns]
+        out[slot] = "".join([",".join(row) + "\n" for row in zip(*cells)]).encode()
+        return 0
+
+    return fill, lambda slot, count: out[slot]
+
+
+def _kernel_rows(kernel, columns: list[np.ndarray], n_slots: int):
+    """``(fill, text)`` of :func:`_write_chunks` for the kernel's ``seqir_csv``,
+    with ``n_slots`` buffer slots.  ``fill(lo, hi, slot)`` formats rows
+    lo..hi-1 (at most ``_CSV_CHUNK``) into the slot and returns the number of
+    cells it left empty; it makes only the ``seqir_csv`` call, which releases
+    the GIL, so helper threads run it.  ``text(slot, n)`` returns the slot's
+    rows with those n cells filled in; it runs on the writing thread.
 
     ``seqir_csv`` writes integers in decimal, and each float inside the
     guard of :func:`_cells` with the shortest round-trip digits, found by an
     exact integer search, in ``repr``'s positional form.  It leaves every
-    other float as an empty cell and records where; that cell is filled in
-    with :func:`_fmt` here.  Integer columns are passed as int64 and the
-    others as float64, in place when they already are."""
+    other float as an empty cell and records where; ``text`` fills it in
+    with :func:`_fmt`.  Integer columns are passed as int64 and the others
+    as float64, in place when they already are.  The column table (addresses,
+    strides and integer flags) is built once; each slot owns only its buffer,
+    its splice table and its byte count."""
     ints = np.array([np.issubdtype(col.dtype, np.integer) for col in columns], dtype=np.int64)
     cols = [np.asarray(col, dtype=np.int64 if is_int else np.float64)
             for col, is_int in zip(columns, ints)]
     addrs = np.array([col.ctypes.data for col in cols], dtype=np.uintp)
     strides = np.array([col.strides[0] for col in cols], dtype=np.int64)
     cells = min(_CSV_CHUNK, len(cols[0])) * len(cols)
-    buf = np.empty(cells * _CELL_BYTES, dtype=np.uint8)
-    splices = np.empty((cells, 3), dtype=np.int64)  # byte offset, row, column
-    n_bytes = np.zeros(1, dtype=np.int64)
-    # data_as pointers hold their arrays, so rows keeps alive what the kernel reads
+    # data_as pointers hold their arrays, so fill keeps alive what the kernel reads
     args = (*map(_pointer, (addrs, strides, ints)), len(cols))
-    out = tuple(map(_pointer, (buf, splices, n_bytes)))
-    view = memoryview(buf)
+    slots = []
+    for _ in range(n_slots):
+        buf = np.empty(cells * _CELL_BYTES, dtype=np.uint8)
+        splices = np.empty((cells, 3), dtype=np.int64)  # byte offset, row, column
+        n_bytes = np.zeros(1, dtype=np.int64)
+        slots.append((tuple(map(_pointer, (buf, splices, n_bytes))), memoryview(buf),
+                      splices, n_bytes))
 
-    def rows(lo: int, hi: int):
-        n = kernel.seqir_csv(*args, lo, hi, *out)
+    def fill(lo: int, hi: int, slot: int) -> int:
+        return kernel.seqir_csv(*args, lo, hi, *slots[slot][0])
+
+    def text(slot: int, n: int):
+        _, view, splices, n_bytes = slots[slot]
         parts, start = [], 0
         for offset, row, col in splices[:n].tolist():
             parts += (view[start:offset], _fmt(cols[col][row]).encode())
             start = offset
-        # a view of buf when nothing is spliced: it is written before the next call
+        # a view of the slot when nothing is spliced: it is written before
+        # the slot is filled again
         return b"".join([*parts, view[start:n_bytes[0]]]) if parts else view[:n_bytes[0]]
 
-    return rows
+    return fill, text
 
 
 def _pointer(arr: np.ndarray) -> ctypes.c_void_p:

@@ -27,7 +27,8 @@ worker per usable CPU; the Python runner holds it, so its members step on
 one worker.  Each member is set up (path sampling, record arrays) in the
 calling thread in index order, only its stepping runs in a worker, and
 members are returned in index order, so no output depends on the worker
-count.
+count.  :func:`_workers` also sets how many threads ``cli._write_csv``
+formats the chunks of one CSV file on.
 """
 
 from __future__ import annotations
@@ -391,8 +392,9 @@ def _trajectory(run: _Run, kernel, reason) -> Trajectory:
 
 
 def _workers(n: int) -> int:
-    """Threads for an ensemble of n: the CPUs this process may run on
-    (``os.cpu_count()`` where affinity is unavailable), at most n."""
+    """Threads for n tasks (the members of an ensemble, or the chunks of a
+    CSV file): the CPUs this process may run on (``os.cpu_count()`` where
+    affinity is unavailable), at most n."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:

@@ -694,7 +694,7 @@ def test_no_kernel_without_128_bit_integers(kernel, fresh_loader, monkeypatch, t
 
 
 def test_csv_rows_keep_the_arrays_the_kernel_reads_alive(kernel):
-    # rows hands seqir_csv the addresses of the column table and the flags;
+    # fill hands seqir_csv the addresses of the column table and the flags;
     # freed, their memory goes to the next arrays of the same size.  In a
     # child interpreter, so a crash fails this test and not the run
     code = (
@@ -703,10 +703,10 @@ def test_csv_rows_keep_the_arrays_the_kernel_reads_alive(kernel):
         "from seqirsim import _kernel, cli\n"
         "kernel, _ = _kernel.load()\n"
         "cols = [np.arange(10) * 0.1, np.arange(10) % 4, *[np.linspace(1.0, 2.0, 10)] * 5]\n"
-        "rows = cli._kernel_rows(kernel, cols)\n"
+        "fill, text = cli._kernel_rows(kernel, cols, 2)\n"
         "taken = [np.full(7, 7, dtype=np.int64) for _ in range(8)]\n"
         "expected = ''.join(','.join(row) + '\\n' for row in zip(*map(cli._cells, cols)))\n"
-        "sys.stdout.write(str(bytes(rows(0, 10)) == expected.encode()))\n"
+        "sys.stdout.write(str(bytes(text(1, fill(0, 10, 1))) == expected.encode()))\n"
     )
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

@@ -9,6 +9,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import types
 import warnings
 import weakref
@@ -697,8 +699,9 @@ SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014
 #: integers of every digit count, next to each power of ten, and the int64 ends
 INT_EDGES = [0, *(sign * v for k in range(19) for v in (10 ** k - 1, 10 ** k, 10 ** k + 1)
                   for sign in (1, -1)), 2 ** 63 - 1, -2 ** 63]
+C = cli._CSV_CHUNK
 #: every chunk boundary of _write_csv is crossed, and the header-only file
-ROW_COUNTS = [0, 1, 255, 256, 257, 513]
+ROW_COUNTS = [0, 1, C - 1, C, C + 1, 2 * C + 1]
 
 
 def csv_bytes(tmp_path, header, columns):
@@ -831,14 +834,14 @@ class TestCsvWriter:
         assert not bad, f"{len(bad)} mismatches, first {bad[:10]}"
 
     def test_values_outside_the_guard_are_spliced_into_their_cells(self, tmp_path):
-        n_rows = 600
+        n_rows = C + 344
         rng = np.random.default_rng(3)
         columns = [rng.uniform(-1e3, 1e3, n_rows), rng.integers(-9, 9, n_rows),
                    rng.lognormal(0.0, 3.0, n_rows), rng.integers(0, 5, n_rows),
                    rng.uniform(0.0, 1.0, n_rows)]
         # first, middle and last column; first row, both sides of the first
         # chunk boundary and the last row: 12 cells, so each value is placed
-        cells = itertools.product((0, 255, 256, n_rows - 1), (0, 2, 4))
+        cells = itertools.product((0, C - 1, C, n_rows - 1), (0, 2, 4))
         for value, (row, col) in zip(itertools.cycle(SPLICED), cells):
             columns[col][row] = value
         header = ["a", "b", "c", "d", "e"]
@@ -860,3 +863,209 @@ class TestCsvWriterWithoutKernel(TestCsvWriter):
     def test_arbitrary_columns_match_the_per_value_loop(self, tmp_path_factory, pool, ints,
                                                          n_rows, seed):
         check_arbitrary_columns(tmp_path_factory, pool, ints, n_rows, seed)
+
+
+#: a file of one row, one chunk short of full, full, one past, several chunks
+#: with a part one, and more chunks than the 2 x 4 buffer slots of four threads
+THREADED_ROW_COUNTS = [1, C - 1, C, C + 1, 5 * C + 7, 9 * C + 7]
+#: cells that go through _fmt (and -0.0, which repr writes), placed in every chunk
+OUT_OF_GUARD = [1e-300, 1e20, np.nan, np.inf, -np.inf, -0.0]
+
+
+def threaded_table(n_rows):
+    """A float, an int and a second float column, with cells of
+    ``OUT_OF_GUARD`` in every chunk of both float columns."""
+    rng = np.random.default_rng(n_rows)
+    columns = [np.arange(n_rows) * 1e-3, rng.integers(-2 ** 40, 2 ** 40, n_rows),
+               rng.lognormal(0.0, 3.0, n_rows)]
+    for lo in range(0, n_rows, C):
+        for k, value in enumerate(OUT_OF_GUARD):
+            row = lo + (37 * k + lo // C) % min(C, n_rows - lo)
+            columns[2 * (k % 2)][row] = value
+    return ["t", "n", "x"], columns
+
+
+class SlowFirstChunk:
+    """The kernel, with ``seqir_csv`` resting after it formats the rows from
+    0, so that the other threads run ahead meanwhile: they format later chunks
+    before chunk 0 is written, and fill every slot the writer lets them.
+    ``threads`` holds the name of the thread of each call."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.threads = []
+
+    def seqir_csv(self, *args):
+        n = self.kernel.seqir_csv(*args)
+        self.threads.append(threading.current_thread().name)
+        if args[4] == 0:  # lo
+            time.sleep(0.05)
+        return n
+
+
+class FailingHelper:
+    """The kernel, with ``seqir_csv`` raising on every chunk that a helper
+    thread formats.  The calling thread formats nothing until a helper has
+    raised, so a helper's chunk fails whichever chunks the calling thread
+    claims.  ``failed`` holds the first row of each failed chunk."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.failed = []
+        self.helper_failed = threading.Event()
+
+    def seqir_csv(self, *args):
+        if threading.current_thread().name == "seqirsim-csv":
+            self.failed.append(args[4])
+            self.helper_failed.set()
+            raise RuntimeError(f"seqir_csv failed at row {args[4]}")
+        assert self.helper_failed.wait(30), "no helper formatted a chunk"
+        return self.kernel.seqir_csv(*args)
+
+
+class FailingWrite:
+    """A file opened for writing whose ``write`` fails on call ``fail_at``
+    (the header is call 1, the first chunk call 2)."""
+
+    def __init__(self, path, mode, fail_at):
+        self.fh = open(path, mode)
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def within_deadline(fn, seconds=120):
+    """fn() on a thread of its own, which must end within ``seconds``: a
+    writer that hangs fails the test instead of the run.  Returns what fn
+    returned, or raises what it raised."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the CSV writer did not return"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+class TestThreadedCsvWriter:
+    """With the kernel, ``_write_csv`` formats the chunks of a file on one
+    thread per usable CPU: the calling thread and helpers started for the
+    file.  The bytes must not depend on the thread count or on which thread
+    formats which chunk, and no helper may outlive the call."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        if shutil.which(_kernel.CC) is None:
+            pytest.skip(f"no {_kernel.CC} on this machine")
+        kernel, reason = _kernel.load()
+        assert kernel is not None, reason
+        monkeypatch.setattr(cli, "_cells", no_fallback)
+        return kernel
+
+    @staticmethod
+    def started_helpers(monkeypatch):
+        """The names of the threads started from now on."""
+        names = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            names.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        return names
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_rows", THREADED_ROW_COUNTS)
+    def test_bytes_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch, kernel,
+                                                     threads, n_rows):
+        use_cpus(monkeypatch, threads)
+        slow = SlowFirstChunk(kernel)
+        monkeypatch.setattr(_kernel, "load", lambda: (slow, None))
+        fmt_threads = []
+
+        def fmt(x):
+            fmt_threads.append(threading.current_thread().name)
+            return _fmt(x)
+
+        monkeypatch.setattr(cli, "_fmt", fmt)
+        started = self.started_helpers(monkeypatch)
+        before = threading.active_count()
+        header, columns = threaded_table(n_rows)
+        data = csv_bytes(tmp_path, header, columns)
+        assert threading.active_count() == before
+        monkeypatch.undo()  # the reference formats through the real _fmt
+        assert data == reference_csv(header, columns)
+        n_chunks = -(-n_rows // C)
+        assert len(slow.threads) == n_chunks
+        assert started == ["seqirsim-csv"] * (min(threads, n_chunks) - 1)
+        # helpers format chunks, but every empty cell is filled on the writer's thread
+        if len(started):
+            assert "seqirsim-csv" in slow.threads
+        assert set(fmt_threads) == {"MainThread"}
+        assert len(fmt_threads) == sum(n_rows - len(in_guard(columns[j])) for j in (0, 2))
+        assert len(fmt_threads) >= min(n_rows, 2) * n_chunks  # nan and inf, at least
+
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_a_helpers_exception_is_raised_as_its_chunk(self, tmp_path, monkeypatch, kernel,
+                                                        threads):
+        use_cpus(monkeypatch, threads)
+        failing = FailingHelper(kernel)
+        monkeypatch.setattr(_kernel, "load", lambda: (failing, None))
+        before = threading.active_count()
+        header, columns = threaded_table(5 * C + 7)
+        with pytest.raises(RuntimeError) as info:
+            within_deadline(lambda: csv_bytes(tmp_path, header, columns))
+        assert threading.active_count() == before
+        first = min(failing.failed)
+        assert str(info.value) == f"seqir_csv failed at row {first}"
+        # the chunks before it are written, in order, and none after it
+        written = (tmp_path / "out.csv").read_bytes()
+        assert written == reference_csv(header, [col[:first] for col in columns])
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_a_failed_write_ends_every_helper(self, tmp_path, monkeypatch, threads):
+        use_cpus(monkeypatch, threads)
+        monkeypatch.setattr(cli, "open", functools.partial(FailingWrite, fail_at=4),
+                            raising=False)
+        before = threading.active_count()
+        header, columns = threaded_table(5 * C + 7)
+        with pytest.raises(OSError, match="No space left"):
+            within_deadline(lambda: csv_bytes(tmp_path, header, columns))
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        # the header and the first two chunks, written before the failure
+        assert (tmp_path / "out.csv").read_bytes() == reference_csv(
+            header, [col[:2 * C] for col in columns])
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_a_failed_write_exits_4(self, tmp_path, monkeypatch, capsys, threads):
+        use_cpus(monkeypatch, threads)
+        path = write_doc(tmp_path, small_doc(stride=1))  # 5001 rows: 5 chunks
+        monkeypatch.setattr(cli, "open", functools.partial(FailingWrite, fail_at=3),
+                            raising=False)
+        before = threading.active_count()
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out.csv"),
+                "--quiet"]
+        assert within_deadline(lambda: main(argv)) == 4
+        assert threading.active_count() == before
+        assert capsys.readouterr().err == "output error: [Errno 28] No space left on device\n"

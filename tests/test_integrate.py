@@ -568,8 +568,11 @@ class TestEnsemble:
                 traj.metadata["config"])
 
     def test_members_do_not_depend_on_the_worker_count(self, gen4, ex1_table, monkeypatch):
+        from seqirsim import _kernel
+
         # n = 7 passes the limit of two members in flight per worker at 1, 2 and 3 CPUs
         config = base_config(horizon=2.0, output_stride=7)
+        compiled = _kernel.load()[0] is not None
         standalone = [self.outcome(simulate(replace(config, seed=derive_seed(5, i)), gen4,
                                             ex1_table, LINEAR)) for i in range(7)]
         for cpus in (1, 2, 3):
@@ -578,7 +581,8 @@ class TestEnsemble:
             assert [self.outcome(t) for t in members] == standalone
             # every member stepped on the pool, never in the calling thread
             assert len(threads) == 7 and "MainThread" not in threads
-            assert pools == [cpus]
+            # the Python runner holds the GIL, so it steps on one worker
+            assert pools == [cpus if compiled else 1]
 
     def test_python_runner_steps_on_the_pool(self, gen4, ex1_table, monkeypatch):
         from seqirsim import _kernel
