@@ -18,16 +18,16 @@ order.  Wherever ``x == 0`` or ``1e-4 <= |x| < 1e16`` (the guard), ``repr``
 gives the same text as :func:`_fmt`, and a CSV float there is formatted as
 ``repr`` formats it: by the compiled kernel's exact shortest-digit search
 when the kernel loads, else by ``repr`` itself.  Every other float goes
-through :func:`_fmt`.  The kernel formats the chunks of one file on as many
-threads as ensemble members step on (``integrate._workers``), the calling
-thread among them; the calling thread writes every chunk, in order, so no
-byte depends on the thread count.
+through :func:`_fmt`.  The chunks of a file run through
+``integrate._ordered``, the pipeline that ensemble members run through: with
+the kernel they are formatted on the calling thread and on helper threads,
+one per usable CPU in all, and the calling thread writes every chunk, in
+order, so no byte depends on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import os
 import sys
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import analysis, chain, integrate, thresholds
 from .config import RunConfig, load_config
-from .errors import ConfigError, EmptyWindow, MathDomainError
+from .errors import ConfigError, EmptyWindow, MathDomainError, NonFiniteState
 from .integrate import Trajectory, derive_seed, iter_ensemble, simulate, simulate_deterministic
 from .model import RegimeParameterTable
 
@@ -88,117 +88,39 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     (whose values fit in int64) are printed with ``str``, the others with
     :func:`_fmt`.
 
-    Rows are formatted and written ``_CSV_CHUNK`` at a time, in index order.
-    When the compiled kernel loads, :func:`_kernel_rows` formats the chunks on
-    ``integrate._workers(n_chunks)`` threads: the calling thread and helper
-    threads started for this file and joined before it returns.  Otherwise
-    :func:`_python_rows` formats them, a column slice at a time, on the
-    calling thread alone, since it holds the GIL.  :func:`_write_chunks`
-    says how the threads share the chunks.  The calling thread writes each
-    chunk, in order, so no byte depends on the thread count, and both
-    formatters write the same bytes."""
+    Rows are formatted and written ``_CSV_CHUNK`` at a time, in index order:
+    the chunks are the tasks of ``integrate._ordered``, and formatting one is
+    its work.  When the compiled kernel loads, :func:`_kernel_rows` formats
+    them on ``integrate._workers(n_chunks)`` threads, the calling thread among
+    them, each chunk into buffer slot ``i % window``, which is not refilled
+    before its chunk is written.  Otherwise :func:`_python_rows` formats them,
+    a column slice at a time, inline on the calling thread, since it holds
+    the GIL.  The calling thread writes each chunk, in order, so no byte
+    depends on the thread count, and both formatters write the same bytes."""
     n_rows = len(columns[0])
     if any(np.shape(col) != (n_rows,) for col in columns):
         raise ValueError("CSV columns must be 1-D and of equal length")
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, _ = _kernel.load()
     n_chunks = -(-n_rows // _CSV_CHUNK)
-    threads = 1 if kernel is None or n_chunks < 2 else integrate._workers(n_chunks)
-    # one thread writes chunk i before it formats chunk i + 1: one slot holds it
-    n_slots = 1 if threads == 1 else 2 * threads
+    threads = 1 if kernel is None else integrate._workers(n_chunks)
+    n_slots = integrate._window(threads)
     fill, text = (_python_rows(columns) if kernel is None
                   else _kernel_rows(kernel, columns, n_slots))
+
+    def chunk(i: int):
+        lo = i * _CSV_CHUNK
+        return fill(lo, min(lo + _CSV_CHUNK, n_rows), i % n_slots)
+
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        _write_chunks(fh, fill, text, n_rows, threads, n_slots)
-
-
-def _write_chunks(fh, fill, text, n_rows: int, threads: int, n_slots: int) -> None:
-    """Write the ``_CSV_CHUNK``-row chunks of ``n_rows`` rows to ``fh`` in
-    index order.  ``fill(lo, hi, slot)`` formats rows lo..hi-1 into a buffer
-    slot and returns a count for ``text(slot, count)``, which returns the
-    bytes to write.
-
-    The calling thread and ``threads - 1`` helper threads claim chunks in
-    index order under one condition; chunk i goes to slot ``i % n_slots``,
-    and it is not claimed until chunk ``i - n_slots`` has been written, so no
-    slot is refilled while its bytes are being written.  The calling thread
-    writes chunk i as soon as it is formatted; while it waits for it, it
-    claims and formats the next unclaimed chunk itself.  With one thread it
-    formats and writes each chunk in turn, and no thread is started.
-
-    What ``fill`` raises on a chunk, on any thread, is that chunk's result:
-    it is raised here once the chunks before it are written.  Every helper
-    has ended when this returns or raises."""
-    import threading  # imported on first use: start-up does not pay for it
-    n_chunks = -(-n_rows // _CSV_CHUNK)
-    cond = threading.Condition()
-    done = {}  # chunk -> its count for text, or what fill raised on it
-    claimed = written = 0
-    stop = False
-
-    def claim():
-        """The next chunk, now claimed, or None: none is left, the writer has
-        stopped, or the next one's slot holds a chunk not yet written.  Called
-        with ``cond`` held."""
-        nonlocal claimed
-        if stop or claimed == n_chunks or claimed == written + n_slots:
-            return None
-        claimed += 1
-        return claimed - 1
-
-    def format_chunk(i):
-        lo = i * _CSV_CHUNK
-        try:
-            result = fill(lo, min(lo + _CSV_CHUNK, n_rows), i % n_slots)
-        except BaseException as exc:  # handed to the writer as chunk i
-            result = exc
-        with cond:
-            done[i] = result
-            cond.notify_all()
-
-    def helper():
-        while True:
-            with cond:
-                while (i := claim()) is None:
-                    if stop or claimed == n_chunks:
-                        return
-                    cond.wait()
-            format_chunk(i)
-
-    helpers = []
-    try:
-        for _ in range(threads - 1):
-            thread = threading.Thread(target=helper, name="seqirsim-csv")
-            thread.start()
-            helpers.append(thread)
-        for i in range(n_chunks):
-            while True:
-                with cond:
-                    if i in done:
-                        result = done.pop(i)
-                        break
-                    j = claim()
-                    if j is None:
-                        cond.wait()
-                        continue
-                format_chunk(j)
-            if isinstance(result, BaseException):
-                raise result
-            fh.write(text(i % n_slots, result))
-            with cond:
-                written += 1
-                cond.notify_all()
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for thread in helpers:
-            thread.join()
+        for i, count in integrate._ordered(n_chunks, lambda i: i, chunk, threads,
+                                           "seqirsim-csv"):
+            fh.write(text(i % n_slots, count))
 
 
 def _python_rows(columns: list[np.ndarray]):
-    """``(fill, text)`` of :func:`_write_chunks` for :func:`_cells`, with one
+    """``(fill, text)`` of :func:`_write_csv` for :func:`_cells`, with one
     slot: ``fill`` keeps the bytes of the rows and ``text`` returns them."""
     out = [b""]
 
@@ -211,7 +133,7 @@ def _python_rows(columns: list[np.ndarray]):
 
 
 def _kernel_rows(kernel, columns: list[np.ndarray], n_slots: int):
-    """``(fill, text)`` of :func:`_write_chunks` for the kernel's ``seqir_csv``,
+    """``(fill, text)`` of :func:`_write_csv` for the kernel's ``seqir_csv``,
     with ``n_slots`` buffer slots.  ``fill(lo, hi, slot)`` formats rows
     lo..hi-1 (at most ``_CSV_CHUNK``) into the slot and returns the number of
     cells it left empty; it makes only the ``seqir_csv`` call, which releases
@@ -226,24 +148,26 @@ def _kernel_rows(kernel, columns: list[np.ndarray], n_slots: int):
     as float64, in place when they already are.  The column table (addresses,
     strides and integer flags) is built once; each slot owns only its buffer,
     its splice table and its byte count."""
-    ints = np.array([np.issubdtype(col.dtype, np.integer) for col in columns], dtype=np.int64)
+    ints = np.array([col.dtype.kind in "iu" for col in columns], dtype=np.int64)
     cols = [np.asarray(col, dtype=np.int64 if is_int else np.float64)
             for col, is_int in zip(columns, ints)]
     addrs = np.array([col.ctypes.data for col in cols], dtype=np.uintp)
     strides = np.array([col.strides[0] for col in cols], dtype=np.int64)
     cells = min(_CSV_CHUNK, len(cols[0])) * len(cols)
-    # data_as pointers hold their arrays, so fill keeps alive what the kernel reads
-    args = (*map(_pointer, (addrs, strides, ints)), len(cols))
+    table = (addrs.ctypes.data, strides.ctypes.data, ints.ctypes.data, len(cols))
     slots = []
     for _ in range(n_slots):
         buf = np.empty(cells * _CELL_BYTES, dtype=np.uint8)
         splices = np.empty((cells, 3), dtype=np.int64)  # byte offset, row, column
         n_bytes = np.zeros(1, dtype=np.int64)
-        slots.append((tuple(map(_pointer, (buf, splices, n_bytes))), memoryview(buf),
-                      splices, n_bytes))
+        slots.append(((buf.ctypes.data, splices.ctypes.data, n_bytes.ctypes.data),
+                      memoryview(buf), splices, n_bytes))
 
     def fill(lo: int, hi: int, slot: int) -> int:
-        return kernel.seqir_csv(*args, lo, hi, *slots[slot][0])
+        return kernel.seqir_csv(*table, lo, hi, *slots[slot][0])
+
+    # plain addresses hold nothing: fill holds every array the kernel reads
+    fill.arrays = (cols, addrs, strides, ints, slots)
 
     def text(slot: int, n: int):
         _, view, splices, n_bytes = slots[slot]
@@ -256,11 +180,6 @@ def _kernel_rows(kernel, columns: list[np.ndarray], n_slots: int):
         return b"".join([*parts, view[start:n_bytes[0]]]) if parts else view[:n_bytes[0]]
 
     return fill, text
-
-
-def _pointer(arr: np.ndarray) -> ctypes.c_void_p:
-    """The address of ``arr``'s data, as a pointer that keeps ``arr`` alive."""
-    return arr.ctypes.data_as(ctypes.c_void_p)
 
 
 def _cells(col: np.ndarray) -> list[str]:
@@ -417,15 +336,25 @@ def _member_mean(members) -> tuple[Trajectory, np.ndarray]:
     The states are added in index order into a copy of the first member's
     and divided by the count, which gives the bytes of ``np.mean`` over the
     list of them (axis 0) while it holds the sum, the first member and the
-    one being added."""
+    one being added.  Finite states may sum past the largest float: a mean
+    that is not finite raises :class:`NonFiniteState`, naming its column
+    and its first row."""
     members = iter(members)
     first = next(members)
     total = first.states.copy()
     n = 1
-    for traj in members:
-        total += traj.states
-        n += 1
-    return first, total / n
+    with np.errstate(over="ignore"):  # the check below reports it
+        for traj in members:
+            total += traj.states
+            n += 1
+    mean = total / n
+    bad = ~np.isfinite(mean)
+    if bad.any():
+        row, col = np.argwhere(bad)[0].tolist()
+        raise NonFiniteState(f"ensemble mean {Trajectory.COLUMNS[col]}_mean = "
+                             f"{_fmt(mean[row, col])} is not finite at sample {row} "
+                             f"(t={first.times[row]:.6g})")
+    return first, mean
 
 
 # one row per subcommand: name -> (help, default output suffix, handler)

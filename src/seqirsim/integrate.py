@@ -21,14 +21,14 @@ stochastic run is one kernel call that draws its normals from the run's
 generator in C.  Both backends give the same bytes and leave the generator
 in the same state, and ``Trajectory.metadata["backend"]`` says which ran.
 
-Ensembles: :func:`iter_ensemble` steps members on a thread pool, on both
-backends.  The kernel call releases the GIL, so compiled members step on one
-worker per usable CPU; the Python runner holds it, so its members step on
-one worker.  Each member is set up (path sampling, record arrays) in the
-calling thread in index order, only its stepping runs in a worker, and
-members are returned in index order, so no output depends on the worker
-count.  :func:`_workers` also sets how many threads ``cli._write_csv``
-formats the chunks of one CSV file on.
+Ensembles: :func:`iter_ensemble` runs its members through :func:`_ordered`,
+the one thread pipeline, which ``cli._write_csv`` runs CSV chunks through
+too.  The calling thread sets up each member (path sampling, record arrays)
+in index order, and members step on it and, since the kernel call releases
+the GIL, on helper threads: one thread per usable CPU (:func:`_workers`) in
+all.  The Python runner holds the GIL, so its members step inline, with no
+thread started.  Members are returned in index order, so no output depends
+on the thread count.
 """
 
 from __future__ import annotations
@@ -370,12 +370,13 @@ def simulate(config: SimulationConfig, generator: Generator,
     return _trajectory(run, kernel, reason)
 
 
-def _advance(run: _Run, kernel) -> None:
-    """Step ``run`` on ``kernel``, or in Python when it is None."""
+def _advance(run: _Run, kernel) -> _Run:
+    """Step ``run`` on ``kernel``, or in Python when it is None; returns it."""
     if kernel is None:
         _run_py(run)
     else:
         _run_c(run, kernel)
+    return run
 
 
 def _trajectory(run: _Run, kernel, reason) -> Trajectory:
@@ -392,14 +393,101 @@ def _trajectory(run: _Run, kernel, reason) -> Trajectory:
 
 
 def _workers(n: int) -> int:
-    """Threads for n tasks (the members of an ensemble, or the chunks of a
-    CSV file): the CPUs this process may run on (``os.cpu_count()`` where
-    affinity is unavailable), at most n."""
+    """Threads for n tasks of :func:`_ordered`: the CPUs this process may run
+    on (``os.cpu_count()`` where affinity is unavailable), at most n."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
     return min(n, cpus)
+
+
+def _window(threads: int) -> int:
+    """Tasks in flight in :func:`_ordered`: two per thread, one on one thread."""
+    return 2 * threads if threads > 1 else 1
+
+
+def _ordered(n: int, prepare, work, threads: int, name: str):
+    """Yield ``(i, work(prepare(i)))`` for i in 0..n-1, in index order.
+
+    ``prepare`` runs on the calling thread, in index order; ``work`` runs
+    there or on one of ``threads - 1`` helper threads named ``name``, started
+    for the call.  While the calling thread waits for task i, it prepares the
+    next task, else it runs the next prepared one itself.  Task i is not
+    prepared until the caller has resumed after task ``i - _window(threads)``,
+    so it may reuse what that task used.  On one thread all runs inline and
+    no thread is started.  What ``prepare`` or ``work`` raises on task i is
+    raised at its turn, after i yields, and no task after it is prepared.
+    Every helper has ended when the generator returns, raises or is closed.
+    """
+    import threading  # imported on first use: start-up does not pay for it
+    window, cond = _window(threads), threading.Condition()
+    ready = deque()  # (i, prepared task) that no thread has taken yet
+    done = {}  # i -> (True, what work returned) or (False, what was raised)
+    prepared, stop, helpers = 0, False, []
+
+    def call(fn, arg):
+        try:
+            return True, fn(arg)
+        except BaseException as exc:  # raised at its task's turn
+            return False, exc
+
+    def run(i, task):
+        result = call(work, task)
+        with cond:
+            done[i] = result
+            cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                while not (ready or stop):
+                    cond.wait()
+                if stop:
+                    return
+                taken = ready.popleft()
+            run(*taken)
+
+    try:
+        for _ in range(threads - 1):
+            # daemon: a generator left suspended at exit must not keep the process
+            thread = threading.Thread(target=helper, name=name, daemon=True)
+            thread.start()
+            helpers.append(thread)
+        for i in range(n):
+            while True:
+                with cond:
+                    if i in done:
+                        ok, result = done.pop(i)
+                        break
+                    # preparing comes first, so that the helpers are kept fed
+                    taken = None
+                    if prepared >= min(n, i + window):
+                        if not ready:
+                            cond.wait()
+                            continue
+                        taken = ready.popleft()
+                if taken:
+                    run(*taken)
+                    continue
+                ok, task = call(prepare, prepared)
+                with cond:
+                    if ok:
+                        ready.append((prepared, task))
+                        cond.notify()
+                    else:
+                        done[prepared] = False, task
+                        n = prepared + 1  # no task after it is prepared
+                prepared += 1
+            if not ok:
+                raise result
+            yield i, result
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in helpers:
+            thread.join()
 
 
 def iter_ensemble(config: SimulationConfig, generator: Generator,
@@ -408,12 +496,10 @@ def iter_ensemble(config: SimulationConfig, generator: Generator,
     """Yield n independent trajectories in index order, with derived seeds.
 
     Member i is the :func:`simulate` run with seed ``derive_seed(base_seed,
-    i)``, byte for byte, whatever the worker count and backend.  The calling
-    thread sets up each member in index order (path sampling, with its
-    warnings, and the record arrays) and hands its stepping to a pool of
-    :func:`_workers` threads, or of one thread on the Python backend, keeps
-    at most two members per worker in flight, and yields each member when it
-    and every member before it are done.
+    i)``, byte for byte, whatever the thread count and backend.  Members are
+    the tasks of :func:`_ordered`: setup (path sampling, with its warnings,
+    and the record arrays) prepares one, and stepping is its work, on
+    :func:`_workers` threads with the kernel and inline without it.
 
     The first failing member by index raises, as in a serial run; members
     after it are not yielded.
@@ -421,35 +507,16 @@ def iter_ensemble(config: SimulationConfig, generator: Generator,
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
     from . import _kernel  # imported on first use: start-up does not pay for it
-    from concurrent.futures import ThreadPoolExecutor  # only ensembles pay its import
     kernel, reason = _kernel.load()
-    # Python stepping holds the GIL: a second worker would only contend for it
-    workers = 1 if kernel is None else _workers(n)
-    pool = ThreadPoolExecutor(workers)
-    pending = deque()  # (run, future of its stepping), by index
 
-    def done():
-        run, future = pending.popleft()
-        future.result()
-        return _trajectory(run, kernel, reason)
+    def prepare(i):
+        return _setup(replace(config, seed=derive_seed(base_seed, i)), generator, table, h)
 
-    try:
-        for i in range(n):
-            try:
-                run = _setup(replace(config, seed=derive_seed(base_seed, i)),
-                             generator, table, h)
-            except Exception:
-                # the members before i come first, as in a serial run
-                while pending:
-                    yield done()
-                raise
-            pending.append((run, pool.submit(_advance, run, kernel)))
-            if len(pending) == 2 * workers:
-                yield done()
-        while pending:
-            yield done()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # Python stepping holds the GIL: a helper thread would only contend for it
+    threads = 1 if kernel is None else _workers(n)
+    for _, run in _ordered(n, prepare, lambda run: _advance(run, kernel), threads,
+                           "seqirsim-member"):
+        yield _trajectory(run, kernel, reason)
 
 
 def _rk4_py(k: tuple, dt: float, steps: np.ndarray, states: np.ndarray) -> None:

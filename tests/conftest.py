@@ -114,7 +114,7 @@ def kernel_cache(tmp_path_factory):
 
 
 def use_cpus(monkeypatch, n):
-    """Make the ensemble code see n usable CPUs, so that it steps on n workers."""
+    """Make the ensemble and CSV code see n usable CPUs, so that they run on n threads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -128,6 +128,19 @@ def stepping_threads(monkeypatch):
         return advance(run, kernel)
 
     monkeypatch.setattr(integrate, "_advance", spy)
+    return names
+
+
+def started_threads(monkeypatch):
+    """The names of the threads started from now on."""
+    names = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        names.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
     return names
 
 

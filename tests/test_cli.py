@@ -27,7 +27,7 @@ from seqirsim.integrate import derive_seed
 
 from conftest import (
     EX1_PARAMS, EX2_PARAMS, GENERATOR_2, GENERATOR_4, P_4_PRINTED, PERSISTENT_PARAMS,
-    PI_4_PRINTED, stepping_threads, use_cpus,
+    PI_4_PRINTED, started_threads, stepping_threads, use_cpus,
 )
 from test_config import valid_doc, write_doc
 
@@ -321,7 +321,7 @@ def failing_member_doc():
 
 
 class TestEnsemblePool:
-    """Ensemble members step on one worker per usable CPU; no output may
+    """Ensemble members step on one thread per usable CPU; no output may
     depend on how many there are."""
 
     @staticmethod
@@ -346,15 +346,20 @@ class TestEnsemblePool:
         doc = small_doc()
         doc["ensemble"] = {"n": 7, "base_seed": 3}
         path = write_doc(tmp_path, doc)
+        compiled = _kernel.load()[0] is not None
         outputs = []
         for cpus in (1, 2):
             out = tmp_path / f"{cpus}cpus"
             out.mkdir()
-            code, threads = self.run_at(monkeypatch, cpus, [command, "--config", str(path),
-                                                            "--out", str(out / "out"),
-                                                            "--quiet"])
+            with monkeypatch.context() as m:
+                started = started_threads(m)
+                code, threads = self.run_at(monkeypatch, cpus, [command, "--config", str(path),
+                                                                "--out", str(out / "out"),
+                                                                "--quiet"])
             assert code == 0 and len(threads) == 7
-            assert "MainThread" not in threads
+            # members step on the calling thread and on helpers started for the ensemble
+            assert set(threads) <= {"MainThread", "seqirsim-member"}
+            assert started == ["seqirsim-member"] * (cpus - 1 if compiled else 0)
             outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
                             if p.is_file()})
         assert outputs[0] == outputs[1]
@@ -378,6 +383,32 @@ class TestEnsemblePool:
         # the members before the failing one are written; no summary, nothing after
         assert sorted(files) == [f"traj_{i:03d}_seed_{derive_seed(6, i)}.csv"
                                  for i in range(2)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failed_member_write_exits_4(self, tmp_path, monkeypatch, capsys, cpus):
+        # the first chunk of member 2's CSV fails, while later members are in flight
+        doc = small_doc()
+        doc["ensemble"] = {"n": 6, "base_seed": 3}
+        path = write_doc(tmp_path, doc)
+        argv = ["ensemble", "--config", str(path), "--quiet", "--out"]
+        use_cpus(monkeypatch, cpus)
+        assert main([*argv, str(tmp_path / "whole")]) == 0
+        whole = {p.name: p.read_bytes() for p in (tmp_path / "whole").iterdir()}
+
+        def failing_open(file, mode):
+            return FailingWrite(file, mode, fail_at=2 if "traj_002_" in str(file) else 0)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        before = threading.active_count()
+        assert within_deadline(lambda: main([*argv, str(tmp_path / "out")])) == 4
+        assert threading.active_count() == before
+        assert capsys.readouterr().err == "output error: [Errno 28] No space left on device\n"
+        files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        # members 0 and 1 whole, member 2 its header only, and nothing after it
+        names = [f"traj_{i:03d}_seed_{derive_seed(3, i)}.csv" for i in range(3)]
+        assert sorted(files) == names
+        assert [files[name] for name in names[:2]] == [whole[name] for name in names[:2]]
+        assert files[names[2]] == whole[names[2]].split(b"\n")[0] + b"\n"
 
     def test_each_distinct_warning_once_per_run_on_two_workers(self, example2_config_path,
                                                                tmp_path, monkeypatch, capsys):
@@ -452,6 +483,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         lines = [line for line in err.splitlines() if line.startswith("math domain error: ")]
         assert len(lines) == 1 and named in lines[0]
+        assert not out.exists()
+
+    def test_a_mean_past_the_largest_float_is_3(self, tmp_path, example1_config_path,
+                                                capsys):
+        # each member's states are finite; their sum is not
+        doc = json.loads(example1_config_path.read_text())
+        doc["initial"].update(S=1.5e308, E=0, Q=0, I=0, R=0)
+        doc["simulation"].update(horizon=0.01, stride=1)
+        doc["ensemble"]["n"] = 2
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "compare.csv"
+        assert main(["compare-det", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "math domain error: ensemble mean S_mean = inf is not finite at sample 0 (t=0)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "ensemble", "compare-det"])

@@ -1,9 +1,15 @@
 """Stepping schemes, the SDE driver loop, RK4, seeds and reproducibility."""
 
-import concurrent.futures
 import math
+import os
+import random
+import subprocess
+import sys
+import threading
+import time
 from contextlib import contextmanager
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +35,8 @@ from seqirsim.errors import NegativeState, StepTooLarge
 from seqirsim.integrate import NEGATIVITY_TOL, _clamp_negative, _run_py, _setup, _step
 from seqirsim.model import regime_constants
 
-from conftest import EX1_PARAMS, EX2_PARAMS, stepping_threads, table_from_lists, use_cpus
+from conftest import (EX1_PARAMS, EX2_PARAMS, started_threads, stepping_threads,
+                      table_from_lists, use_cpus)
 from test_model import params_from, random_state, zero_params
 
 LINEAR = PolicyFunction.linear()
@@ -547,19 +554,12 @@ class TestEnsemble:
     @staticmethod
     def members_at(monkeypatch, cpus, *args):
         """The members of iter_ensemble at ``cpus`` usable CPUs, the stepping
-        threads, and the worker count of each pool it made."""
-        executor = concurrent.futures.ThreadPoolExecutor
-        pools = []
-
-        def pool(workers):
-            pools.append(workers)
-            return executor(workers)
-
+        threads, and the names of the threads it started."""
         with monkeypatch.context() as m:
             use_cpus(m, cpus)
             threads = stepping_threads(m)
-            m.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
-            return list(iter_ensemble(*args)), threads, pools
+            started = started_threads(m)
+            return list(iter_ensemble(*args)), threads, started
 
     @staticmethod
     def outcome(traj):
@@ -576,13 +576,13 @@ class TestEnsemble:
         standalone = [self.outcome(simulate(replace(config, seed=derive_seed(5, i)), gen4,
                                             ex1_table, LINEAR)) for i in range(7)]
         for cpus in (1, 2, 3):
-            members, threads, pools = self.members_at(monkeypatch, cpus, config, gen4,
-                                                      ex1_table, LINEAR, 7, 5)
+            members, threads, started = self.members_at(monkeypatch, cpus, config, gen4,
+                                                        ex1_table, LINEAR, 7, 5)
             assert [self.outcome(t) for t in members] == standalone
-            # every member stepped on the pool, never in the calling thread
-            assert len(threads) == 7 and "MainThread" not in threads
-            # the Python runner holds the GIL, so it steps on one worker
-            assert pools == [cpus if compiled else 1]
+            # members step on the calling thread and on helpers started for the ensemble
+            assert len(threads) == 7 and set(threads) <= {"MainThread", "seqirsim-member"}
+            # the Python runner holds the GIL, so it starts no helper
+            assert started == ["seqirsim-member"] * (cpus - 1 if compiled else 0)
 
     def test_python_runner_steps_on_the_pool(self, gen4, ex1_table, monkeypatch):
         from seqirsim import _kernel
@@ -591,10 +591,10 @@ class TestEnsemble:
         compiled, _, _ = self.members_at(monkeypatch, 2, *args)
         monkeypatch.setattr(_kernel, "load", lambda: (None, "kernel disabled for this test"))
         for cpus in (1, 2):
-            python, threads, pools = self.members_at(monkeypatch, cpus, *args)
-            assert len(threads) == 3 and "MainThread" not in threads
-            # Python stepping holds the GIL, so its pool has one worker
-            assert pools == [1]
+            python, threads, started = self.members_at(monkeypatch, cpus, *args)
+            # Python stepping holds the GIL, so its members step inline on the calling thread
+            assert threads == ["MainThread"] * 3
+            assert started == []
             assert [t.metadata["backend"] for t in python] == ["python"] * 3
             assert [t.states.tobytes() for t in python] == [t.states.tobytes()
                                                             for t in compiled]
@@ -619,6 +619,139 @@ class TestEnsemble:
             for traj in members:
                 seeds.append(traj.metadata["config"].seed)
         assert seeds == [derive_seed(5, i) for i in range(3)]
+
+
+class Tasks:
+    """The tasks of one ``integrate._ordered`` call: ``prepare(i)`` returns i,
+    ``work(i)`` sleeps up to 3 ms at random and returns i * i, and either may
+    raise on one task.  ``prepared`` holds each prepared index with its
+    thread; the consumer counts ``consumed`` up when it is done with an item,
+    and ``most_in_flight`` is the most tasks prepared and not yet consumed."""
+
+    def __init__(self, seed, n, fail_prepare=None, fail_work=None):
+        rng = random.Random(seed)
+        self.delays = [rng.uniform(0.0, 0.003) for _ in range(n)]
+        self.fail_prepare, self.fail_work = fail_prepare, fail_work
+        self.prepared = []
+        self.consumed = self.most_in_flight = 0
+
+    def prepare(self, i):
+        self.prepared.append((i, threading.current_thread().name))
+        self.most_in_flight = max(self.most_in_flight, len(self.prepared) - self.consumed)
+        if i == self.fail_prepare:
+            raise StepTooLarge(f"prepare {i}")
+        return i
+
+    def work(self, i):
+        time.sleep(self.delays[i])
+        if i == self.fail_work:
+            raise StepTooLarge(f"work {i}")
+        return i * i
+
+    def ordered(self, n, threads):
+        return integrate._ordered(n, self.prepare, self.work, threads, "ordered-test")
+
+
+class TestOrdered:
+    """``integrate._ordered``, the one thread pipeline of ensemble members and
+    CSV chunks: results in index order, preparing on the calling thread in
+    index order, at most a window of tasks in flight, the first error by
+    index, and no thread left behind."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_results_in_index_order_within_the_window(self, threads, seed):
+        n = 23
+        tasks = Tasks(seed, n)
+        before = threading.active_count()
+        results = []
+        for i, result in tasks.ordered(n, threads):
+            results.append((i, result))
+            tasks.consumed += 1
+        assert threading.active_count() == before
+        assert results == [(i, i * i) for i in range(n)]
+        assert tasks.prepared == [(i, "MainThread") for i in range(n)]
+        assert tasks.most_in_flight <= integrate._window(threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_threads_minus_one_helpers_are_started(self, monkeypatch, threads):
+        started = started_threads(monkeypatch)
+        worked = []
+        items = list(integrate._ordered(5, lambda i: i, lambda i: worked.append(
+            threading.current_thread().name), threads, "ordered-test"))
+        assert [i for i, _ in items] == list(range(5))
+        assert started == ["ordered-test"] * (threads - 1)
+        if threads == 1:
+            assert worked == ["MainThread"] * 5
+
+    @pytest.mark.parametrize("where", ["prepare", "work"])
+    @pytest.mark.parametrize("failing", [0, 4, 22])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_an_exception_on_task_i_comes_after_i_yields(self, threads, failing, where):
+        n = 23
+        tasks = Tasks(failing + threads, n, **{f"fail_{where}": failing})
+        before = threading.active_count()
+        yielded = []
+        with pytest.raises(StepTooLarge, match=f"^{where} {failing}$"):
+            for i, _ in tasks.ordered(n, threads):
+                yielded.append(i)
+                tasks.consumed += 1
+        assert threading.active_count() == before
+        assert yielded == list(range(failing))
+        if where == "prepare":  # nothing after it is prepared
+            assert [i for i, _ in tasks.prepared] == list(range(failing + 1))
+
+    @pytest.mark.parametrize("taken", [0, 1, 5])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_close_ends_every_helper(self, threads, taken):
+        n = 23
+        tasks = Tasks(taken, n)
+        before = threading.active_count()
+        items = tasks.ordered(n, threads)
+        for i in range(taken):
+            assert next(items)[0] == i
+            tasks.consumed += 1
+        items.close()
+        assert threading.active_count() == before
+        # task i + window is not prepared before the consumer is done with task i
+        assert len(tasks.prepared) <= max(0, taken - 1 + integrate._window(threads))
+
+
+    def test_every_task_runs_once_under_a_short_switch_interval(self):
+        # more threads than CPUs, switching every microsecond: a lost update of
+        # the shared queue or results would run a task twice, drop it or hang
+        n, threads = 2000, 6
+        runs = [0] * n
+
+        def work(i):
+            runs[i] += 1  # each task is one thread's alone
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        out = {}
+        try:
+            worker = threading.Thread(target=lambda: out.update(items=list(
+                integrate._ordered(n, lambda i: i, work, threads, "ordered-test"))))
+            worker.start()
+            worker.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive(), "_ordered did not return"
+        assert out["items"] == [(i, -i) for i in range(n)]
+        assert runs == [1] * n
+
+    def test_a_generator_left_suspended_does_not_hold_the_process_at_exit(self):
+        # its helpers wait for tasks that never come; the interpreter must still exit
+        code = ("from seqirsim import integrate\n"
+                "items = integrate._ordered(9, lambda i: i, lambda i: i, 3, 'ordered-test')\n"
+                "print(next(items))\n")
+        src = str(Path(integrate.__file__).resolve().parent.parent)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (res.returncode, res.stdout) == (0, "(0, 0)\n"), res.stderr
 
 
 class TestMetadata:
