@@ -16,10 +16,14 @@
  * A change to the arithmetic of either side must be made on both; the
  * backend identity tests compare them.
  *
- * seqir_run and seqir_walk (chain._walk) draw through numpy's own
- * distribution routines (linked from numpy/random/lib/libnpyrandom.a) on the
- * live bit generator of an np.random.Generator, so they consume the same
- * variates in the same stream order as the Python loops.
+ * seqir_run and seqir_walk (chain._walk) draw on the live bit generator of
+ * an np.random.Generator, so they consume the same variates in the same
+ * stream order as the Python loops.  Their normals and exponentials take
+ * the fast path of numpy's ziggurats inline, with numpy's own tables, which
+ * seqir_ziggurat reads out of numpy's routines (linked from
+ * numpy/random/lib/libnpyrandom.a) and checks against them at load time;
+ * the ~1% of words that miss it are handed, through a replay generator, to
+ * those routines, which run their tail and wedge as numpy writes them.
  *
  * seqir_csv writes CSV rows with the text that repr gives each float inside
  * cli._write_csv's guard (x == 0 or 1e-4 <= |x| < 1e16): the shortest digits
@@ -41,9 +45,9 @@
 
 enum { RUN_OK = 0, RUN_NEGATIVE = 1, RUN_NON_FINITE = 2 };
 
-/* numpy/random/bitgen.h and the four routines of numpy/random/distributions.h
- * that np.random.Generator calls for standard_normal, exponential, geometric
- * and random. */
+/* numpy/random/bitgen.h and the three routines of numpy/random/distributions.h
+ * that np.random.Generator calls for standard_normal, exponential (times
+ * its scale) and geometric; its random is next_double. */
 typedef struct bitgen {
     void *state;
     uint64_t (*next_uint64)(void *st);
@@ -53,9 +57,208 @@ typedef struct bitgen {
 } bitgen_t;
 
 double random_standard_normal(bitgen_t *bitgen_state);
-double random_standard_uniform(bitgen_t *bitgen_state);
-double random_exponential(bitgen_t *bitgen_state, double scale);
+double random_standard_exponential(bitgen_t *bitgen_state);
 int64_t random_geometric(bitgen_t *bitgen_state, double p);
+
+/* The fast paths of numpy's two ziggurats (Marsaglia & Tsang 2000).  A
+ * normal takes one word r: box idx = r & 0xff, sign bit 8, magnitude
+ * rabs = r >> 9 (52 bits); it is rabs * wi[idx], negated if the sign bit is
+ * set, whenever rabs < ki[idx].  An exponential takes box (r >> 3) & 0xff and
+ * magnitude r >> 11 (53 bits), and is that magnitude times we[idx] whenever
+ * it is below ke[idx].  seqir_ziggurat fills the tables. */
+typedef struct ziggurat {
+    double wi[256];
+    uint64_t ki[256];
+    double we[256];
+    uint64_t ke[256];
+} ziggurat_t;
+
+/* A bit generator whose first word is one already drawn from live and
+ * whose every later draw is live's: a routine run on it draws exactly what
+ * it would have drawn on live had the word not been taken yet. */
+typedef struct replay {
+    bitgen_t *live;
+    uint64_t word;
+    int replayed;
+} replay_t;
+
+static uint64_t replay_uint64(void *st)
+{
+    replay_t *p = st;
+    if (!p->replayed++)
+        return p->word;
+    return p->live->next_uint64(p->live->state);
+}
+
+static uint32_t replay_uint32(void *st)
+{
+    replay_t *p = st;
+    return p->live->next_uint32(p->live->state);
+}
+
+static double replay_double(void *st)
+{
+    replay_t *p = st;
+    return p->live->next_double(p->live->state);
+}
+
+static uint64_t replay_raw(void *st)
+{
+    replay_t *p = st;
+    return p->live->next_raw(p->live->state);
+}
+
+/* draw(bitgen) for a word r that bitgen has already given and that missed
+ * the fast path: numpy's routine starts again from r and goes on to the
+ * tail or the wedge, drawing any further words and uniforms from bitgen. */
+static double replayed(bitgen_t *bitgen, uint64_t r, double (*draw)(bitgen_t *))
+{
+    replay_t p = {bitgen, r, 0};
+    bitgen_t replay = {&p, replay_uint64, replay_uint32, replay_double, replay_raw};
+    return draw(&replay);
+}
+
+/* random_standard_normal(bitgen), with numpy's sign branch replaced by an
+ * XOR of bit 8 into the sign bit, which negates every double alike. */
+static inline double normal(bitgen_t *bitgen, const ziggurat_t *z)
+{
+    uint64_t r = bitgen->next_uint64(bitgen->state);
+    uint64_t rabs = r >> 9 & 0x000fffffffffffff;
+    int idx = r & 0xff;
+    if (rabs < z->ki[idx]) {
+        double x = (double)(int64_t)rabs * z->wi[idx];  /* exact: rabs < 2^52 */
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= (r & 0x100) << 55;
+        memcpy(&x, &bits, sizeof x);
+        return x;
+    }
+    return replayed(bitgen, r, random_standard_normal);
+}
+
+/* random_standard_exponential(bitgen) */
+static inline double exponential(bitgen_t *bitgen, const ziggurat_t *z)
+{
+    uint64_t r = bitgen->next_uint64(bitgen->state);
+    uint64_t ri = r >> 3;
+    int idx = ri & 0xff;
+    ri >>= 8;
+    if (ri < z->ke[idx])
+        return (double)(int64_t)ri * z->we[idx];
+    return replayed(bitgen, r, random_standard_exponential);
+}
+
+/* A bit generator that gives one scripted word, then words of 0 and
+ * uniforms of 0.5, and counts them.  On words of 0 both routines return
+ * (box 0 at magnitude 0: its fast path or its tail), and a uniform of 0.5
+ * ends the normal's tail, so a routine run on it returns. */
+typedef struct script {
+    uint64_t word;
+    int words, uniforms;
+} script_t;
+
+static uint64_t script_uint64(void *st)
+{
+    script_t *p = st;
+    return p->words++ ? 0 : p->word;
+}
+
+static uint32_t script_uint32(void *st)
+{
+    return (uint32_t)script_uint64(st);
+}
+
+static double script_double(void *st)
+{
+    ((script_t *)st)->uniforms++;
+    return 0.5;
+}
+
+/* One ziggurat: numpy's routine, its inline copy, and where a word holds
+ * the box and the magnitude m (below 2^bits); other holds the word's other
+ * bits that matter: the normal's sign, and three that the exponential skips. */
+typedef struct layout {
+    double (*numpy)(bitgen_t *);
+    double (*inline_copy)(bitgen_t *, const ziggurat_t *);
+    int box_at, m_at, bits;
+    uint64_t other;
+} layout_t;
+
+static const layout_t NORMAL = {random_standard_normal, normal, 0, 9, 52, 0x100};
+static const layout_t EXPONENTIAL = {random_standard_exponential, exponential, 3, 11, 53, 0x7};
+
+/* The outcome of one draw on the script: the bits of the result and the
+ * words and uniforms taken. */
+typedef struct probe {
+    uint64_t bits;
+    int words, uniforms;
+} probe_t;
+
+/* numpy's routine (z == NULL) or the inline copy on z, run on the script */
+static probe_t run_script(const layout_t *zig, uint64_t word, const ziggurat_t *z)
+{
+    script_t s = {word, 0, 0};
+    bitgen_t script = {&s, script_uint64, script_uint32, script_double, script_uint64};
+    double x = z ? zig->inline_copy(&script, z) : zig->numpy(&script);
+    probe_t out = {0, s.words, s.uniforms};
+    memcpy(&out.bits, &x, sizeof x);
+    return out;
+}
+
+/* Reads one ziggurat's tables out of numpy's routine: k[idx] is the least m
+ * that leaves the fast path, bisected from m = 0 (numpy's k of box 1 is 0),
+ * and w[idx] the draw at m = 1, which is 1 * w[idx] wherever m = 1 is fast. */
+static void probe_tables(const layout_t *zig, double *w, uint64_t *k)
+{
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        uint64_t lo = 0, hi = (uint64_t)1 << zig->bits;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            probe_t p = run_script(zig, mid << zig->m_at | idx << zig->box_at, NULL);
+            if (p.words == 1 && p.uniforms == 0)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        k[idx] = hi;
+        probe_t one = run_script(zig, (uint64_t)1 << zig->m_at | idx << zig->box_at, NULL);
+        memcpy(&w[idx], &one.bits, sizeof one.bits);
+    }
+}
+
+/* 0 if the inline copy on z and numpy's routine return the same bits and
+ * take the same words and uniforms on every box at m = 0, 1, k - 1, k and
+ * the largest m, with the other bits clear and set; else 1 + the first box
+ * where they differ. */
+static int check_tables(const layout_t *zig, const uint64_t *k, const ziggurat_t *z)
+{
+    const uint64_t top = ((uint64_t)1 << zig->bits) - 1;
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        const uint64_t ms[5] = {0, 1, k[idx] - 1, k[idx], top};
+        for (int j = 0; j < 10; j++) {
+            if (ms[j / 2] > top)  /* k - 1 at k = 0, or k past the largest m */
+                continue;
+            uint64_t word = ms[j / 2] << zig->m_at | idx << zig->box_at | (j & 1) * zig->other;
+            probe_t ours = run_script(zig, word, z), theirs = run_script(zig, word, NULL);
+            if (ours.bits != theirs.bits || ours.words != theirs.words
+                || ours.uniforms != theirs.uniforms)
+                return 1 + (int)idx;
+        }
+    }
+    return 0;
+}
+
+/* Fills z from numpy's routines and checks it against them: 0 on success,
+ * else 1 + the first normal box or 257 + the first exponential box whose
+ * draws differ from numpy's.  The kernel must not be used unless it is 0. */
+int seqir_ziggurat(ziggurat_t *z)
+{
+    probe_tables(&NORMAL, z->wi, z->ki);
+    probe_tables(&EXPONENTIAL, z->we, z->ke);
+    int normal_bad = check_tables(&NORMAL, z->ki, z);
+    int exponential_bad = check_tables(&EXPONENTIAL, z->ke, z);
+    return normal_bad ? normal_bad : exponential_bad ? 256 + exponential_bad : 0;
+}
 
 /* model.vector_field at (s, e, q, i, r) with the regime constants k and the
  * policy value hs, written to f[0..4]. */
@@ -72,19 +275,20 @@ static inline void drift(const double *k, double s, double e, double q, double i
 }
 
 /* integrate._run_py in one call: n_steps steps of dt from the state x,
- * drawing each step's increment as random_standard_normal(bitgen) * sqrt(dt),
- * which is what rng.standard_normal(k) * sqrt(dt) draws, in the same stream
- * order.  The regime of step n is regs[j] (0-based) for the last j < n_seg
- * with n * dt >= jump_times[j], as RegimePath.regime_at compares, so the
- * last of several jumps inside one step wins.  rec_steps: the recorded
- * steps; the last is n_steps, so no step is compared with an entry past it.
+ * drawing each step's increment as normal(bitgen, z) * sqrt(dt), with the
+ * tables z of seqir_ziggurat, which is what rng.standard_normal(k) *
+ * sqrt(dt) draws, in the same stream order.  The regime of step n is
+ * regs[j] (0-based) for the last j < n_seg with n * dt >= jump_times[j], as
+ * RegimePath.regime_at compares, so the last of several jumps inside one
+ * step wins.  rec_steps: the recorded steps; the last is n_steps, so no
+ * step is compared with an entry past it.
  * out: [0] the clamp count, [1] set on failure to the step m whose state
  * failed; x then holds that state before any clamp, and RUN_NEGATIVE or
  * RUN_NON_FINITE is returned for the caller to raise the matching error. */
-int seqir_run(bitgen_t *bitgen, int64_t n_steps, double dt, const double *jump_times,
-              const int64_t *regs, int64_t n_seg, const double *consts, int milstein,
-              double a, int error_policy, double *x, int64_t *out,
-              const int64_t *rec_steps, double *states)
+int seqir_run(bitgen_t *bitgen, const ziggurat_t *z, int64_t n_steps, double dt,
+              const double *jump_times, const int64_t *regs, int64_t n_seg,
+              const double *consts, int milstein, double a, int error_policy, double *x,
+              int64_t *out, const int64_t *rec_steps, double *states)
 {
     const double sqrt_dt = sqrt(dt);
     int64_t seg = 0, rec = 1, clamps = 0;
@@ -99,7 +303,7 @@ int seqir_run(bitgen_t *bitgen, int64_t n_steps, double dt, const double *jump_t
         drift(k, s, e, q, i, r, s / (1.0 + a * s), f);  /* PolicyFunction: a = 0 is linear */
 
         /* integrate._step; Euler-Maruyama adds a literal 0.0 as Python does */
-        double db = random_standard_normal(bitgen) * sqrt_dt;
+        double db = normal(bitgen, z) * sqrt_dt;
         double se = s * e;
         double gdb = k[13] * se * db;
         double dm = milstein ? k[14] * se * (db * db - dt) * (e - s) : 0.0;
@@ -195,10 +399,11 @@ int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
 }
 
 
-/* chain._walk, resumable.  In state cur the clock advances by an exponential
- * hold of scale param[cur] (geometric = 0; the clock is the double *clock)
- * or a geometric number of steps with success probability param[cur]
- * (geometric = 1; the clock is the int64 carry[1] and t = clock * unit).
+/* chain._walk, resumable, with the tables z of seqir_ziggurat.  In state cur
+ * the clock advances by an exponential hold of scale param[cur] (geometric =
+ * 0; the clock is the double *clock) or a geometric number of steps with
+ * success probability param[cur] (geometric = 1; the clock is the int64
+ * carry[1] and t = clock * unit).
  * The walk ends, setting carry[2] = 1, before drawing in a state whose param
  * is <= 0, or at the first jump time at or past horizon.  It stops with
  * carry[2] = 2 at a jump time no later than the one before, a hold too short
@@ -217,7 +422,7 @@ int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
  * refuses a horizon past 2**63 * unit, so such a jump time is past it.
  * Returns the number of jumps stored; the caller grows the arrays when that
  * is cap and the walk has not ended, and calls again past them. */
-int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
+int64_t seqir_walk(bitgen_t *bitgen, const ziggurat_t *z, int geometric, const double *param,
                    const double *cdfs, int64_t n_states, double unit,
                    double horizon, double *clock, int64_t *carry,
                    double *times, int64_t *regimes, int64_t cap, double *occ)
@@ -241,7 +446,7 @@ int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
             steps += hold;
             t = (double)steps * unit;
         } else {
-            dclock += random_exponential(bitgen, param[cur]);
+            dclock += param[cur] * exponential(bitgen, z);  /* random_exponential */
             t = dclock * unit;
         }
         if (t >= horizon) {
@@ -252,7 +457,7 @@ int64_t seqir_walk(bitgen_t *bitgen, int geometric, const double *param,
             carry[2] = 2;
             break;
         }
-        double u = random_standard_uniform(bitgen);
+        double u = bitgen->next_double(bitgen->state);  /* random_standard_uniform */
         const double *row = cdfs + cur * (n_states - 1);
         int64_t k = 0;
         for (int64_t j = 0; j < n_states - 1; j++)

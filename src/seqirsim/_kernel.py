@@ -2,14 +2,17 @@
 
 On its first call :func:`load` compiles the C file with the local gcc and
 links it against numpy's ``libnpyrandom.a``, whose routines draw the
-Brownian increments of the step loop and the holds and landings of the
-regime walk.  It caches the shared object in a
+Brownian increments of the step loop and the holds of the regime walk: the
+kernel takes the fast path of numpy's ziggurats inline, with the tables that
+``seqir_ziggurat`` reads out of those routines and checks against them, and
+hands them the rest.  It caches the shared object in a
 private per-user directory (``$XDG_CACHE_HOME/seqirsim``, else
 ``~/.cache/seqirsim``, mode 0700) under a name derived from the sha256 of
 source, flags, machine, numpy version and archive, and loads it through
 ctypes.  It loads whole or not at all: any failure (a compiler without
-128-bit integers too) leaves it unavailable with a one-line reason, and
-every caller steps, walks and formats in Python instead.
+128-bit integers, or tables that fail their check, too) leaves it
+unavailable with a one-line reason, and every caller steps, walks and
+formats in Python instead.
 ``integrate.simulate``, ``integrate.simulate_deterministic``, the chain
 samplers and the CSV writer ``cli._write_csv`` import this module on first
 use, so importing the package neither builds nor loads the kernel.
@@ -41,12 +44,16 @@ _I64 = ctypes.c_int64
 _D = ctypes.c_double
 #: symbol -> (argument types, result type)
 _SIGNATURES = {
-    "seqir_run": ((_P, _I64, _D, _P, _P, _I64, _P, ctypes.c_int, _D, ctypes.c_int, _P, _P,
-                   _P, _P), ctypes.c_int),
+    "seqir_run": ((_P, _P, _I64, _D, _P, _P, _I64, _P, ctypes.c_int, _D, ctypes.c_int, _P,
+                   _P, _P, _P), ctypes.c_int),
     "seqir_rk4": ((_P, _D, _P, _P, _I64, _P, _P), ctypes.c_int),
-    "seqir_walk": ((_P, ctypes.c_int, _P, _P, _I64, _D, _D, _P, _P, _P, _P, _I64, _P), _I64),
+    "seqir_walk": ((_P, _P, ctypes.c_int, _P, _P, _I64, _D, _D, _P, _P, _P, _P, _I64, _P),
+                   _I64),
     "seqir_csv": ((_P, _P, _P, _I64, _I64, _I64, _P, _P, _P), _I64),
+    "seqir_ziggurat": ((_P,), ctypes.c_int),
 }
+#: 64-bit words of the ziggurat_t of _kernel.c: wi, ki, we, ke, 256 each
+ZIGGURAT_WORDS = 1024
 
 
 class KernelUnavailable(Exception):
@@ -112,6 +119,12 @@ def _open():
             fn.argtypes, fn.restype = argtypes, restype
     except (OSError, AttributeError) as exc:
         raise KernelUnavailable(f"cannot load {target}: {exc}") from exc
+    lib.ziggurat = np.zeros(ZIGGURAT_WORDS, dtype=np.uint64)
+    bad = lib.seqir_ziggurat(lib.ziggurat.ctypes.data)
+    if bad:
+        kind, box = ("normal", bad - 1) if bad <= 256 else ("exponential", bad - 257)
+        raise KernelUnavailable(f"the ziggurat tables read from numpy's {kind} routine "
+                                f"draw differently from it in box {box}")
     return lib
 
 
@@ -121,7 +134,12 @@ def load():
 
     The library exposes ``seqir_run``, ``seqir_rk4``, ``seqir_walk`` and
     ``seqir_csv``, typed; a loaded library runs all four, and ``None`` leaves
-    all four to their Python references."""
+    all four to their Python references.  ``seqir_run`` and ``seqir_walk``
+    take the address of ``library.ziggurat``: the fast-path tables of
+    numpy's normal and exponential ziggurats, which ``seqir_ziggurat`` reads
+    out of numpy's routines on scripted words and then checks against them,
+    word for word, at both ends of every box's fast path (well under 1 ms).
+    Tables that fail the check leave the kernel unavailable."""
     try:
         return _open(), None
     except KernelUnavailable as exc:

@@ -8,11 +8,12 @@ finite-interval transition matrices, and samples regime paths either exactly
 
 Both samplers run one sojourn walk, in the compiled kernel (``_kernel.c``)
 when it loads, else in the Python reference :func:`_walk`.  The kernel draws
-through numpy's own distribution routines on the Generator's bit generator,
-so both consume the same variates in the same stream order, and writes into
-one pair of arrays that grows in place, so a path is not copied on its way
-out.  The grid sampler computes its transition matrix once per generator and
-dt, so an ensemble's members share it.
+on the Generator's own bit generator, its exponentials on the fast path of
+numpy's ziggurat inline and through numpy's own routines otherwise (see
+``_kernel``), so both consume the same variates in the same stream order,
+and writes into one pair of arrays that grows in place, so a path is not
+copied on its way out.  The grid sampler computes its transition matrix
+once per generator and dt, so an ensemble's members share it.
 
 A path that a user builds with ``RegimePath(...)`` is checked; a sampled path
 is trusted and built without the checks, since both walks build it valid:
@@ -403,9 +404,10 @@ def _kernel_walk(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
                  geometric: bool, param: np.ndarray, rng: np.random.Generator, size: int,
                  full) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """:func:`_walk` in the compiled ``kernel``, drawing from ``rng``'s own
-    bit generator under its lock, into a pair of arrays of ``size`` entries,
-    the first (0, r0).  Whenever they are full, ``full(times, regimes,
-    stored)`` makes room and returns the entry at which the walk goes on.
+    bit generator under its lock, with the kernel's ziggurat tables, into a
+    pair of arrays of ``size`` entries, the first (0, r0).  Whenever they
+    are full, ``full(times, regimes, stored)`` makes room and returns the
+    entry at which the walk goes on.
     Returns the arrays, the number of entries they hold at the end and the
     time spent in each state, which the walk adds up segment by segment as
     :func:`occupancy` does before its division by ``horizon``."""
@@ -425,9 +427,9 @@ def _kernel_walk(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
     with bitgen.lock:
         while True:
             # both arrays hold 8-byte entries: the walk goes on at entry `stored`
-            stored += kernel.seqir_walk(bitgen.ctypes.bit_generator, geometric,
-                                        param.ctypes.data, cdfs.ctypes.data, n, unit, horizon,
-                                        clock.ctypes.data, carry.ctypes.data,
+            stored += kernel.seqir_walk(bitgen.ctypes.bit_generator, kernel.ziggurat.ctypes.data,
+                                        geometric, param.ctypes.data, cdfs.ctypes.data, n, unit,
+                                        horizon, clock.ctypes.data, carry.ctypes.data,
                                         times.ctypes.data + 8 * stored,
                                         regimes.ctypes.data + 8 * stored, len(times) - stored,
                                         occ.ctypes.data)

@@ -17,9 +17,11 @@ member i uses the stream seeded by ``derive_seed(base_seed, i)``
 Backends: both step loops, the stochastic one and RK4, run in the compiled
 kernel (``seqir_run`` and ``seqir_rk4`` in ``_kernel.c``) when it loads,
 else in their Python references, ``_run_py`` and ``_rk4_py``.  A compiled
-stochastic run is one kernel call that draws its normals from the run's
-generator in C.  Both backends give the same bytes and leave the generator
-in the same state, and ``Trajectory.metadata["backend"]`` says which ran.
+stochastic run is one kernel call that draws its normals from the run's own
+bit generator in C: on the fast path of numpy's ziggurat inline, with
+numpy's tables, and through numpy's own routine off it (see ``_kernel``).
+Both backends give the same bytes and leave the generator in the same
+state, and ``Trajectory.metadata["backend"]`` says which ran.
 
 Ensembles: :func:`iter_ensemble` runs its members through :func:`_ordered`,
 the one thread pipeline, which ``cli._write_csv`` runs CSV chunks through
@@ -330,15 +332,17 @@ def _run_py(run: _Run) -> None:
 
 def _run_c(run: _Run, kernel) -> None:
     """Step ``run`` with the compiled ``kernel`` in one call, drawing from
-    ``run.rng``'s own bit generator under its lock."""
+    ``run.rng``'s own bit generator under its lock, with the kernel's
+    ziggurat tables."""
     config = run.config
     x = np.array(run.state, dtype=np.float64)
     out = np.zeros(2, dtype=np.int64)  # clamps, failed step
     bitgen = run.rng.bit_generator
     with bitgen.lock:
         status = kernel.seqir_run(
-            bitgen.ctypes.bit_generator, config.n_steps, config.dt, run.jump_times.ctypes.data,
-            run.regs.ctypes.data, len(run.regs), run.constants.ctypes.data,
+            bitgen.ctypes.bit_generator, kernel.ziggurat.ctypes.data, config.n_steps, config.dt,
+            run.jump_times.ctypes.data, run.regs.ctypes.data, len(run.regs),
+            run.constants.ctypes.data,
             config.scheme == "milstein", run.h.a, config.negativity_policy == "error",
             x.ctypes.data, out.ctypes.data, run.steps.ctypes.data, run.states.ctypes.data)
     if status:

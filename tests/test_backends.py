@@ -483,16 +483,17 @@ def test_a_stalled_clock_is_exit_3_without_report(kernel, tmp_path, monkeypatch,
     assert not out.exists()
 
 
-def zero_at_second_draw() -> np.random.Generator:
-    """A PCG64 stream whose second 64-bit output is 0, so that draw is the
-    uniform 0.0 exactly.  PCG64 steps state = state * MULT + inc and outputs
-    the rotated xor of its two halves, which is 0 for equal halves."""
+def with_word(word: int, at: int = 1) -> np.random.Generator:
+    """A PCG64 stream whose 64-bit output number ``at`` (from 1) is ``word``.
+    PCG64 steps state = state * MULT + inc, then outputs the xor of the new
+    state's two halves rotated right by its top 6 bits, so a state whose
+    high half is below 2**58 and whose halves xor to ``word`` outputs it."""
     mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
     bitgen = np.random.PCG64(1)
     state = bitgen.state
     inc = state["state"]["inc"]
-    s = (12345 << 64) | 12345
-    for _ in range(2):
+    s = (12345 << 64) | (12345 ^ word)
+    for _ in range(at):
         s = (s - inc) * pow(mult, -1, 1 << 128) & mask
     state["state"]["state"] = s
     bitgen.state = state
@@ -502,12 +503,160 @@ def zero_at_second_draw() -> np.random.Generator:
 def test_a_uniform_equal_to_a_cdf_entry_lands_past_it(kernel):
     # the grid hold of p = 1 takes the first draw and the landing the second,
     # u = 0.0: searchsorted(side="right") counts the entry 0.0 <= u, state 2
-    assert zero_at_second_draw().bit_generator.random_raw(2)[1] == 0
+    assert with_word(0, at=2).bit_generator.random_raw(2)[1] == 0
     cdfs, param = np.array(TWO_STATE_CDFS), np.ones(2)
-    compiled = chain._walk_c(kernel, cdfs, 1, 0.15, 0.1, True, param, zero_at_second_draw())
-    reference = chain._walk(cdfs, 1, 0.15, 0.1, True, param, zero_at_second_draw())
+    compiled = chain._walk_c(kernel, cdfs, 1, 0.15, 0.1, True, param, with_word(0, at=2))
+    reference = chain._walk(cdfs, 1, 0.15, 0.1, True, param, with_word(0, at=2))
     assert compiled.regimes.tolist() == reference.regimes.tolist() == [1, 2]
     assert compiled.jump_times.tobytes() == reference.jump_times.tobytes()
+
+
+def stream_state(rng: np.random.Generator) -> dict:
+    """The state of ``rng``'s bit generator with its arrays (MT19937's key,
+    Philox's counter) as bytes, so that two states compare with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
+
+
+#: kind -> (bit of the magnitude, bit of the box, the other bits that
+#: matter, offset of k in the kernel's tables): numpy's words for a normal
+#: and an exponential, as _kernel.c's ziggurat_t describes them
+WORD_LAYOUTS = {"normal": (9, 0, 0x100, 256), "exponential": (11, 3, 0x7, 768)}
+
+
+def boundary_words(kernel, kind):
+    """``(word, fast)`` at both ends of every box's fast path in the kernel's
+    tables: magnitude k - 1, the last on it, and k, the first off it (the
+    normal's tail in box 0, a wedge elsewhere), each with the other bits
+    (the normal's sign, three bits the exponential skips) clear and set.
+    Box 1 has k = 0 in numpy's tables: no magnitude is on its fast path."""
+    m_at, box_at, other, at = WORD_LAYOUTS[kind]
+    k = kernel.ziggurat[at:at + 256].tolist()
+    return [(m << m_at | idx << box_at | bits, m < k[idx]) for idx in range(256)
+            for m in (k[idx] - 1, k[idx]) if m >= 0 for bits in (0, other)]
+
+
+def test_boundary_words_straddle_numpys_fast_paths(kernel):
+    # numpy draws one word on its fast path and more (uniforms, words) off it;
+    # box 1 is always off it
+    for kind, draw in (("normal", np.random.Generator.standard_normal),
+                       ("exponential", np.random.Generator.standard_exponential)):
+        words = boundary_words(kernel, kind)
+        assert len(words) == 2 * (2 * 256 - 1)
+        for word, fast in words:
+            rng = with_word(word)
+            draw(rng)
+            one_word_on = with_word(word).bit_generator.advance(1).state
+            assert (rng.bit_generator.state == one_word_on) == fast, (kind, hex(word))
+
+
+#: a 3-step run on one regime: the chain draws nothing, so the first normal
+#: takes the stream's first word
+ONE_REGIME = (SimulationConfig(dt=0.01, horizon=0.03,
+                               initial_state=EpidemicState(20, 20, 15, 10, 0)),
+              validate_generator([[0.0]]),
+              table_from_lists({name: values[:1] for name, values in EX1_PARAMS.items()}))
+
+
+def stepped(runner, rng):
+    """States, clamp count and stream state after a one-regime run on ``rng``."""
+    run = _setup(*ONE_REGIME, POLICIES["linear"])
+    run.rng = rng
+    runner(run)
+    return run.states.tobytes(), run.clamps, stream_state(run.rng)
+
+
+def boundary_steps(kernel, runner):
+    """:func:`stepped` with the first normal at each of the boundary words."""
+    return [stepped(runner, with_word(word)) for word, _ in boundary_words(kernel, "normal")]
+
+
+def walked_exact(rng_for, horizon=3.0):
+    """An exact path's bytes, then the jump count and occupancy bytes of
+    ``sample_occupancy_exact``, each drawn from a stream ``rng_for()`` gives
+    and paired with its state after the walk.  A hold of 0 stalls the clock
+    (a word of magnitude 0): its message stands for the walk's result."""
+    g = validate_generator(GENERATOR_4)
+    outcomes = []
+    for sample, result in ((sample_path_exact,
+                            lambda path: (path.jump_times.tobytes(), path.regimes.tobytes())),
+                           (chain.sample_occupancy_exact,
+                            lambda out: (out[0], out[1].tobytes()))):
+        rng = rng_for()
+        try:
+            outcome = result(sample(g, 2, horizon, rng))
+        except StalledClock as exc:
+            outcome = str(exc)
+        outcomes.append((outcome, stream_state(rng)))
+    return outcomes
+
+
+def boundary_walks(kernel):
+    """:func:`walked_exact` with the first hold at each of the boundary words."""
+    return [walked_exact(lambda: with_word(word))
+            for word, _ in boundary_words(kernel, "exponential")]
+
+
+def test_normals_at_both_ends_of_every_fast_path_on_both_backends(kernel):
+    assert boundary_steps(kernel, lambda run: _run_c(run, kernel)) == \
+        boundary_steps(kernel, _run_py)
+
+
+def test_exponentials_at_both_ends_of_every_fast_path_on_both_backends(kernel, monkeypatch):
+    with monkeypatch.context() as m:
+        kernel_only(m)
+        compiled = boundary_walks(kernel)
+    python_only(monkeypatch)
+    assert compiled == boundary_walks(kernel)
+
+
+def test_first_exact_hold_is_numpys_exponential_at_every_boundary_word(kernel, monkeypatch):
+    # an exact walk's first jump time is its scale times the first
+    # exponential, which is Generator.standard_exponential's
+    kernel_only(monkeypatch)
+    g = validate_generator(GENERATOR_4)
+    scale = (1.0 / g.exit_rates)[1]
+    checked = 0
+    for word, _ in boundary_words(kernel, "exponential"):
+        expected = scale * with_word(word).standard_exponential()
+        if 0.0 < expected < 3.0:
+            assert sample_path_exact(g, 2, 3.0, with_word(word)).jump_times[1] == expected
+            checked += 1
+    assert checked > 1000
+
+
+OTHER_BIT_GENERATORS = [np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+@pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS)
+def test_runs_on_other_bit_generators_on_both_backends(kernel, bit_generator):
+    # 5000 steps draw about 35 normals off the fast path, each through
+    # numpy's routine on the run's own bit generator
+    config, gen, table = case_inputs("clamping", output_stride=7)
+    h = POLICIES["linear"]
+    outcomes = []
+    for runner in (lambda run: _run_c(run, kernel), _run_py):
+        run = _setup(config, gen, table, h)
+        run.rng = np.random.Generator(bit_generator(7))
+        runner(run)
+        outcomes.append((run.states.tobytes(), run.clamps, stream_state(run.rng)))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS)
+def test_walks_on_other_bit_generators_on_both_backends(kernel, monkeypatch, bit_generator):
+    # about 2700 holds, some 30 of them off the exponential's fast path
+    outcomes = []
+    for use in (kernel_only, python_only):
+        with monkeypatch.context() as m:
+            use(m)
+            outcomes.append(walked_exact(lambda: np.random.Generator(bit_generator(11)), 300.0))
+    assert outcomes[0] == outcomes[1]
+    (n_jumps, _), _ = outcomes[0][1]
+    assert n_jumps > 2000
 
 
 def test_grid_horizon_past_the_int64_clock_is_refused(kernel, monkeypatch):
@@ -580,12 +729,20 @@ RK4_MUTATIONS = {
 }
 
 
-def mutate_kernel(monkeypatch, tmp_path, old, new):
-    """Point the loader at a copy of ``_kernel.c`` with ``old`` replaced by ``new``."""
+#: seqir_ziggurat's result with its check of the tables against numpy left out
+NO_TABLE_CHECK = ("return normal_bad ? normal_bad : exponential_bad ? 256 + exponential_bad : 0;",
+                  "return 0;")
+
+
+def mutate_kernel(monkeypatch, tmp_path, old, new, checked=True):
+    """Point the loader at a copy of ``_kernel.c`` with ``old`` replaced by
+    ``new``, and with the table check left out unless ``checked``."""
     source = _kernel.SOURCE.read_text()
-    assert source.count(old) == 1
+    for old, new in [(old, new)] + ([] if checked else [NO_TABLE_CHECK]):
+        assert source.count(old) == 1
+        source = source.replace(old, new)
     mutated = tmp_path / "_kernel.c"
-    mutated.write_text(source.replace(old, new))
+    mutated.write_text(source)
     monkeypatch.setattr(_kernel, "SOURCE", mutated)
 
 
@@ -600,6 +757,29 @@ def test_rk4_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch
     assert any(c[:2] != r[:2] for c, r in zip(compiled, reference))
 
 
+#: one-operation changes of the inline ziggurats, each of which the table
+#: check refuses at load time, and the identity tests detect without it
+ZIGGURAT_MUTATIONS = {
+    # every normal on the fast path comes out positive
+    "xor-sign-dropped": ("        bits ^= (r & 0x100) << 55;\n", ""),
+    # each box's fast path one magnitude too long: only a word at its end shows it
+    "probe-stores-hi-plus-1": ("        k[idx] = hi;", "        k[idx] = hi + 1;"),
+    # numpy's routine is handed the live stream's next word, not the one that missed
+    "replay-word-not-replayed": ("    if (!p->replayed++)\n        return p->word;\n", ""),
+    # the exponential's box and magnitude read one bit too low
+    "exponential-shift-2": ("    uint64_t ri = r >> 3;", "    uint64_t ri = r >> 2;"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(ZIGGURAT_MUTATIONS))
+def test_the_table_check_refuses_a_mutated_ziggurat(kernel, fresh_loader, monkeypatch,
+                                                    tmp_path, mutation):
+    mutate_kernel(monkeypatch, tmp_path, *ZIGGURAT_MUTATIONS[mutation])
+    mutant, reason = _kernel.load()
+    assert mutant is None
+    assert "draw differently from it" in reason and "\n" not in reason
+
+
 #: one-operation changes of seqir_run, each of which some identity case must detect
 RUN_MUTATIONS = {
     # discretized jumps land on grid points, so each would start a step late
@@ -608,6 +788,8 @@ RUN_MUTATIONS = {
     # the states are unchanged; only the stream state after the run shows it
     "one-draw-too-many": ("    out[0] = clamps;",
                           "    random_standard_normal(bitgen);\n    out[0] = clamps;"),
+    **{name: ZIGGURAT_MUTATIONS[name] for name in ("xor-sign-dropped", "probe-stores-hi-plus-1",
+                                                   "replay-word-not-replayed")},
 }
 
 
@@ -615,7 +797,7 @@ RUN_MUTATIONS = {
 @pytest.mark.parametrize("mutation", list(RUN_MUTATIONS))
 def test_run_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch, tmp_path,
                                                mutation):
-    mutate_kernel(monkeypatch, tmp_path, *RUN_MUTATIONS[mutation])
+    mutate_kernel(monkeypatch, tmp_path, *RUN_MUTATIONS[mutation], checked=False)
     mutant, reason = _kernel.load()
     assert mutant is not None, reason
     h = POLICIES["linear"]
@@ -623,7 +805,29 @@ def test_run_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch
              for case in ("clamping", "blow_up") for mode in ("exact", "discretized")]
     compiled = [outcome(lambda run: _run_c(run, mutant), *case, h) for case in cases]
     reference = [outcome(_run_py, *case, h) for case in cases]
+    compiled.append(boundary_steps(kernel, lambda run: _run_c(run, mutant)))
+    reference.append(boundary_steps(kernel, _run_py))
     assert compiled != reference
+
+
+#: one-operation changes of seqir_walk's draws, each of which the walks from
+#: the boundary words must detect
+WALK_MUTATIONS = {name: ZIGGURAT_MUTATIONS[name] for name in (
+    "exponential-shift-2", "probe-stores-hi-plus-1", "replay-word-not-replayed")}
+
+
+@pytest.mark.parametrize("mutation", list(WALK_MUTATIONS))
+def test_walk_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch, tmp_path,
+                                                mutation):
+    mutate_kernel(monkeypatch, tmp_path, *WALK_MUTATIONS[mutation], checked=False)
+    mutant, reason = _kernel.load()
+    assert mutant is not None, reason
+    with monkeypatch.context() as m:
+        kernel_only(m)
+        compiled = boundary_walks(kernel)
+    with monkeypatch.context() as m:
+        python_only(m)
+        assert compiled != boundary_walks(kernel)
 
 
 #: one-operation changes of seqir_csv, each of which the repr identity sweep must detect
