@@ -3,12 +3,16 @@
  * chain samplers, which sums its own occupancy, and the row formatter of
  * cli._write_csv.
  *
- * drift is model.vector_field, the one C copy of it; both step loops call it.
- * seqir_run steps a whole stochastic run in one call: the regime in force at
- * each grid point, the Brownian increment, the drift, the S<->E noise and
- * Milstein term of integrate._step, the non-finite check, the negativity rule
- * of integrate._clamp_negative, and storing the state at the recorded steps
- * that integrate._setup laid out.  seqir_rk4 is the classical RK4 loop with
+ * drift is model.vector_field, the one C text of it: both step loops call it,
+ * seqir_run on the lanes of a vector.  seqir_run steps one or two whole
+ * stochastic runs in one call, in the two double lanes of a 16-byte vector
+ * (SSE2 on x86-64, NEON on aarch64), each lane doing the scalar operations
+ * in the scalar order: the regime in force at each grid point, the Brownian
+ * increment, the drift, the S<->E noise and Milstein term of
+ * integrate._step, the non-finite check, the negativity rule of
+ * integrate._clamp_negative, and storing the state at the recorded steps
+ * that integrate._setup laid out.  Its loop is written once, for a constant
+ * lane count, so a lone run pays for one lane.  seqir_rk4 is the classical RK4 loop with
  * h(s) = s.  Every floating-point operation is written in the same order as
  * in those Python functions, and the file is built with -O2
  * -ffp-contract=off (no fast-math), so no multiply-add is fused and nothing
@@ -36,6 +40,7 @@
  * the cell's 24 bytes, so no byte is written past the caller's buffer.
  * No routine keeps mutable static state: ctypes calls them without the GIL.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -260,91 +265,243 @@ int seqir_ziggurat(ziggurat_t *z)
     return normal_bad ? normal_bad : exponential_bad ? 256 + exponential_bad : 0;
 }
 
+/* The two double lanes of a 16-byte vector (SSE2 on x86-64, NEON on
+ * aarch64), and the mask that a comparison of two of them gives.  Each
+ * lane's arithmetic is the scalar operation, rounded alike. */
+typedef double vd __attribute__((vector_size(16)));
+typedef int64_t vmask __attribute__((vector_size(16)));
+
 /* model.vector_field at (s, e, q, i, r) with the regime constants k and the
- * policy value hs, written to f[0..4]. */
-static inline void drift(const double *k, double s, double e, double q, double i,
-                         double r, double hs, double *f)
+ * policy value hs, written to f[0..4]: drift on doubles (seqir_rk4) and
+ * drift_lanes on the lanes of vd (seqir_run), one text for both. */
+#define DRIFT(name, T)                                                          \
+    static inline void name(const T *k, T s, T e, T q, T i, T r, T hs, T *f)    \
+    {                                                                           \
+        T inc = k[1] * (s * e);                                                 \
+        T pmh = k[4] * hs;                                                      \
+        f[0] = k[0] - inc + k[2] * q - k[3] * s - pmh;                          \
+        f[1] = inc - k[5] * e;                                                  \
+        f[2] = k[6] * e - k[7] * q;                                             \
+        f[3] = k[8] * e + k[9] * q - k[10] * i;                                 \
+        f[4] = k[11] * i + k[12] * e - k[3] * r + pmh;                          \
+    }
+DRIFT(drift, double)
+DRIFT(drift_lanes, vd)
+
+/* One member of a seqir_run call: its stream, its regime path (regs[j],
+ * 0-based, from jump_times[j] on, n_seg segments), its state x (the initial
+ * state in, the final or failing state out), out ([0] the clamp count, [1]
+ * the step m whose state failed, [2] RUN_OK or the failure) and its recorded
+ * states, row 0 the caller's.  Python passes it as 7 words of an array. */
+typedef struct lane {
+    bitgen_t *bitgen;
+    const double *jump_times;
+    const int64_t *regs;
+    int64_t n_seg;
+    double *x;
+    int64_t *out;
+    double *states;
+} lane_t;
+
+/* What the lanes of one call share: the grid, the scheme and policy, and
+ * the table of regime constants; and how far the call has stepped. */
+typedef struct grid {
+    const ziggurat_t *z;
+    int64_t n_steps;
+    double dt;
+    const double *consts;
+    int milstein;
+    double a;
+    int error_policy;
+    const int64_t *rec_steps;
+    int64_t n, rec;       /* the next step to take, the next row to record */
+} grid_t;
+
+/* integrate._clamp_negative, and the non-finite check before it, on lane l
+ * of the state v[5][2]: RUN_OK (clamped, and counted in *clamps, if need
+ * be) or the failure, v then unchanged. */
+static int settle(double v[5][2], int l, int error_policy, int64_t *clamps)
 {
-    double inc = k[1] * (s * e);
-    double pmh = k[4] * hs;
-    f[0] = k[0] - inc + k[2] * q - k[3] * s - pmh;
-    f[1] = inc - k[5] * e;
-    f[2] = k[6] * e - k[7] * q;
-    f[3] = k[8] * e + k[9] * q - k[10] * i;
-    f[4] = k[11] * i + k[12] * e - k[3] * r + pmh;
+    int negative = 0, below = 0;
+    for (int j = 0; j < 5; j++) {
+        if (!isfinite(v[j][l]))
+            return RUN_NON_FINITE;
+        negative += v[j][l] < 0.0;
+        below |= v[j][l] < NEGATIVITY_TOL;
+    }
+    if (negative && error_policy && below)
+        return RUN_NEGATIVE;
+    *clamps += negative;
+    for (int j = 0; j < 5; j++)
+        if (v[j][l] < 0.0)
+            v[j][l] = 0.0;
+    return RUN_OK;
 }
 
-/* integrate._run_py in one call: n_steps steps of dt from the state x,
- * drawing each step's increment as normal(bitgen, z) * sqrt(dt), with the
- * tables z of seqir_ziggurat, which is what rng.standard_normal(k) *
- * sqrt(dt) draws, in the same stream order.  The regime of step n is
- * regs[j] (0-based) for the last j < n_seg with n * dt >= jump_times[j], as
- * RegimePath.regime_at compares, so the last of several jumps inside one
- * step wins.  rec_steps: the recorded steps; the last is n_steps, so no
- * step is compared with an entry past it.
- * out: [0] the clamp count, [1] set on failure to the step m whose state
- * failed; x then holds that state before any clamp, and RUN_NEGATIVE or
- * RUN_NON_FINITE is returned for the caller to raise the matching error. */
-int seqir_run(bitgen_t *bitgen, const ziggurat_t *z, int64_t n_steps, double dt,
-              const double *jump_times, const int64_t *regs, int64_t n_seg,
-              const double *consts, int milstein, double a, int error_policy, double *x,
-              int64_t *out, const int64_t *rec_steps, double *states)
+/* The step loop of seqir_run on L = 1 or 2 lanes, from step g->n: L is a
+ * constant at each call, so a lone lane pays for one lane's bookkeeping.
+ * Lane l steps in element l of each vector; a lone lane runs in both
+ * elements alike (the same draw, constants and state), so the second never
+ * holds a value that the first does not.  Returns 0 once every lane has
+ * taken the last step, storing x and the clamp count; else the mask of the
+ * lanes whose state failed at step g->n, which have stopped drawing, with
+ * their x, out[1] and out[2] set.  A lane that did not fail has then taken
+ * that step, recorded it and stored its state in x, and g->n and g->rec are
+ * where it resumes. */
+static inline __attribute__((always_inline)) int
+step_lanes(const int L, grid_t *g, lane_t *lane)
 {
-    const double sqrt_dt = sqrt(dt);
-    int64_t seg = 0, rec = 1, clamps = 0;
-    double s = x[0], e = x[1], q = x[2], i = x[3], r = x[4];
-    int status = RUN_OK;
+    const double dt = g->dt, sqrt_dt = sqrt(dt);
+    const vd DT = {dt, dt}, SQRT_DT = {sqrt_dt, sqrt_dt}, A = {g->a, g->a};
+    const vd ZERO = {0.0, 0.0}, ONE = {1.0, 1.0}, TOP = {DBL_MAX, DBL_MAX};
+    const int64_t n_steps = g->n_steps, *rec_steps = g->rec_steps;
+    int64_t rec = g->rec;
+    bitgen_t *bitgen[2];
+    const double *k[2];      /* each lane's constants row */
+    double next[2];          /* each lane's next jump time, inf past its last */
+    int64_t seg[2], clamps[2];
+    vd K[N_CONSTANTS];
+    double v[5][2];
 
-    for (int64_t n = 0; n < n_steps; n++) {
-        while (seg + 1 < n_seg && (double)n * dt >= jump_times[seg + 1])
-            seg++;
-        const double *k = consts + N_CONSTANTS * regs[seg];
-        double f[5];
-        drift(k, s, e, q, i, r, s / (1.0 + a * s), f);  /* PolicyFunction: a = 0 is linear */
+    for (int l = 0; l < L; l++) {
+        bitgen[l] = lane[l].bitgen;
+        /* the segment in force at step n; a lane starts in segment 0 */
+        seg[l] = 0;
+        while (seg[l] + 1 < lane[l].n_seg && (double)g->n * dt >= lane[l].jump_times[seg[l] + 1])
+            seg[l]++;
+        next[l] = seg[l] + 1 < lane[l].n_seg ? lane[l].jump_times[seg[l] + 1] : INFINITY;
+        k[l] = g->consts + N_CONSTANTS * lane[l].regs[seg[l]];
+        clamps[l] = lane[l].out[0];
+        for (int j = 0; j < 5; j++)
+            v[j][l] = lane[l].x[j];
+    }
+    for (int j = 0; j < N_CONSTANTS; j++)
+        K[j] = (vd){k[0][j], k[L - 1][j]};
+    vd s = {v[0][0], v[0][L - 1]}, e = {v[1][0], v[1][L - 1]}, q = {v[2][0], v[2][L - 1]};
+    vd i = {v[3][0], v[3][L - 1]}, r = {v[4][0], v[4][L - 1]};
 
-        /* integrate._step; Euler-Maruyama adds a literal 0.0 as Python does */
-        double db = normal(bitgen, z) * sqrt_dt;
-        double se = s * e;
-        double gdb = k[13] * se * db;
-        double dm = milstein ? k[14] * se * (db * db - dt) * (e - s) : 0.0;
-        s = s + f[0] * dt - gdb + dm;
-        e = e + f[1] * dt + gdb - dm;
-        q = q + f[2] * dt;
-        i = i + f[3] * dt;
-        r = r + f[4] * dt;
-
-        int64_t m = n + 1;
-        if (!(isfinite(s) && isfinite(e) && isfinite(q) && isfinite(i) && isfinite(r))) {
-            status = RUN_NON_FINITE;
-        } else if (s < 0.0 || e < 0.0 || q < 0.0 || i < 0.0 || r < 0.0) {
-            /* integrate._clamp_negative */
-            if (error_policy && (s < NEGATIVITY_TOL || e < NEGATIVITY_TOL || q < NEGATIVITY_TOL
-                                 || i < NEGATIVITY_TOL || r < NEGATIVITY_TOL)) {
-                status = RUN_NEGATIVE;
-            } else {
-                clamps += (s < 0.0) + (e < 0.0) + (q < 0.0) + (i < 0.0) + (r < 0.0);
-                if (s < 0.0) s = 0.0;
-                if (e < 0.0) e = 0.0;
-                if (q < 0.0) q = 0.0;
-                if (i < 0.0) i = 0.0;
-                if (r < 0.0) r = 0.0;
+    int failed = 0;
+    int64_t n = g->n;
+    for (; n < n_steps; n++) {
+        /* the regime of step n: the last of several jumps inside one step wins */
+        int jumped = 0;
+        for (int l = 0; l < L; l++) {
+            if ((double)n * dt >= next[l]) {
+                do {
+                    seg[l]++;
+                    next[l] = seg[l] + 1 < lane[l].n_seg ? lane[l].jump_times[seg[l] + 1] : INFINITY;
+                } while ((double)n * dt >= next[l]);
+                k[l] = g->consts + N_CONSTANTS * lane[l].regs[seg[l]];
+                jumped = 1;
             }
         }
-        if (status != RUN_OK) {
-            out[1] = m;
-            break;
+        if (jumped)
+            for (int j = 0; j < N_CONSTANTS; j++)
+                K[j] = (vd){k[0][j], k[L - 1][j]};
+
+        /* integrate._step; Euler-Maruyama adds a literal 0.0 as Python does */
+        const double d0 = normal(bitgen[0], g->z);
+        const double d1 = L == 2 ? normal(bitgen[L - 1], g->z) : d0;
+        const vd db = (vd){d0, d1} * SQRT_DT;
+        vd f[5];
+        drift_lanes(K, s, e, q, i, r, s / (ONE + A * s), f);  /* PolicyFunction: a = 0 is linear */
+        const vd se = s * e;
+        const vd gdb = K[13] * se * db;
+        const vd dm = g->milstein ? K[14] * se * (db * db - DT) * (e - s) : ZERO;
+        s = s + f[0] * DT - gdb + dm;
+        e = e + f[1] * DT + gdb - dm;
+        q = q + f[2] * DT;
+        i = i + f[3] * DT;
+        r = r + f[4] * DT;
+
+        /* every component finite and >= 0 in every lane (nan fails both tests) */
+        const vmask fine = (s >= ZERO) & (s <= TOP) & (e >= ZERO) & (e <= TOP) & (q >= ZERO)
+                           & (q <= TOP) & (i >= ZERO) & (i <= TOP) & (r >= ZERO) & (r <= TOP);
+        const int64_t m = n + 1;
+        if (!(L == 2 ? fine[0] & fine[1] : fine[0])) {
+            for (int l = 0; l < L; l++) {
+                v[0][l] = s[l]; v[1][l] = e[l]; v[2][l] = q[l]; v[3][l] = i[l]; v[4][l] = r[l];
+            }
+            for (int l = 0; l < L; l++) {
+                const int status = settle(v, l, g->error_policy, &clamps[l]);
+                if (status) {
+                    failed |= 1 << l;
+                    for (int j = 0; j < 5; j++)
+                        lane[l].x[j] = v[j][l];
+                    lane[l].out[1] = m;
+                    lane[l].out[2] = status;
+                }
+            }
+            s = (vd){v[0][0], v[0][L - 1]}; e = (vd){v[1][0], v[1][L - 1]};
+            q = (vd){v[2][0], v[2][L - 1]}; i = (vd){v[3][0], v[3][L - 1]};
+            r = (vd){v[4][0], v[4][L - 1]};
         }
 
         if (m == rec_steps[rec]) {
-            double *row = states + 5 * rec;
-            row[0] = s; row[1] = e; row[2] = q; row[3] = i; row[4] = r;
+            for (int l = 0; l < L; l++) {
+                if (failed >> l & 1)
+                    continue;
+                double *row = lane[l].states + 5 * rec;
+                row[0] = s[l]; row[1] = e[l]; row[2] = q[l]; row[3] = i[l]; row[4] = r[l];
+            }
             rec++;
         }
+        if (failed)
+            break;
     }
 
-    x[0] = s; x[1] = e; x[2] = q; x[3] = i; x[4] = r;
-    out[0] = clamps;
-    return status;
+    for (int l = 0; l < L; l++) {
+        lane[l].out[0] = clamps[l];
+        if (failed >> l & 1)
+            continue;
+        lane[l].x[0] = s[l]; lane[l].x[1] = e[l]; lane[l].x[2] = q[l];
+        lane[l].x[3] = i[l]; lane[l].x[4] = r[l];
+    }
+    g->n = n + 1;
+    g->rec = rec;
+    return failed;
+}
+
+static int step_one(grid_t *g, lane_t *lane)
+{
+    return step_lanes(1, g, lane);
+}
+
+static int step_two(grid_t *g, lane_t *lane)
+{
+    return step_lanes(2, g, lane);
+}
+
+/* integrate._run_py on n_lanes = 1 or 2 members in one call: n_steps steps of
+ * dt from each lane's x, drawing each step's increment as normal(bitgen, z) *
+ * sqrt(dt) on the lane's own generator, with the tables z of seqir_ziggurat,
+ * which is what rng.standard_normal(k) * sqrt(dt) draws, in the same stream
+ * order.  The regime of step n is regs[j] (0-based) for the last j < n_seg
+ * with n * dt >= jump_times[j], as RegimePath.regime_at compares, so the last
+ * of several jumps inside one step wins.  rec_steps: the recorded steps; the
+ * last is n_steps, so no step is compared with an entry past it.  The lanes
+ * share the grid, scheme, policy and the table consts of every regime's
+ * constants; each has its own path, constants row, stream, clamp count and
+ * failure.  A lane whose state fails stops there, as a lone run does: x
+ * holds that state before any clamp, out[1] the step and out[2] the failure
+ * for the caller to raise; the other lane steps on alone to the end.
+ * Returns the number of lanes that failed. */
+int seqir_run(const ziggurat_t *z, int64_t n_steps, double dt, const double *consts,
+              int milstein, double a, int error_policy, const int64_t *rec_steps,
+              lane_t *lanes, int n_lanes)
+{
+    grid_t g = {z, n_steps, dt, consts, milstein, a, error_policy, rec_steps, 0, 1};
+    if (n_lanes == 1)
+        return step_one(&g, lanes) != 0;
+    const int failed = step_two(&g, lanes);
+    if (failed == 1 || failed == 2) {
+        /* the other lane resumes at the next step, alone */
+        lane_t *rest = lanes + (failed == 1);
+        if (g.n < n_steps)
+            return 1 + (step_one(&g, rest) != 0);
+        return 1;
+    }
+    return failed ? 2 : 0;
 }
 
 

@@ -9,7 +9,8 @@ hands them the rest.  It caches the shared object in a
 private per-user directory (``$XDG_CACHE_HOME/seqirsim``, else
 ``~/.cache/seqirsim``, mode 0700) under a name derived from the sha256 of
 source, flags, machine, numpy version and archive, and loads it through
-ctypes.  It loads whole or not at all: any failure (a compiler without
+ctypes.  A load refreshes the kernel's modification time, and a build
+removes the other kernels of the cache not loaded for ``STALE_DAYS``.  It loads whole or not at all: any failure (a compiler without
 128-bit integers, or tables that fail their check, too) leaves it
 unavailable with a one-line reason, and every caller steps, walks and
 formats in Python instead.
@@ -28,6 +29,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +46,17 @@ _I64 = ctypes.c_int64
 _D = ctypes.c_double
 #: symbol -> (argument types, result type)
 _SIGNATURES = {
-    "seqir_run": ((_P, _P, _I64, _D, _P, _P, _I64, _P, ctypes.c_int, _D, ctypes.c_int, _P,
-                   _P, _P, _P), ctypes.c_int),
+    "seqir_run": ((_P, _I64, _D, _P, ctypes.c_int, _D, ctypes.c_int, _P, _P, ctypes.c_int),
+                  ctypes.c_int),
     "seqir_rk4": ((_P, _D, _P, _P, _I64, _P, _P), ctypes.c_int),
     "seqir_walk": ((_P, _P, ctypes.c_int, _P, _P, _I64, _D, _D, _P, _P, _P, _P, _I64, _P),
                    _I64),
     "seqir_csv": ((_P, _P, _P, _I64, _I64, _I64, _P, _P, _P), _I64),
     "seqir_ziggurat": ((_P,), ctypes.c_int),
 }
+#: a cached kernel that has not been loaded for this many days is removed
+#: after the next build
+STALE_DAYS = 30
 #: 64-bit words of the ziggurat_t of _kernel.c: wi, ki, we, ke, 256 each
 ZIGGURAT_WORDS = 1024
 
@@ -96,6 +101,19 @@ def _build(source: bytes, target: Path) -> None:
             os.unlink(tmp)
 
 
+def _evict(kept: Path) -> None:
+    """Remove every other ``kernel-*.so`` of the cache that has not been
+    loaded for ``STALE_DAYS`` days; a removal that fails, or that another
+    process makes first, is left alone."""
+    stale = time.time() - STALE_DAYS * 86400
+    for path in kept.parent.glob("kernel-*.so"):
+        try:
+            if path != kept and path.stat().st_mtime < stale:
+                path.unlink()
+        except OSError:
+            pass
+
+
 def _open():
     """Build the kernel unless the cache holds it, then load it."""
     try:
@@ -110,8 +128,13 @@ def _open():
                                      platform.machine().encode(),
                                      np.__version__.encode(), archive.encode()])).hexdigest()
     target = _private_dir() / f"kernel-{key[:32]}.so"
-    if not target.exists():
+    try:
+        os.utime(target)  # the kernel in use is never stale
+    except FileNotFoundError:
         _build(source, target)
+        _evict(target)
+    except OSError:
+        pass
     try:
         lib = ctypes.CDLL(str(target))
         for name, (argtypes, restype) in _SIGNATURES.items():
@@ -134,7 +157,9 @@ def load():
 
     The library exposes ``seqir_run``, ``seqir_rk4``, ``seqir_walk`` and
     ``seqir_csv``, typed; a loaded library runs all four, and ``None`` leaves
-    all four to their Python references.  ``seqir_run`` and ``seqir_walk``
+    all four to their Python references.  ``seqir_run`` steps one or two
+    members per call, in the lanes of a 16-byte vector, with no flag beyond
+    ``FLAGS``.  ``seqir_run`` and ``seqir_walk``
     take the address of ``library.ziggurat``: the fast-path tables of
     numpy's normal and exponential ziggurats, which ``seqir_ziggurat`` reads
     out of numpy's routines on scripted words and then checks against them,

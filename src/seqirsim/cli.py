@@ -96,14 +96,15 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     before its chunk is written.  Otherwise :func:`_python_rows` formats them,
     a column slice at a time, inline on the calling thread, since it holds
     the GIL.  The calling thread writes each chunk, in order, so no byte
-    depends on the thread count, and both formatters write the same bytes."""
+    depends on the thread count, and both formatters write the same bytes.
+    A file of one chunk is formatted and written inline, with no thread."""
     n_rows = len(columns[0])
     if any(np.shape(col) != (n_rows,) for col in columns):
         raise ValueError("CSV columns must be 1-D and of equal length")
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, _ = _kernel.load()
     n_chunks = -(-n_rows // _CSV_CHUNK)
-    threads = 1 if kernel is None else integrate._workers(n_chunks)
+    threads = 1 if kernel is None or n_chunks < 2 else integrate._workers(n_chunks)
     n_slots = integrate._window(threads)
     fill, text = (_python_rows(columns) if kernel is None
                   else _kernel_rows(kernel, columns, n_slots))
@@ -145,29 +146,33 @@ def _kernel_rows(kernel, columns: list[np.ndarray], n_slots: int):
     exact integer search, in ``repr``'s positional form.  It leaves every
     other float as an empty cell and records where; ``text`` fills it in
     with :func:`_fmt`.  Integer columns are passed as int64 and the others
-    as float64, in place when they already are.  The column table (addresses,
-    strides and integer flags) is built once; each slot owns only its buffer,
-    its splice table and its byte count."""
-    ints = np.array([col.dtype.kind in "iu" for col in columns], dtype=np.int64)
+    as float64, in place when they already are.  The column table
+    (addresses, strides and integer flags) is one array, built once; each
+    slot is one more, holding its splice table, its byte count and its
+    buffer."""
+    ints = [col.dtype.kind in "iu" for col in columns]
     cols = [np.asarray(col, dtype=np.int64 if is_int else np.float64)
             for col, is_int in zip(columns, ints)]
-    addrs = np.array([col.ctypes.data for col in cols], dtype=np.uintp)
-    strides = np.array([col.strides[0] for col in cols], dtype=np.int64)
-    cells = min(_CSV_CHUNK, len(cols[0])) * len(cols)
-    table = (addrs.ctypes.data, strides.ctypes.data, ints.ctypes.data, len(cols))
+    n_cols = len(cols)
+    table = np.array([col.ctypes.data for col in cols] + [col.strides[0] for col in cols]
+                     + ints, dtype=np.uint64)
+    words = table.ctypes.data
+    table_args = (words, words + 8 * n_cols, words + 16 * n_cols, n_cols)
+    cells = min(_CSV_CHUNK, len(cols[0])) * n_cols
     slots = []
     for _ in range(n_slots):
-        buf = np.empty(cells * _CELL_BYTES, dtype=np.uint8)
-        splices = np.empty((cells, 3), dtype=np.int64)  # byte offset, row, column
-        n_bytes = np.zeros(1, dtype=np.int64)
-        slots.append(((buf.ctypes.data, splices.ctypes.data, n_bytes.ctypes.data),
-                      memoryview(buf), splices, n_bytes))
+        # 3 words a splice (byte offset, row, column), the byte count, the buffer
+        slot = np.empty(3 * cells + 1 + cells * _CELL_BYTES // 8, dtype=np.int64)
+        base = slot.ctypes.data
+        slots.append(((base + 8 * (3 * cells + 1), base, base + 8 * 3 * cells),
+                      memoryview(slot[3 * cells + 1:].view(np.uint8)),
+                      slot[:3 * cells].reshape(cells, 3), slot[3 * cells:3 * cells + 1]))
 
     def fill(lo: int, hi: int, slot: int) -> int:
-        return kernel.seqir_csv(*table, lo, hi, *slots[slot][0])
+        return kernel.seqir_csv(*table_args, lo, hi, *slots[slot][0])
 
     # plain addresses hold nothing: fill holds every array the kernel reads
-    fill.arrays = (cols, addrs, strides, ints, slots)
+    fill.arrays = (cols, table, slots)
 
     def text(slot: int, n: int):
         _, view, splices, n_bytes = slots[slot]
@@ -253,7 +258,9 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     then the summary of the reductions.  When a member fails, the CSVs of
     the members before it remain and no summary is written."""
     # an empty summary window is known from the grid alone, before any member runs
-    window = analysis.tail_window(cfg.simulation.record_times())
+    times = cfg.simulation.record_times()
+    window = analysis.tail_window(times)
+    mask = analysis.window_mask(times, window)
     out_dir.mkdir(parents=True, exist_ok=True)
     members = []
     for i, traj in enumerate(iter_ensemble(cfg.simulation, cfg.generator, cfg.table,
@@ -261,7 +268,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                                            cfg.ensemble_base_seed)):
         seed = derive_seed(cfg.ensemble_base_seed, i)
         write_trajectory_csv(traj, out_dir / f"traj_{i:03d}_seed_{seed}.csv")
-        members.append(analysis.member_statistics(traj, window, cfg.generator.n_states))
+        members.append(analysis.member_statistics(traj, mask, cfg.generator.n_states))
 
     report = thresholds.threshold_report(cfg.table, cfg.generator)
     pi = chain.StationaryDistribution(report.pi)

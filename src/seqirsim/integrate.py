@@ -20,17 +20,20 @@ else in their Python references, ``_run_py`` and ``_rk4_py``.  A compiled
 stochastic run is one kernel call that draws its normals from the run's own
 bit generator in C: on the fast path of numpy's ziggurat inline, with
 numpy's tables, and through numpy's own routine off it (see ``_kernel``).
-Both backends give the same bytes and leave the generator in the same
-state, and ``Trajectory.metadata["backend"]`` says which ran.
+One call steps one run, or two in the two lanes of a vector, each with its
+own path, generator, clamps and failure.  Both backends give the same bytes
+and leave the generator in the same state, and
+``Trajectory.metadata["backend"]`` says which ran.
 
 Ensembles: :func:`iter_ensemble` runs its members through :func:`_ordered`,
 the one thread pipeline, which ``cli._write_csv`` runs CSV chunks through
 too.  The calling thread sets up each member (path sampling, record arrays)
 in index order, and members step on it and, since the kernel call releases
 the GIL, on helper threads: one thread per usable CPU (:func:`_workers`) in
-all.  The Python runner holds the GIL, so its members step inline, with no
-thread started.  Members are returned in index order, so no output depends
-on the thread count.
+all.  With the kernel and more members than threads, members 2j and 2j + 1
+step together in one kernel call.  The Python runner holds the GIL, so its
+members step inline, one at a time, with no thread started.  Members are
+returned in index order, so no output depends on the thread count.
 """
 
 from __future__ import annotations
@@ -229,7 +232,8 @@ class _Run:
     ``regimes``, and the first row of ``states``.  A runner only steps
     ``state`` over ``n_steps`` steps of ``dt``, drawing one normal per step
     from ``rng``, stores ``states`` at the recorded steps and counts clamp
-    events.
+    events.  A run whose state fails keeps the error its runner raised in
+    ``error``, for its caller to raise.
     """
 
     config: SimulationConfig
@@ -244,11 +248,15 @@ class _Run:
     states: np.ndarray
     state: tuple
     clamps: int = 0
+    error: Exception | None = None
 
 
-def _setup(config: SimulationConfig, generator: Generator,
-           table: RegimeParameterTable, h: PolicyFunction) -> _Run:
-    """Sample the regime path and lay out the record arrays."""
+def _layout(config: SimulationConfig, generator: Generator,
+            table: RegimeParameterTable) -> tuple:
+    """What the runs of ``config`` at every seed share, read-only: the
+    ``regime_constants`` rows of ``table``, the recorded steps and their
+    times.  Checks first that ``table`` and the initial regime fit
+    ``generator``."""
     if table.n_regimes != generator.n_states:
         raise ValueError(
             f"parameter table has {table.n_regimes} regimes, generator has {generator.n_states}"
@@ -257,6 +265,19 @@ def _setup(config: SimulationConfig, generator: Generator,
         raise ValueError(
             f"initial regime {config.initial_regime} outside 1..{generator.n_states}"
         )
+    constants = np.array([regime_constants(row) for row in table.rows])
+    steps = _record_steps(config.n_steps, config.output_stride)
+    times = steps * config.dt
+    for shared in (constants, steps, times):
+        shared.flags.writeable = False
+    return constants, steps, times
+
+
+def _setup(config: SimulationConfig, generator: Generator,
+           table: RegimeParameterTable, h: PolicyFunction, layout=None) -> _Run:
+    """Sample the regime path and lay out the record arrays, sharing
+    ``layout``, the :func:`_layout` of ``config``, when it is given."""
+    constants, steps, times = layout or _layout(config, generator, table)
     rng = np.random.default_rng(config.seed)
     n_steps = config.n_steps
     dt = config.dt
@@ -269,8 +290,6 @@ def _setup(config: SimulationConfig, generator: Generator,
         path = sample_path_discretized(generator, config.initial_regime,
                                        n_steps * dt, dt, rng)
 
-    steps = _record_steps(n_steps, config.output_stride)
-    times = steps * dt
     # RegimePath.regime_at of every recorded time
     regimes = path.regimes[np.searchsorted(path.jump_times, times, side="right") - 1]
     states = np.empty((len(steps), 5))
@@ -280,8 +299,8 @@ def _setup(config: SimulationConfig, generator: Generator,
     return _Run(config=config, h=h, rng=rng,
                 jump_times=np.ascontiguousarray(path.jump_times, dtype=np.float64),
                 regs=np.asarray(path.regimes, dtype=np.int64) - 1,
-                constants=np.array([regime_constants(row) for row in table.rows]),
-                steps=steps, times=times, regimes=regimes, states=states, state=state)
+                constants=constants, steps=steps, times=times, regimes=regimes,
+                states=states, state=state)
 
 
 def _run_py(run: _Run) -> None:
@@ -330,28 +349,42 @@ def _run_py(run: _Run) -> None:
     run.clamps = clamps
 
 
-def _run_c(run: _Run, kernel) -> None:
-    """Step ``run`` with the compiled ``kernel`` in one call, drawing from
-    ``run.rng``'s own bit generator under its lock, with the kernel's
-    ziggurat tables."""
-    config = run.config
-    x = np.array(run.state, dtype=np.float64)
-    out = np.zeros(2, dtype=np.int64)  # clamps, failed step
-    bitgen = run.rng.bit_generator
-    with bitgen.lock:
-        status = kernel.seqir_run(
-            bitgen.ctypes.bit_generator, kernel.ziggurat.ctypes.data, config.n_steps, config.dt,
-            run.jump_times.ctypes.data, run.regs.ctypes.data, len(run.regs),
-            run.constants.ctypes.data,
-            config.scheme == "milstein", run.h.a, config.negativity_policy == "error",
-            x.ctypes.data, out.ctypes.data, run.steps.ctypes.data, run.states.ctypes.data)
-    if status:
-        vals, t = tuple(x.tolist()), int(out[1]) * config.dt
-        _check_finite(vals, t)
-        _clamp_negative(vals, config.negativity_policy, t)
-        raise RuntimeError(f"kernel status {status} without a failing state")
-    run.state = tuple(x.tolist())
-    run.clamps = int(out[0])
+def _run_c(runs: list[_Run], kernel) -> None:
+    """Step one or two runs with the compiled ``kernel`` in one call, run l
+    in lane l, each drawing from its ``rng``'s own bit generator under its
+    lock, with the kernel's ziggurat tables.  The runs share everything but
+    the seed: grid, scheme, policy and constants are ``runs[0]``'s.  A run
+    whose state fails is left as its lone run leaves it: ``state`` holds the
+    failing state before any clamp, and ``error`` what ``_run_py`` raises."""
+    config = runs[0].config
+    x = np.array([run.state for run in runs], dtype=np.float64)
+    out = np.zeros((len(runs), 3), dtype=np.int64)  # clamps, failed step, status
+    # each lane's words of a lane_t: bit generator, path, state, out, recorded states
+    lanes = np.array([(run.rng.bit_generator.ctypes.bit_generator.value,
+                       run.jump_times.ctypes.data, run.regs.ctypes.data, len(run.regs),
+                       x[l].ctypes.data, out[l].ctypes.data, run.states.ctypes.data)
+                      for l, run in enumerate(runs)], dtype=np.uint64)
+    locks = [run.rng.bit_generator.lock for run in runs]
+    for lock in locks:
+        lock.acquire()
+    try:
+        kernel.seqir_run(kernel.ziggurat.ctypes.data, config.n_steps, config.dt,
+                         runs[0].constants.ctypes.data, config.scheme == "milstein",
+                         runs[0].h.a, config.negativity_policy == "error",
+                         runs[0].steps.ctypes.data, lanes.ctypes.data, len(runs))
+    finally:
+        for lock in locks:
+            lock.release()
+    for run, vals, (clamps, step, status) in zip(runs, x.tolist(), out.tolist()):
+        run.state, run.clamps = tuple(vals), clamps
+        if status:
+            t = step * config.dt
+            try:
+                _check_finite(run.state, t)
+                _clamp_negative(run.state, config.negativity_policy, t)
+                raise RuntimeError(f"kernel status {status} without a failing state")
+            except (NegativeState, NonFiniteState) as exc:
+                run.error = exc
 
 
 def simulate(config: SimulationConfig, generator: Generator,
@@ -370,17 +403,26 @@ def simulate(config: SimulationConfig, generator: Generator,
     run = _setup(config, generator, table, h)
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, reason = _kernel.load()
-    _advance(run, kernel)
+    _advance([run], kernel)
+    if run.error is not None:
+        raise run.error
     return _trajectory(run, kernel, reason)
 
 
-def _advance(run: _Run, kernel) -> _Run:
-    """Step ``run`` on ``kernel``, or in Python when it is None; returns it."""
-    if kernel is None:
-        _run_py(run)
-    else:
-        _run_c(run, kernel)
-    return run
+def _advance(runs: list[_Run], kernel) -> list[_Run]:
+    """Step one or two runs in one call of ``kernel``, or each in Python
+    when it is None, until one fails; returns them.  A failed run keeps its
+    error in ``error``."""
+    if kernel is not None:
+        _run_c(runs, kernel)
+        return runs
+    for run in runs:
+        try:
+            _run_py(run)
+        except (NegativeState, NonFiniteState) as exc:
+            run.error = exc
+            break
+    return runs
 
 
 def _trajectory(run: _Run, kernel, reason) -> Trajectory:
@@ -424,6 +466,10 @@ def _ordered(n: int, prepare, work, threads: int, name: str):
     raised at its turn, after i yields, and no task after it is prepared.
     Every helper has ended when the generator returns, raises or is closed.
     """
+    if threads == 1:
+        for i in range(n):
+            yield i, work(prepare(i))
+        return
     import threading  # imported on first use: start-up does not pay for it
     window, cond = _window(threads), threading.Condition()
     ready = deque()  # (i, prepared task) that no thread has taken yet
@@ -500,27 +546,53 @@ def iter_ensemble(config: SimulationConfig, generator: Generator,
     """Yield n independent trajectories in index order, with derived seeds.
 
     Member i is the :func:`simulate` run with seed ``derive_seed(base_seed,
-    i)``, byte for byte, whatever the thread count and backend.  Members are
-    the tasks of :func:`_ordered`: setup (path sampling, with its warnings,
-    and the record arrays) prepares one, and stepping is its work, on
-    :func:`_workers` threads with the kernel and inline without it.
+    i)``, byte for byte, whatever the thread count and backend.  Setup (path
+    sampling, with its warnings, and the record arrays) prepares the tasks of
+    :func:`_ordered`, in member order, sharing one :func:`_layout`, and
+    stepping is their work, on :func:`_workers` threads with the kernel and
+    inline without it.  With the kernel and more members than threads, a
+    task is the pair of members 2j and 2j + 1, stepped in the two lanes of
+    one kernel call (the last of an odd n alone); otherwise it is one member.
 
     The first failing member by index raises, as in a serial run; members
-    after it are not yielded.
+    after it are not set up once its setup fails, nor yielded.
     """
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, reason = _kernel.load()
+    layout = _layout(config, generator, table)
+    size = 2 if kernel is not None and n > _workers(n) else 1
+    n_tasks = -(-n // size)
+    failed = []  # the setup error of a task's second member
 
-    def prepare(i):
-        return _setup(replace(config, seed=derive_seed(base_seed, i)), generator, table, h)
+    def prepare(j):
+        if failed:
+            raise failed[0]
+        runs, error = [], None
+        for i in range(j * size, min(n, (j + 1) * size)):
+            try:
+                runs.append(_setup(replace(config, seed=derive_seed(base_seed, i)), generator,
+                                   table, h, layout))
+            except Exception as exc:
+                if not runs:
+                    raise
+                error = exc
+                failed.append(exc)
+        return runs, error
+
+    def work(task):
+        return _advance(task[0], kernel), task[1]
 
     # Python stepping holds the GIL: a helper thread would only contend for it
-    threads = 1 if kernel is None else _workers(n)
-    for _, run in _ordered(n, prepare, lambda run: _advance(run, kernel), threads,
-                           "seqirsim-member"):
-        yield _trajectory(run, kernel, reason)
+    threads = 1 if kernel is None else _workers(n_tasks)
+    for _, (runs, error) in _ordered(n_tasks, prepare, work, threads, "seqirsim-member"):
+        for run in runs:
+            if run.error is not None:
+                raise run.error
+            yield _trajectory(run, kernel, reason)
+        if error is not None:
+            raise error
 
 
 def _rk4_py(k: tuple, dt: float, steps: np.ndarray, states: np.ndarray) -> None:

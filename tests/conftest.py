@@ -119,13 +119,14 @@ def use_cpus(monkeypatch, n):
 
 
 def stepping_threads(monkeypatch):
-    """The names of the threads that step each run, appended as runs start."""
+    """The name of the thread of each stepping call (a kernel call of one or
+    two members, or a Python run), appended as calls start."""
     names = []
     advance = integrate._advance
 
-    def spy(run, kernel):
+    def spy(runs, kernel):
         names.append(threading.current_thread().name)
-        return advance(run, kernel)
+        return advance(runs, kernel)
 
     monkeypatch.setattr(integrate, "_advance", spy)
     return names

@@ -23,6 +23,7 @@ from seqirsim import (
     time_average,
     validate_generator,
 )
+from seqirsim.analysis import member_statistics, tail_window, window_mask
 from seqirsim.errors import EmptyWindow, InconsistentConfigs, NonPositiveValues
 
 from conftest import PERSISTENT_PARAMS, table_from_lists
@@ -181,6 +182,35 @@ def persistent_setup():
                            initial_regime=1, seed=0, output_stride=100)
     trajectories = list(iter_ensemble(cfg, gen, table, LINEAR, n=5, base_seed=11))
     return gen, table, cfg, trajectories
+
+
+class TestMemberStatistics:
+    #: window sample counts on both sides of numpy's pairwise-summation
+    #: blocks (8 and 128 elements), and longer ones
+    WINDOW_SAMPLES = [2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 255, 256, 257, 300, 501,
+                      1001, 5001]
+
+    @pytest.mark.parametrize("m", WINDOW_SAMPLES)
+    def test_tail_averages_are_time_average_to_the_byte(self, m):
+        # the window holds the last m samples of 2m - 1 on an irregular grid
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            times = np.cumsum(rng.uniform(0.5, 1.5, 2 * m - 1))
+            times[0] = 0.0
+            traj = Trajectory(times=times, regimes=np.ones(len(times), dtype=np.int64),
+                              states=rng.lognormal(0.0, 4.0, (len(times), 5)))
+            window = (times[m - 1], times[-1])
+            mask = window_mask(times, window)
+            assert mask.sum() == m
+            stats = member_statistics(traj, mask, 1)
+            expected = {name: time_average(traj, name, window) for name in Trajectory.COLUMNS}
+            assert stats.tail_averages == expected
+            assert all(type(v) is float for v in stats.tail_averages.values())
+
+    def test_the_window_of_the_summary_grid(self):
+        times = np.arange(11) * 0.5
+        assert tail_window(times) == (2.5, 5.0)
+        assert window_mask(times, (2.5, 5.0)).tolist() == [False] * 5 + [True] * 6
 
 
 class TestSummarizeEnsemble:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -29,7 +30,7 @@ from seqirsim import (
 from seqirsim import _kernel, chain, cli
 from seqirsim.cli import main
 from seqirsim.errors import NegativeState, NonFiniteState, StalledClock
-from seqirsim.integrate import _BLOCK, _run_c, _run_py, _setup
+from seqirsim.integrate import _BLOCK, _run_c, _run_py, _setup, derive_seed
 
 from conftest import EX1_PARAMS, EX2_PARAMS, GENERATOR_2, GENERATOR_4, table_from_lists
 from test_chain import GOLDEN_CASES, GOLDEN_DIGESTS, NEAR_ABSORBING, golden_digest
@@ -82,6 +83,16 @@ def outcome(runner, config, gen, table, h):
             run.rng.bit_generator.state)
 
 
+def alone(kernel):
+    """A runner that steps a run in a lone lane of ``kernel`` and raises its
+    error, as ``simulate`` does."""
+    def run_alone(run):
+        _run_c([run], kernel)
+        if run.error is not None:
+            raise run.error
+    return run_alone
+
+
 @pytest.fixture(scope="module")
 def kernel():
     """The loaded kernel; skipped only on a machine with no C compiler."""
@@ -106,7 +117,7 @@ def test_backend_identity(kernel, case, scheme, chain_mode, policy, negativity, 
     config = replace(config, output_stride=stride)
     h = POLICIES[policy]
     reference = outcome(_run_py, config, gen, table, h)
-    compiled = outcome(lambda run: _run_c(run, kernel), config, gen, table, h)
+    compiled = outcome(alone(kernel), config, gen, table, h)
     assert compiled == reference
 
 
@@ -124,6 +135,143 @@ def test_identity_cases_reach_the_paths_they_cover(kernel):
     config, gen, table = case_inputs("blow_up", chain_mode="discretized")
     name, message = outcome(_run_py, config, gen, table, h)
     assert name == "NonFiniteState" and "t=5.5" in message
+
+
+def member_outcome(run, failed=False):
+    """What a stepped run leaves: its recorded bytes, clamp count, final
+    state and stream state, or its error and message, and with ``failed``
+    the failing state and the stream state too."""
+    if run.error is not None:
+        return (type(run.error).__name__, str(run.error),
+                *((run.state, stream_state(run.rng)) if failed else ()))
+    return (run.times.tobytes(), run.regimes.tobytes(), run.states.tobytes(), run.clamps,
+            run.state, stream_state(run.rng))
+
+
+def python_runs(runs):
+    """Step each run alone in ``_run_py``, keeping its error as the kernel does."""
+    for run in runs:
+        try:
+            _run_py(run)
+        except (NegativeState, NonFiniteState) as exc:
+            run.error = exc
+
+
+def in_lanes(kernel, configs, gen, table, h, failed=False):
+    """:func:`member_outcome` of each of one or two runs, at ``configs``,
+    stepped in the lanes of one kernel call."""
+    runs = [_setup(config, gen, table, h) for config in configs]
+    _run_c(runs, kernel)
+    return [member_outcome(run, failed) for run in runs]
+
+
+def in_python(configs, gen, table, h):
+    """:func:`member_outcome` of each run at ``configs``, stepped alone in Python."""
+    runs = [_setup(config, gen, table, h) for config in configs]
+    python_runs(runs)
+    return [member_outcome(run) for run in runs]
+
+
+@pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("scheme, chain_mode, policy, negativity", list(
+    itertools.product(("milstein", "euler_maruyama"), ("exact", "discretized"),
+                      ("linear", "saturating"), ("clamp_to_zero", "error"))))
+def test_each_lane_of_a_pair_steps_as_its_lone_run(kernel, case, scheme, chain_mode, policy,
+                                                   negativity):
+    # the other lane has another seed, so another path and other normals
+    config, gen, table = case_inputs(case, scheme=scheme, chain_mode=chain_mode,
+                                     negativity_policy=negativity, output_stride=7)
+    h = POLICIES[policy]
+    configs = [config, replace(config, seed=config.seed + 100)]
+    reference = in_python(configs, gen, table, h)
+    assert in_lanes(kernel, configs, gen, table, h) == reference
+    assert in_lanes(kernel, configs[::-1], gen, table, h) == reference[::-1]
+
+
+def test_twin_lanes_step_as_their_lone_run(kernel):
+    # one seed in both lanes: every clamp falls on both lanes at the same step
+    config, gen, table = case_inputs("clamping", scheme="euler_maruyama", output_stride=7)
+    h = POLICIES["linear"]
+    reference = in_python([config], gen, table, h)
+    assert reference[0][3] == 40
+    assert in_lanes(kernel, [config, config], gen, table, h) == reference * 2
+
+
+#: (jump times, 0-based regimes) put in place of a sampled path: several
+#: jumps inside one step (the last wins), jumps at other steps, no jump
+CRAFTED_PATHS = [([0.0, 0.1, 0.1001, 0.1002, 0.5], [2, 0, 3, 1, 2]),
+                 ([0.0, 0.25, 0.75], [1, 3, 0]),
+                 ([0.0], [3])]
+
+
+def on_crafted_paths(runner, paths):
+    """:func:`member_outcome` of runs of 100 steps on ``paths``, one run a
+    path, stepped by ``runner``, which takes the list of runs."""
+    config = SimulationConfig(dt=0.01, horizon=1.0, output_stride=7,
+                              initial_state=EpidemicState(20, 20, 15, 10, 0))
+    runs = []
+    for seed, (jumps, regs) in enumerate(paths, 3):
+        run = _setup(replace(config, seed=seed), validate_generator(GENERATOR_4),
+                     table_from_lists(EX1_PARAMS), POLICIES["saturating"])
+        run.jump_times, run.regs = np.array(jumps), np.array(regs, dtype=np.int64)
+        runs.append(run)
+    runner(runs)
+    return [member_outcome(run) for run in runs]
+
+
+@pytest.mark.parametrize("paths", list(itertools.permutations(range(len(CRAFTED_PATHS)), 2)))
+def test_lanes_that_jump_at_different_steps(kernel, paths):
+    paths = [CRAFTED_PATHS[i] for i in paths]
+    assert on_crafted_paths(lambda runs: _run_c(runs, kernel), paths) == \
+        on_crafted_paths(python_runs, paths)
+
+
+#: an error-policy ensemble of base seed 6 (test_cli.failing_member_doc):
+#: members 2 and 4 go negative, at t = 1.53 and 1.33, and 0, 1 and 3 pass
+NEGATIVE = (GENERATOR_4, _with(EX1_PARAMS, sigma0=0.1), 0.01, 20.0, (20, 20, 15, 10, 0), 3)
+#: kind -> the seeds of a pair; the first fails
+FAILING_PAIRS = {
+    "non-finite": [2, 0],  # blow_up: seed 2 overflows at t = 5.5, seed 0 passes
+    "both-non-finite": [2, 8],  # both at t = 5.5
+    "negative": [derive_seed(6, 2), derive_seed(6, 1)],
+    "both-negative": [derive_seed(6, 2), derive_seed(6, 4)],  # at different steps
+}
+
+
+def failing_pair(kind="negative"):
+    """The configs of the pair ``FAILING_PAIRS[kind]``, the generator and the table."""
+    if "non-finite" in kind:
+        config, gen, table = case_inputs("blow_up", chain_mode="discretized", output_stride=7)
+    else:
+        g, params, dt, horizon, init, regime = NEGATIVE
+        config = SimulationConfig(dt=dt, horizon=horizon, initial_state=EpidemicState(*init),
+                                  initial_regime=regime, scheme="euler_maruyama",
+                                  output_stride=10, negativity_policy="error")
+        gen, table = validate_generator(g), table_from_lists(params)
+    return [replace(config, seed=seed) for seed in FAILING_PAIRS[kind]], gen, table
+
+
+@pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
+@pytest.mark.parametrize("kind", list(FAILING_PAIRS))
+@pytest.mark.parametrize("failing_lane", [0, 1])
+def test_a_failing_lane_stops_as_its_lone_run_and_the_other_runs_on(kernel, kind,
+                                                                    failing_lane):
+    configs, gen, table = failing_pair(kind)
+    if failing_lane:
+        configs = configs[::-1]
+    h = POLICIES["linear"]
+    # the failing state before any clamp and the stream state after the
+    # failing step: the kernel stops drawing there, as a lone run does
+    lone = [in_lanes(kernel, [config], gen, table, h, failed=True)[0] for config in configs]
+    assert in_lanes(kernel, configs, gen, table, h, failed=True) == lone
+    # and the lone runs are the Python reference's, the failures by type and message
+    reference = in_python(configs, gen, table, h)
+    assert [out[:2] if isinstance(out[0], str) else out for out in lone] == reference
+    failed = [isinstance(out[0], str) for out in lone]
+    assert failed == ([True, "both" in kind][::-1] if failing_lane else [True, "both" in kind])
+    expected = "NonFiniteState" if "non-finite" in kind else "NegativeState"
+    assert {out[0] for out, bad in zip(lone, failed) if bad} == {expected}
 
 
 #: name -> (parameters, regime, initial state, policy intensity M, dt, horizon)
@@ -601,7 +749,7 @@ def boundary_walks(kernel):
 
 
 def test_normals_at_both_ends_of_every_fast_path_on_both_backends(kernel):
-    assert boundary_steps(kernel, lambda run: _run_c(run, kernel)) == \
+    assert boundary_steps(kernel, alone(kernel)) == \
         boundary_steps(kernel, _run_py)
 
 
@@ -638,7 +786,7 @@ def test_runs_on_other_bit_generators_on_both_backends(kernel, bit_generator):
     config, gen, table = case_inputs("clamping", output_stride=7)
     h = POLICIES["linear"]
     outcomes = []
-    for runner in (lambda run: _run_c(run, kernel), _run_py):
+    for runner in (alone(kernel), _run_py):
         run = _setup(config, gen, table, h)
         run.rng = np.random.Generator(bit_generator(7))
         runner(run)
@@ -688,6 +836,48 @@ def fresh_loader(monkeypatch, tmp_path):
     _kernel.load.cache_clear()
 
 
+def test_a_build_removes_kernels_unused_for_30_days(kernel, fresh_loader, tmp_path):
+    cache = tmp_path / "cache" / "seqirsim"
+    cache.mkdir(parents=True, mode=0o700)
+    now = time.time()
+    ages = {"kernel-stale.so": 31, "kernel-recent.so": 29, "other-stale.so": 40}
+    for name, days in ages.items():
+        (cache / name).write_bytes(b"")
+        os.utime(cache / name, (now - days * 86400,) * 2)
+    assert _kernel.load()[0] is not None
+    built = [p.name for p in cache.glob("kernel-*.so") if p.name not in ages]
+    assert len(built) == 1
+    # the other kernel of 31 days goes; the 29-day one and a file of another name stay
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [*built, "kernel-recent.so", "other-stale.so"])
+    # a load from the cache refreshes the kernel's time, so it is never stale
+    os.utime(cache / built[0], (now - 40 * 86400,) * 2)
+    _kernel.load.cache_clear()
+    assert _kernel.load()[0] is not None
+    assert (cache / built[0]).stat().st_mtime > now - 60
+
+
+def test_a_removal_that_fails_or_races_is_ignored(kernel, fresh_loader, tmp_path,
+                                                  monkeypatch):
+    cache = tmp_path / "cache" / "seqirsim"
+    cache.mkdir(parents=True, mode=0o700)
+    old = time.time() - 31 * 86400
+    for name in ("kernel-a.so", "kernel-b.so"):
+        (cache / name).write_bytes(b"")
+        os.utime(cache / name, (old, old))
+    unlink = Path.unlink
+
+    def flaky(path, *args, **kwargs):
+        if path.name == "kernel-a.so":
+            raise PermissionError("read-only")
+        unlink(path, *args, **kwargs)  # kernel-b: another process removed it first
+        unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", flaky)
+    assert _kernel.load()[0] is not None
+    assert sorted(p.name for p in cache.glob("kernel-[ab].so")) == ["kernel-a.so"]
+
+
 @pytest.mark.parametrize("breakage", ["no-compiler", "build-fails", "no-archive"])
 def test_fallback_to_python_when_the_kernel_cannot_build(kernel, fresh_loader, monkeypatch,
                                                          tmp_path, breakage):
@@ -705,7 +895,7 @@ def test_fallback_to_python_when_the_kernel_cannot_build(kernel, fresh_loader, m
     config, gen, table = case_inputs("clamping", scheme="euler_maruyama", output_stride=7)
     h = POLICIES["saturating"]
     # the path is walked in Python here too: the breakage applies to every load
-    compiled = outcome(lambda run: _run_c(run, kernel), config, gen, table, h)
+    compiled = outcome(alone(kernel), config, gen, table, h)
     fallback = simulate(config, gen, table, h)
     assert fallback.metadata["backend"] == "python"
     assert expected in fallback.metadata["backend_reason"]
@@ -780,16 +970,28 @@ def test_the_table_check_refuses_a_mutated_ziggurat(kernel, fresh_loader, monkey
     assert "draw differently from it" in reason and "\n" not in reason
 
 
-#: one-operation changes of seqir_run, each of which some identity case must detect
+#: one-operation changes of seqir_run, each of which some identity case, lone
+#: or in a pair of lanes, must detect
 RUN_MUTATIONS = {
     # discretized jumps land on grid points, so each would start a step late
-    "jump-a-step-late": ("(double)n * dt >= jump_times[seg + 1]",
-                         "(double)n * dt > jump_times[seg + 1]"),
+    "jump-a-step-late": ("if ((double)n * dt >= next[l])", "if ((double)n * dt > next[l])"),
     # the states are unchanged; only the stream state after the run shows it
-    "one-draw-too-many": ("    out[0] = clamps;",
-                          "    random_standard_normal(bitgen);\n    out[0] = clamps;"),
+    "one-draw-too-many": ("        lane[l].out[0] = clamps[l];",
+                          "        random_standard_normal(lane[l].bitgen);\n"
+                          "        lane[l].out[0] = clamps[l];"),
     **{name: ZIGGURAT_MUTATIONS[name] for name in ("xor-sign-dropped", "probe-stores-hi-plus-1",
                                                    "replay-word-not-replayed")},
+    # each lane steps on the other's normal
+    "lane-draws-swapped": ("(vd){d0, d1}", "(vd){d1, d0}"),
+    # a jump of lane 1 alone leaves it on its old regime's constants
+    "jumping-lane-constants-not-refreshed": ("jumped = 1;", "jumped = l == 0;"),
+    # both lanes step on after one fails, so the failed lane draws on
+    "failed-lane-keeps-drawing": ("        if (failed)\n            break;\n", ""),
+    # lane l's clamp applied to both lanes: the other's clamps go uncounted
+    "clamp-applied-to-both-lanes": ("        if (v[j][l] < 0.0)\n            v[j][l] = 0.0;",
+                                    "        for (int m = 0; m < 2; m++)\n"
+                                    "            if (v[j][m] < 0.0)\n"
+                                    "                v[j][m] = 0.0;"),
 }
 
 
@@ -803,10 +1005,24 @@ def test_run_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch
     h = POLICIES["linear"]
     cases = [case_inputs(case, chain_mode=mode, output_stride=7)
              for case in ("clamping", "blow_up") for mode in ("exact", "discretized")]
-    compiled = [outcome(lambda run: _run_c(run, mutant), *case, h) for case in cases]
+    compiled = [outcome(alone(mutant), *case, h) for case in cases]
     reference = [outcome(_run_py, *case, h) for case in cases]
-    compiled.append(boundary_steps(kernel, lambda run: _run_c(run, mutant)))
+    compiled.append(boundary_steps(kernel, alone(mutant)))
     reference.append(boundary_steps(kernel, _run_py))
+    # pairs: another seed, a twin (Euler-Maruyama clamps, too), crafted
+    # paths, and a lane that fails
+    for config, gen, table in [*cases, case_inputs("clamping", scheme="euler_maruyama")]:
+        for seeds in ((7, 8), (7, 7)):
+            configs = [replace(config, seed=seed) for seed in seeds]
+            compiled.append(in_lanes(mutant, configs, gen, table, h))
+            reference.append(in_python(configs, gen, table, h))
+    for paths in itertools.permutations(CRAFTED_PATHS, 2):
+        compiled.append(on_crafted_paths(lambda runs: _run_c(runs, mutant), paths))
+        reference.append(on_crafted_paths(python_runs, paths))
+    configs, gen, table = failing_pair()
+    compiled.append(in_lanes(mutant, configs, gen, table, h, failed=True))
+    reference.append([in_lanes(kernel, [config], gen, table, h, failed=True)[0]
+                      for config in configs])
     assert compiled != reference
 
 

@@ -356,7 +356,8 @@ class TestEnsemblePool:
                 code, threads = self.run_at(monkeypatch, cpus, [command, "--config", str(path),
                                                                 "--out", str(out / "out"),
                                                                 "--quiet"])
-            assert code == 0 and len(threads) == 7
+            # with the kernel, more members than CPUs step in pairs: 4 kernel calls
+            assert code == 0 and len(threads) == (4 if compiled else 7)
             # members step on the calling thread and on helpers started for the ensemble
             assert set(threads) <= {"MainThread", "seqirsim-member"}
             assert started == ["seqirsim-member"] * (cpus - 1 if compiled else 0)

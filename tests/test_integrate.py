@@ -567,22 +567,60 @@ class TestEnsemble:
                 traj.metadata["clamp_events"], traj.metadata["backend"],
                 traj.metadata["config"])
 
-    def test_members_do_not_depend_on_the_worker_count(self, gen4, ex1_table, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_members_do_not_depend_on_the_worker_count(self, gen4, ex1_table, monkeypatch, n):
         from seqirsim import _kernel
 
-        # n = 7 passes the limit of two members in flight per worker at 1, 2 and 3 CPUs
+        # n = 7 passes the limit of two tasks in flight per worker at 1, 2 and 3 CPUs
         config = base_config(horizon=2.0, output_stride=7)
         compiled = _kernel.load()[0] is not None
         standalone = [self.outcome(simulate(replace(config, seed=derive_seed(5, i)), gen4,
-                                            ex1_table, LINEAR)) for i in range(7)]
+                                            ex1_table, LINEAR)) for i in range(n)]
         for cpus in (1, 2, 3):
             members, threads, started = self.members_at(monkeypatch, cpus, config, gen4,
-                                                        ex1_table, LINEAR, 7, 5)
+                                                        ex1_table, LINEAR, n, 5)
             assert [self.outcome(t) for t in members] == standalone
+            # with the kernel and more members than CPUs, members 2j and 2j + 1
+            # step in one kernel call (an odd n's last alone); else one a call
+            paired = compiled and n > cpus
+            assert len(threads) == (-(-n // 2) if paired else n)
             # members step on the calling thread and on helpers started for the ensemble
-            assert len(threads) == 7 and set(threads) <= {"MainThread", "seqirsim-member"}
+            assert set(threads) <= {"MainThread", "seqirsim-member"}
             # the Python runner holds the GIL, so it starts no helper
-            assert started == ["seqirsim-member"] * (cpus - 1 if compiled else 0)
+            assert started == ["seqirsim-member"] * (min(cpus, len(threads)) - 1
+                                                     if compiled else 0)
+
+    def test_members_share_their_grid_read_only(self, gen4, ex1_table):
+        members = list(iter_ensemble(base_config(horizon=0.5, output_stride=7), gen4,
+                                     ex1_table, LINEAR, 3, 5))
+        assert all(t.times is members[0].times for t in members)
+        assert not members[0].times.flags.writeable
+        assert all(t.states.flags.writeable for t in members)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("base_seed, first", [(0, 1), (2, 0), (6, 2)])
+    def test_the_first_failing_member_raises_at_its_turn(self, gen4, monkeypatch, cpus,
+                                                         base_seed, first):
+        # error-policy members that go negative: at base seed 0 member 1
+        # (lane 1 of the first pair) and 2; at 2 member 0 (lane 0, its
+        # partner passes) and later ones; at 6 member 2 (lane 0) and 4
+        table = table_from_lists(dict(EX1_PARAMS, sigma0=[0.1] * 4))
+        config = base_config(dt=0.01, horizon=20.0, output_stride=10, initial_regime=3,
+                             scheme="euler_maruyama", negativity_policy="error")
+        alone = []
+        for i in range(first + 1):
+            try:
+                alone.append(self.outcome(simulate(replace(config, seed=derive_seed(base_seed, i)),
+                                                   gen4, table, LINEAR)))
+            except NegativeState as exc:
+                alone.append(str(exc))
+        assert [isinstance(out, str) for out in alone] == [False] * first + [True]
+        use_cpus(monkeypatch, cpus)
+        yielded = []
+        with pytest.raises(NegativeState) as info:
+            for traj in iter_ensemble(config, gen4, table, LINEAR, 6, base_seed):
+                yielded.append(self.outcome(traj))
+        assert yielded + [str(info.value)] == alone
 
     def test_python_runner_steps_on_the_pool(self, gen4, ex1_table, monkeypatch):
         from seqirsim import _kernel
@@ -619,6 +657,30 @@ class TestEnsemble:
             for traj in members:
                 seeds.append(traj.metadata["config"].seed)
         assert seeds == [derive_seed(5, i) for i in range(3)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing", [2, 3])
+    def test_no_member_is_set_up_after_a_failing_setup(self, gen4, ex1_table, monkeypatch,
+                                                       cpus, failing):
+        # members 2 and 3 are one pair: either may fail, in either lane
+        use_cpus(monkeypatch, cpus)
+        seeds = [derive_seed(5, i) for i in range(6)]
+        set_up = []
+        setup = integrate._setup
+
+        def flaky(config, *args):
+            set_up.append(seeds.index(config.seed))
+            if set_up[-1] == failing:
+                raise StepTooLarge(f"setup of member {failing}")
+            return setup(config, *args)
+
+        monkeypatch.setattr(integrate, "_setup", flaky)
+        yielded = []
+        with pytest.raises(StepTooLarge, match=f"member {failing}"):
+            for traj in iter_ensemble(base_config(horizon=0.5), gen4, ex1_table, LINEAR, 6, 5):
+                yielded.append(seeds.index(traj.metadata["config"].seed))
+        assert yielded == list(range(failing))
+        assert set_up == list(range(failing + 1))
 
 
 class Tasks:
