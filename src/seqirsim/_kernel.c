@@ -567,8 +567,10 @@ int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
  * to move a large clock, which chain._walk refuses too.  Otherwise a uniform u
  * picks the landing state: the count of entries <= u in row cur of cdfs
  * (n_states - 1 per row), which is searchsorted(row, u, side="right").
- * Each jump stores its time and 1-based regime; when cap jumps are stored
- * the walk returns with carry[0] = cur and the clock, to be called again.
+ * Each jump stores its time and 1-based regime in times and regimes, unless
+ * times is NULL, when the walk only counts its jumps and sums occ; after cap
+ * jumps the walk returns with carry[0] = cur and the clock, to be called
+ * again.
  * occ (n_states entries, zeroed by the caller before the first call) gets
  * each segment's duration added into slot cur as the walk leaves it: t -
  * before at a jump, and horizon - before when the walk ends, where before is
@@ -577,8 +579,8 @@ int seqir_rk4(const double *k, double dt, double *x, const int64_t *rec_steps,
  * weights of chain.occupancy, so the sums have its bytes.
  * A grid clock that would pass INT64_MAX ends the walk: chain's grid sampler
  * refuses a horizon past 2**63 * unit, so such a jump time is past it.
- * Returns the number of jumps stored; the caller grows the arrays when that
- * is cap and the walk has not ended, and calls again past them. */
+ * Returns the number of jumps taken; when that is cap and the walk has not
+ * ended, the caller grows the arrays, if any, and calls again past them. */
 int64_t seqir_walk(bitgen_t *bitgen, const ziggurat_t *z, int geometric, const double *param,
                    const double *cdfs, int64_t n_states, double unit,
                    double horizon, double *clock, int64_t *carry,
@@ -621,8 +623,10 @@ int64_t seqir_walk(bitgen_t *bitgen, const ziggurat_t *z, int geometric, const d
             k += row[j] <= u;
         occ[cur] += t - before;
         cur = k;
-        times[n] = t;
-        regimes[n] = cur + 1;
+        if (times) {
+            times[n] = t;
+            regimes[n] = cur + 1;
+        }
         n++;
     }
 

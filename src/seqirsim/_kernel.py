@@ -10,10 +10,11 @@ private per-user directory (``$XDG_CACHE_HOME/seqirsim``, else
 ``~/.cache/seqirsim``, mode 0700) under a name derived from the sha256 of
 source, flags, machine, numpy version and archive, and loads it through
 ctypes.  A load refreshes the kernel's modification time, and a build
-removes the other kernels of the cache not loaded for ``STALE_DAYS``.  It loads whole or not at all: any failure (a compiler without
-128-bit integers, or tables that fail their check, too) leaves it
-unavailable with a one-line reason, and every caller steps, walks and
-formats in Python instead.
+removes the other kernels of the cache not loaded for ``STALE_DAYS``.  It
+loads whole or not at all: any failure (a compiler without 128-bit
+integers, or tables that fail their check, too) leaves it unavailable with
+a one-line reason, and every caller steps, walks and formats in Python
+instead.
 ``integrate.simulate``, ``integrate.simulate_deterministic``, the chain
 samplers and the CSV writer ``cli._write_csv`` import this module on first
 use, so importing the package neither builds nor loads the kernel.

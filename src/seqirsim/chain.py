@@ -12,8 +12,9 @@ on the Generator's own bit generator, its exponentials on the fast path of
 numpy's ziggurat inline and through numpy's own routines otherwise (see
 ``_kernel``), so both consume the same variates in the same stream order,
 and writes into one pair of arrays that grows in place, so a path is not
-copied on its way out.  The grid sampler computes its transition matrix
-once per generator and dt, so an ensemble's members share it.
+copied on its way out, or into none.  The grid sampler computes its
+transition matrix once per generator and dt, so an ensemble's members share
+it.
 
 A path that a user builds with ``RegimePath(...)`` is checked; a sampled path
 is trusted and built without the checks, since both walks build it valid:
@@ -22,8 +23,7 @@ A walk raises :class:`StalledClock` rather than repeat a jump time.
 :func:`occupancy` sums a path's segments with ``np.bincount``.  The kernel
 walk adds each segment into the same sums, in the same order, as it leaves
 it, so :func:`sample_occupancy_exact` gives the jump count and occupancy of
-an exact path with those bytes in constant memory, reusing one block for
-the jumps.
+an exact path with those bytes in constant memory, storing no jump.
 
 States are 1-based everywhere in the public interface.  All types are frozen
 and safe to share across threads; samplers take an explicit seed or Generator
@@ -58,8 +58,9 @@ STEP_WARN_LIMIT = 0.1
 
 #: the entries the kernel walk's arrays hold at first; they double whenever full
 _WALK_CAPACITY = 1024
-#: the entries of the one block that sample_occupancy_exact's kernel walk reuses
-_OCCUPANCY_BLOCK = 16384
+#: the most jumps of one kernel call of a walk that stores none: between calls
+#: Python runs its signal handlers, so Ctrl-C ends a long walk
+_WALK_CALL_JUMPS = 16384
 #: why a walk stops at a jump time no later than the one before it
 _STALLED = "a hold too short for the clock: jump times must be strictly increasing"
 
@@ -285,9 +286,9 @@ def sample_occupancy_exact(g: Generator, r0: int, horizon: float,
     """``(path.n_jumps, occupancy(path))`` for ``path =
     sample_path_exact(g, r0, horizon, rng_seed)``, with the same bytes and
     the same draws, without building the path: the kernel walk sums the
-    occupancy itself and reuses one block for the jumps
-    (:func:`_occupancy_c`), so the memory does not grow with their number.
-    Without the kernel it is that expression itself, the reference."""
+    occupancy itself and stores no jump (:func:`_kernel_walk` with no
+    arrays), so the memory does not grow with their number.  Without the
+    kernel it is that expression itself, the reference."""
     from . import _kernel  # imported on first use: start-up does not pay for it
     kernel, _ = _kernel.load()
     if kernel is None or g.n_states == 1:
@@ -295,7 +296,9 @@ def sample_occupancy_exact(g: Generator, r0: int, horizon: float,
         return path.n_jumps, occupancy(path)
     _check_initial(g, r0, horizon)
     rng = np.random.default_rng(rng_seed)
-    return _occupancy_c(kernel, _jump_cdfs(g.rates), r0, horizon, 1.0 / g.exit_rates, rng)
+    n_jumps, occ = _kernel_walk(kernel, _jump_cdfs(g.rates), r0, horizon, 1.0, False,
+                                1.0 / g.exit_rates, rng)
+    return n_jumps, occ / horizon
 
 
 def sample_path_discretized(
@@ -361,56 +364,34 @@ def _sample(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: b
 def _walk_c(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
             geometric: bool, param: np.ndarray, rng: np.random.Generator) -> RegimePath:
     """:func:`_walk` in the compiled ``kernel``: the walk of
-    :func:`_kernel_walk` in one pair of arrays of ``_WALK_CAPACITY`` entries
-    that double in place (``ndarray.resize``, a realloc) whenever they are
-    full.  At the end they are cut to the path's length, so the path owns
-    exactly its entries.  The resize skips numpy's reference check: both
-    arrays are local and nothing views them, but a profiler set with
-    ``sys.setprofile`` holds a reference to ``times`` while its method runs,
-    which the check refuses.  The walk's occupancy is not used."""
-    times, regimes, stored, _ = _kernel_walk(kernel, cdfs, r0, horizon, unit, geometric,
-                                             param, rng, _WALK_CAPACITY, _grow)
-    times.resize(stored, refcheck=False)
-    regimes.resize(stored, refcheck=False)
+    :func:`_kernel_walk` in one pair of arrays of ``_WALK_CAPACITY``
+    entries, cut to the path's length at the end, so the path owns exactly
+    its entries.  The walk's occupancy is not used."""
+    times, regimes = np.empty(_WALK_CAPACITY), np.empty(_WALK_CAPACITY, dtype=np.int64)
+    n_jumps, _ = _kernel_walk(kernel, cdfs, r0, horizon, unit, geometric, param, rng,
+                              times, regimes)
+    times.resize(n_jumps + 1, refcheck=False)
+    regimes.resize(n_jumps + 1, refcheck=False)
     return RegimePath._sampled(times, regimes, horizon, len(param))
 
 
-def _grow(times: np.ndarray, regimes: np.ndarray, stored: int) -> int:
-    """The ``full`` of :func:`_walk_c`: double both arrays in place."""
-    times.resize(2 * len(times), refcheck=False)
-    regimes.resize(2 * len(regimes), refcheck=False)
-    return stored
-
-
-def _occupancy_c(kernel, cdfs: np.ndarray, r0: int, horizon: float,
-                 param: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """The jump count and :func:`occupancy` of the exact walk of
-    :func:`_kernel_walk`, which sums the occupancy itself, in one block of
-    ``_OCCUPANCY_BLOCK`` entries: whenever it is full, its jumps are counted
-    and the walk goes on at entry 1."""
-    jumps = 0
-
-    def rewind(times: np.ndarray, regimes: np.ndarray, stored: int) -> int:
-        nonlocal jumps
-        jumps += stored - 1
-        return 1
-
-    _, _, stored, occ = _kernel_walk(kernel, cdfs, r0, horizon, 1.0, False, param, rng,
-                                     _OCCUPANCY_BLOCK, rewind)
-    return jumps + stored - 1, occ / horizon
-
-
 def _kernel_walk(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
-                 geometric: bool, param: np.ndarray, rng: np.random.Generator, size: int,
-                 full) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+                 geometric: bool, param: np.ndarray, rng: np.random.Generator,
+                 times: np.ndarray | None = None,
+                 regimes: np.ndarray | None = None) -> tuple[int, np.ndarray]:
     """:func:`_walk` in the compiled ``kernel``, drawing from ``rng``'s own
-    bit generator under its lock, with the kernel's ziggurat tables, into a
-    pair of arrays of ``size`` entries, the first (0, r0).  Whenever they
-    are full, ``full(times, regimes, stored)`` makes room and returns the
-    entry at which the walk goes on.
-    Returns the arrays, the number of entries they hold at the end and the
-    time spent in each state, which the walk adds up segment by segment as
-    :func:`occupancy` does before its division by ``horizon``."""
+    bit generator under its lock, with the kernel's ziggurat tables.
+    Returns the number of jumps and the time spent in each state, which the
+    walk adds up segment by segment as :func:`occupancy` does before its
+    division by ``horizon``.
+
+    Given ``times`` and ``regimes`` (float64 and int64, of equal length), it
+    stores the path in them, the first entry (0, r0), and doubles both in
+    place (``ndarray.resize``, a realloc) whenever they are full.  The resize
+    skips numpy's reference check: a profiler set with ``sys.setprofile``
+    holds a reference to ``times`` while its method runs, which the check
+    refuses.  Without them it stores nothing and returns to Python after
+    every ``_WALK_CALL_JUMPS`` jumps."""
     cdfs = np.ascontiguousarray(cdfs, dtype=np.float64)
     param = np.ascontiguousarray(param, dtype=np.float64)
     n = len(param)
@@ -419,25 +400,27 @@ def _kernel_walk(kernel, cdfs: np.ndarray, r0: int, horizon: float, unit: float,
     clock = np.zeros(1)  # the exact clock
     carry = np.array([r0 - 1, 0, 0], dtype=np.int64)  # state, grid clock, ended (2: stalled)
     occ = np.zeros(n)
-    times = np.empty(size)
-    regimes = np.empty(size, dtype=np.int64)
-    times[0], regimes[0] = 0.0, r0
-    stored = 1
+    n_jumps, at, cap = 0, (None, None), _WALK_CALL_JUMPS
+    if times is not None:
+        times[0], regimes[0] = 0.0, r0
     bitgen = rng.bit_generator
+    args = (bitgen.ctypes.bit_generator, kernel.ziggurat.ctypes.data, geometric,
+            param.ctypes.data, cdfs.ctypes.data, n, unit, horizon, clock.ctypes.data,
+            carry.ctypes.data)
     with bitgen.lock:
-        while True:
-            # both arrays hold 8-byte entries: the walk goes on at entry `stored`
-            stored += kernel.seqir_walk(bitgen.ctypes.bit_generator, kernel.ziggurat.ctypes.data,
-                                        geometric, param.ctypes.data, cdfs.ctypes.data, n, unit,
-                                        horizon, clock.ctypes.data, carry.ctypes.data,
-                                        times.ctypes.data + 8 * stored,
-                                        regimes.ctypes.data + 8 * stored, len(times) - stored,
-                                        occ.ctypes.data)
-            if carry[2] == 2:
-                raise StalledClock(_STALLED)
-            if carry[2]:
-                return times, regimes, stored, occ
-            stored = full(times, regimes, stored)
+        while not carry[2]:
+            if times is not None:
+                if n_jumps + 1 == len(times):
+                    times.resize(2 * len(times), refcheck=False)
+                    regimes.resize(2 * len(regimes), refcheck=False)
+                # both arrays hold 8-byte entries: the walk goes on past the last jump
+                end = 8 * (n_jumps + 1)
+                at = times.ctypes.data + end, regimes.ctypes.data + end
+                cap = len(times) - n_jumps - 1
+            n_jumps += kernel.seqir_walk(*args, *at, cap, occ.ctypes.data)
+    if carry[2] == 2:
+        raise StalledClock(_STALLED)
+    return n_jumps, occ
 
 
 def _walk(cdfs: np.ndarray, r0: int, horizon: float, unit: float, geometric: bool,

@@ -18,11 +18,11 @@ order.  Wherever ``x == 0`` or ``1e-4 <= |x| < 1e16`` (the guard), ``repr``
 gives the same text as :func:`_fmt`, and a CSV float there is formatted as
 ``repr`` formats it: by the compiled kernel's exact shortest-digit search
 when the kernel loads, else by ``repr`` itself.  Every other float goes
-through :func:`_fmt`.  The chunks of a file run through
-``integrate._ordered``, the pipeline that ensemble members run through: with
-the kernel they are formatted on the calling thread and on helper threads,
-one per usable CPU in all, and the calling thread writes every chunk, in
-order, so no byte depends on the thread count.
+through :func:`_fmt`, on the thread that formats its chunk.  The chunks of a
+file run through ``integrate._ordered``, the pipeline that ensemble members
+run through: with the kernel they are formatted on the calling thread and on
+helper threads, one per usable CPU in all, and the calling thread writes
+every chunk, in order, so no byte depends on the thread count.
 """
 
 from __future__ import annotations
@@ -89,15 +89,17 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     :func:`_fmt`.
 
     Rows are formatted and written ``_CSV_CHUNK`` at a time, in index order:
-    the chunks are the tasks of ``integrate._ordered``, and formatting one is
-    its work.  When the compiled kernel loads, :func:`_kernel_rows` formats
-    them on ``integrate._workers(n_chunks)`` threads, the calling thread among
-    them, each chunk into buffer slot ``i % window``, which is not refilled
-    before its chunk is written.  Otherwise :func:`_python_rows` formats them,
-    a column slice at a time, inline on the calling thread, since it holds
-    the GIL.  The calling thread writes each chunk, in order, so no byte
-    depends on the thread count, and both formatters write the same bytes.
-    A file of one chunk is formatted and written inline, with no thread."""
+    the chunks are the tasks of ``integrate._ordered``, and a task's work is
+    ``fill(lo, hi, slot)``, which returns the chunk's finished bytes: that of
+    :func:`_kernel_rows` when the compiled kernel loads, else that of
+    :func:`_python_rows`.  With the kernel the chunks are formatted on
+    ``integrate._workers(n_chunks)`` threads, the calling thread among them,
+    each into buffer slot ``i % window``, which is not refilled before its
+    chunk is written.  Without it they are formatted inline on the calling
+    thread, since :func:`_cells` holds the GIL.  The calling thread writes
+    each chunk, in order, so no byte depends on the thread count, and both
+    formatters write the same bytes.  A file of one chunk is formatted and
+    written inline, with no thread."""
     n_rows = len(columns[0])
     if any(np.shape(col) != (n_rows,) for col in columns):
         raise ValueError("CSV columns must be 1-D and of equal length")
@@ -106,8 +108,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     n_chunks = -(-n_rows // _CSV_CHUNK)
     threads = 1 if kernel is None or n_chunks < 2 else integrate._workers(n_chunks)
     n_slots = integrate._window(threads)
-    fill, text = (_python_rows(columns) if kernel is None
-                  else _kernel_rows(kernel, columns, n_slots))
+    fill = _python_rows(columns) if kernel is None else _kernel_rows(kernel, columns, n_slots)
 
     def chunk(i: int):
         lo = i * _CSV_CHUNK
@@ -115,36 +116,34 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for i, count in integrate._ordered(n_chunks, lambda i: i, chunk, threads,
-                                           "seqirsim-csv"):
-            fh.write(text(i % n_slots, count))
+        for _, data in integrate._ordered(n_chunks, lambda i: i, chunk, threads,
+                                          "seqirsim-csv"):
+            fh.write(data)
 
 
 def _python_rows(columns: list[np.ndarray]):
-    """``(fill, text)`` of :func:`_write_csv` for :func:`_cells`, with one
-    slot: ``fill`` keeps the bytes of the rows and ``text`` returns them."""
-    out = [b""]
+    """The ``fill`` of :func:`_write_csv` for :func:`_cells`: the bytes of
+    rows lo..hi-1, whatever the slot."""
 
-    def fill(lo: int, hi: int, slot: int) -> int:
+    def fill(lo: int, hi: int, slot: int) -> bytes:
         cells = [_cells(col[lo:hi]) for col in columns]
-        out[slot] = "".join([",".join(row) + "\n" for row in zip(*cells)]).encode()
-        return 0
+        return "".join([",".join(row) + "\n" for row in zip(*cells)]).encode()
 
-    return fill, lambda slot, count: out[slot]
+    return fill
 
 
 def _kernel_rows(kernel, columns: list[np.ndarray], n_slots: int):
-    """``(fill, text)`` of :func:`_write_csv` for the kernel's ``seqir_csv``,
+    """The ``fill`` of :func:`_write_csv` for the kernel's ``seqir_csv``,
     with ``n_slots`` buffer slots.  ``fill(lo, hi, slot)`` formats rows
-    lo..hi-1 (at most ``_CSV_CHUNK``) into the slot and returns the number of
-    cells it left empty; it makes only the ``seqir_csv`` call, which releases
-    the GIL, so helper threads run it.  ``text(slot, n)`` returns the slot's
-    rows with those n cells filled in; it runs on the writing thread.
+    lo..hi-1 (at most ``_CSV_CHUNK``) into the slot and returns their bytes:
+    a view of the slot, which is written before the slot is filled again,
+    or, where ``seqir_csv`` left cells empty, a copy with those cells filled
+    in.  The ``seqir_csv`` call releases the GIL, so helper threads run it.
 
     ``seqir_csv`` writes integers in decimal, and each float inside the
     guard of :func:`_cells` with the shortest round-trip digits, found by an
     exact integer search, in ``repr``'s positional form.  It leaves every
-    other float as an empty cell and records where; ``text`` fills it in
+    other float as an empty cell and records where, and ``fill`` fills it in
     with :func:`_fmt`.  Integer columns are passed as int64 and the others
     as float64, in place when they already are.  The column table
     (addresses, strides and integer flags) is one array, built once; each
@@ -168,23 +167,20 @@ def _kernel_rows(kernel, columns: list[np.ndarray], n_slots: int):
                       memoryview(slot[3 * cells + 1:].view(np.uint8)),
                       slot[:3 * cells].reshape(cells, 3), slot[3 * cells:3 * cells + 1]))
 
-    def fill(lo: int, hi: int, slot: int) -> int:
-        return kernel.seqir_csv(*table_args, lo, hi, *slots[slot][0])
-
-    # plain addresses hold nothing: fill holds every array the kernel reads
-    fill.arrays = (cols, table, slots)
-
-    def text(slot: int, n: int):
-        _, view, splices, n_bytes = slots[slot]
+    def fill(lo: int, hi: int, slot: int):
+        addrs, view, splices, n_bytes = slots[slot]
+        n = kernel.seqir_csv(*table_args, lo, hi, *addrs)
+        if not n:
+            return view[:n_bytes[0]]
         parts, start = [], 0
         for offset, row, col in splices[:n].tolist():
             parts += (view[start:offset], _fmt(cols[col][row]).encode())
             start = offset
-        # a view of the slot when nothing is spliced: it is written before
-        # the slot is filled again
-        return b"".join([*parts, view[start:n_bytes[0]]]) if parts else view[:n_bytes[0]]
+        return b"".join([*parts, view[start:n_bytes[0]]])
 
-    return fill, text
+    # plain addresses hold nothing: fill holds every array the kernel reads
+    fill.arrays = (cols, table, slots)
+    return fill
 
 
 def _cells(col: np.ndarray) -> list[str]:

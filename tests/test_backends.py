@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -428,18 +429,30 @@ def walk_inputs(case):
     return cdfs, r0, horizon, dt, True, leave
 
 
-@pytest.mark.parametrize("capacity", [1, 7, chain._WALK_CAPACITY])
+@pytest.mark.parametrize("capacity", [1, 7, chain._WALK_CAPACITY, None])
 @pytest.mark.parametrize("case", list(WALK_CASES))
 def test_the_kernel_walk_sums_the_occupancy_of_its_path(kernel, case, capacity):
-    # the sums go on across the calls that resume the walk in grown arrays;
-    # occupancy divides its sums by the horizon, and so does the chain report
+    # the sums go on across the calls that resume the walk in grown arrays,
+    # and across the calls of a walk given no arrays (None), which stores no
+    # jump and must count and sum as the walk that stores its path in arrays
+    # of the default capacity; occupancy divides its sums by the horizon, and
+    # so does the chain report
     cdfs, r0, horizon, unit, geometric, param = walk_inputs(case)
-    rng = np.random.default_rng(WALK_CASES[case][4])
-    times, regimes, stored, occ = chain._kernel_walk(kernel, cdfs, r0, horizon, unit,
-                                                     geometric, param, rng, capacity,
-                                                     chain._grow)
-    path = RegimePath(times[:stored], regimes[:stored], horizon, len(param))
-    assert (occ / horizon).tobytes() == chain.occupancy(path).tobytes()
+
+    def walk(*arrays):
+        rng = np.random.default_rng(WALK_CASES[case][4])
+        n_jumps, occ = chain._kernel_walk(kernel, cdfs, r0, horizon, unit, geometric, param,
+                                          rng, *arrays)
+        return n_jumps, (occ / horizon).tobytes(), rng.bit_generator.state
+
+    size = capacity or chain._WALK_CAPACITY
+    times, regimes = np.empty(size), np.empty(size, dtype=np.int64)
+    stored = walk(times, regimes)
+    n_jumps = stored[0]
+    path = RegimePath(times[:n_jumps + 1], regimes[:n_jumps + 1], horizon, len(param))
+    assert stored[1] == chain.occupancy(path).tobytes()
+    if capacity is None:
+        assert walk() == stored
 
 
 @pytest.mark.filterwarnings("ignore:dt \\* max exit rate")
@@ -490,15 +503,15 @@ def occupancy_outcome(case, reference):
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
-@pytest.mark.parametrize("block", [2, 7, chain._OCCUPANCY_BLOCK])
+@pytest.mark.parametrize("bound", [2, 7, chain._WALK_CALL_JUMPS])
 @pytest.mark.parametrize("case", [name for name, case in WALK_CASES.items() if case[3] is None])
-def test_sampled_occupancy_is_that_of_the_sampled_path(kernel, monkeypatch, case, block,
+def test_sampled_occupancy_is_that_of_the_sampled_path(kernel, monkeypatch, case, bound,
                                                        backend):
-    # the block is rewound after every jump (2), after every six (7), or, at
-    # the default size, never on these paths; the reference runs on the
-    # other backend.  The kernel walk sums the occupancy of every chain that
-    # it walks, that is of more than one state
-    monkeypatch.setattr(chain, "_OCCUPANCY_BLOCK", block)
+    # the count-only walk returns to Python after every two jumps, every
+    # seven, or, at the default bound, never on these paths; the reference
+    # runs on the other backend.  The kernel walk sums the occupancy of every
+    # chain that it walks, that is of more than one state
+    monkeypatch.setattr(chain, "_WALK_CALL_JUMPS", bound)
     with monkeypatch.context() as m:
         (kernel_only if backend == "c" else python_only)(m)
         if backend == "c" and len(WALK_CASES[case][0]) > 1:
@@ -525,6 +538,40 @@ def test_chain_command_memory_does_not_grow_with_the_path(kernel, tmp_path,
     assert code == 0
     assert int(parse_report(out)["sampled_jumps"]) > 900_000
     assert peak < 4 * 2 ** 20
+
+
+def test_ctrl_c_ends_a_long_chain_walk(kernel, tmp_path, example1_config_path):
+    # the walk that stores no jump returns to Python after every
+    # _WALK_CALL_JUMPS jumps, where the interpreter raises KeyboardInterrupt.
+    # This walk has seconds left when the signal comes: at seed 42 it runs
+    # about 3.5e8 jumps (3.8 s on a 2-vCPU VM), until a hold is lost in the
+    # rounding of its clock (StalledClock), so a walk that held the signal
+    # until it returned would end late.  In a child process, which finds the
+    # kernel that the fixture built in the cache
+    doc = json.loads(example1_config_path.read_text())
+    doc["generator"] = (np.array(doc["generator"]) * 50).tolist()
+    doc["simulation"].update(horizon=1e7, seed=42)
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "chain.txt"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen([sys.executable, "-m", "seqirsim.cli", "chain", "--config",
+                              str(path), "--out", str(out), "--quiet"],
+                             env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        time.sleep(1.0)  # import, config and kernel load take a few tenths of a second
+        assert child.poll() is None, child.stderr.read()
+        child.send_signal(signal.SIGINT)
+        start = time.monotonic()
+        _, err = child.communicate(timeout=5)
+        elapsed = time.monotonic() - start
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode != 0
+    assert "KeyboardInterrupt" in err and "in _kernel_walk" in err, err  # it came in the walk
+    assert not out.exists()
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3])
@@ -1026,10 +1073,16 @@ def test_run_identity_detects_a_mutated_kernel(kernel, fresh_loader, monkeypatch
     assert compiled != reference
 
 
-#: one-operation changes of seqir_walk's draws, each of which the walks from
-#: the boundary words must detect
-WALK_MUTATIONS = {name: ZIGGURAT_MUTATIONS[name] for name in (
-    "exponential-shift-2", "probe-stores-hi-plus-1", "replay-word-not-replayed")}
+#: one-operation changes of seqir_walk, each of which the walks from the
+#: boundary words must detect
+WALK_MUTATIONS = {
+    **{name: ZIGGURAT_MUTATIONS[name] for name in (
+        "exponential-shift-2", "probe-stores-hi-plus-1", "replay-word-not-replayed")},
+    # a walk that stores no jump counts none either
+    "count-only-walk-counts-nothing": (
+        "            regimes[n] = cur + 1;\n        }\n        n++;",
+        "            regimes[n] = cur + 1;\n            n++;\n        }"),
+}
 
 
 @pytest.mark.parametrize("mutation", list(WALK_MUTATIONS))
@@ -1123,10 +1176,10 @@ def test_csv_rows_keep_the_arrays_the_kernel_reads_alive(kernel):
         "from seqirsim import _kernel, cli\n"
         "kernel, _ = _kernel.load()\n"
         "cols = [np.arange(10) * 0.1, np.arange(10) % 4, *[np.linspace(1.0, 2.0, 10)] * 5]\n"
-        "fill, text = cli._kernel_rows(kernel, cols, 2)\n"
+        "fill = cli._kernel_rows(kernel, cols, 2)\n"
         "taken = [np.full(7, 7, dtype=np.int64) for _ in range(8)]\n"
         "expected = ''.join(','.join(row) + '\\n' for row in zip(*map(cli._cells, cols)))\n"
-        "sys.stdout.write(str(bytes(text(1, fill(0, 10, 1))) == expected.encode()))\n"
+        "sys.stdout.write(str(bytes(fill(0, 10, 1)) == expected.encode()))\n"
     )
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

@@ -1064,10 +1064,9 @@ class TestThreadedCsvWriter:
         n_chunks = -(-n_rows // C)
         assert len(slow.threads) == n_chunks
         assert started == ["seqirsim-csv"] * (min(threads, n_chunks) - 1)
-        # helpers format chunks, but every empty cell is filled on the writer's thread
+        # helpers format chunks, their empty cells too
         if len(started):
             assert "seqirsim-csv" in slow.threads
-        assert set(fmt_threads) == {"MainThread"}
         assert len(fmt_threads) == sum(n_rows - len(in_guard(columns[j])) for j in (0, 2))
         assert len(fmt_threads) >= min(n_rows, 2) * n_chunks  # nan and inf, at least
 
